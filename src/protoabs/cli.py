@@ -22,6 +22,7 @@ from .corpus_tools import (
     preprocess,
     save_corpus,
     save_labels,
+    write_atomic,
 )
 from .errors import DataError, ProtoabsError
 from .evaluation import evaluate
@@ -30,7 +31,6 @@ from .experiments import (
     sweep_csv,
     sweep_k,
     sweep_labels,
-    write_atomic,
 )
 from .model import UNLABELED
 from .plots import svg_heatmap, svg_lineplot

@@ -7,11 +7,15 @@ with centroid mu and diagonal metric A:
     + sum_{(i,j) in must}   w    * f_must(x_i, x_j)   * [l_i != l_j]
     + sum_{(i,j) in cannot} wbar * f_cannot(x_i, x_j) * [l_i == l_j]
 
-Points are visited greedily in a seeded random permutation; centroids are
-per-field modes; metrics are closed-form per-cluster weight updates.  The
-per-cluster max-separated-pair table used by the cannot-link penalty is
-refreshed whenever the metrics change (so with metric updates disabled it
-stays fixed, which keeps the objective non-increasing).
+Constrained points are visited greedily in a seeded random permutation;
+unconstrained points interact with nothing and take a vectorized argmin of
+costs computed once per distinct code row.  Centroids are per-field modes;
+metrics are closed-form per-cluster weight updates.  The per-cluster
+max-separated-pair table used by the cannot-link penalty (built over each
+cluster's distinct rows) is refreshed whenever the metrics change, so with
+metric updates disabled it stays fixed during the loop, which keeps the
+objective non-increasing; the final objective uses a table rebuilt for the
+final assignments.
 """
 
 import json
@@ -204,13 +208,14 @@ class _State:
         self.cannot_pairs = np.array(sorted(constraints.cannot_links), dtype=np.int64).reshape(-1, 2)
 
     def base_costs(self):
-        """(N, K) dispersion-plus-logdet costs against current centroids."""
-        n = self.codes.shape[0]
-        b = np.empty((n, self.k))
+        """(N, K) dispersion-plus-logdet costs against current centroids,
+        computed once per distinct code row."""
+        rows = self.corpus.unique_codes
+        b = np.empty((rows.shape[0], self.k))
         for h in range(self.k):
-            mism = self.codes != self.cent[h][None, :]
+            mism = rows != self.cent[h][None, :]
             b[:, h] = mism @ self.weights[h] - self.logdets[h]
-        return b
+        return b[self.corpus.row_ids]
 
     def point_costs(self, i, base_row=None):
         """K-vector of assignment costs for point i, partners' assignments fixed.

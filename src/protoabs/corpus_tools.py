@@ -17,6 +17,8 @@ where a term is KEY=VALUE, KEY=* (key present with any value) or
 """
 
 import json
+import os
+from contextlib import suppress
 from dataclasses import dataclass
 
 import numpy as np
@@ -301,10 +303,28 @@ def generate_synthetic(spec):
     return corpus, labels
 
 
+def write_atomic(path, text):
+    """Write via a temp file and rename so partial artifacts never appear.
+
+    The temp file is removed when the write or the rename fails.
+    """
+    tmp = "%s.tmp.%d" % (path, os.getpid())
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        with suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
+def _json_text(obj):
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
 def save_corpus(corpus, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(corpus.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_atomic(path, _json_text(corpus.to_dict()))
 
 
 def load_corpus(path):
@@ -313,9 +333,7 @@ def load_corpus(path):
 
 
 def save_labels(labels, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(labels.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_atomic(path, _json_text(labels.to_dict()))
 
 
 def load_labels(path):

@@ -7,7 +7,6 @@ artifacts must be byte-identical across reruns with the same seeds.
 
 import csv
 import io
-import os
 import time
 from dataclasses import dataclass
 
@@ -159,11 +158,3 @@ def sweep_csv(rows, means, x_field):
     for x in sorted(means):
         writer.writerow([x, "mean", repr(means[x][0]), repr(means[x][1]), "", ""])
     return buf.getvalue()
-
-
-def write_atomic(path, text):
-    """Write via a temp file and rename so partial artifacts never appear."""
-    tmp = "%s.tmp.%d" % (path, os.getpid())
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    os.replace(tmp, path)

@@ -48,11 +48,6 @@ def distance_sq(a, b, m):
     return float(m.weights[mism].sum())
 
 
-def distance_sq_codes(row_a, row_b, weights):
-    """distance_sq over integer code rows (internal fast path)."""
-    return float(weights[row_a != row_b].sum())
-
-
 def log_det(m):
     """Log-determinant of the diagonal metric: sum of log-weights."""
     if np.any(m.weights < EPS_WEIGHT):
@@ -68,10 +63,13 @@ class MaxPair:
 
 
 def max_separated_pair(indices, corpus, m):
-    """Brute-force argmax of distance_sq over unordered index pairs.
+    """Argmax of distance_sq over unordered index pairs.
 
-    Deterministic: among ties the smallest (first, second) pair wins.
-    A singleton domain yields (i, i, 0.0).
+    Members with identical code rows are interchangeable, so the table is
+    built over the cluster's distinct rows (time and memory grow with their
+    number, not with the member count), each represented by its smallest
+    member index.  Deterministic: among ties the smallest (first, second)
+    pair wins.  A singleton domain yields (i, i, 0.0).
     """
     idx = np.asarray(sorted(indices), dtype=np.int64)
     if idx.size == 0:
@@ -79,18 +77,28 @@ def max_separated_pair(indices, corpus, m):
     if idx.size == 1:
         i = int(idx[0])
         return MaxPair(i, i, 0.0)
-    x = corpus.codes[idx]
+    rows = corpus.row_ids[idx]
+    # idx is sorted, so each row's first position holds its smallest member
+    first = np.sort(np.unique(rows, return_index=True)[1])
+    reps = idx[first]
+    x = corpus.unique_codes[rows[first]]
     w = np.asarray(m.weights, dtype=np.float64)
-    # (n, n) pairwise weighted mismatch totals, accumulated per field to
-    # keep memory at O(n^2)
-    d = np.zeros((idx.size, idx.size))
+    # (u, u) pairwise weighted mismatch totals, accumulated per field in the
+    # same order for every pair
+    d = np.zeros((reps.size, reps.size))
     for f in range(x.shape[1]):
         d += w[f] * (x[:, None, f] != x[None, :, f])
-    iu = np.triu_indices(idx.size, k=1)
+    iu = np.triu_indices(reps.size, k=1)
     flat = d[iu]
-    best = int(np.argmax(flat))  # first occurrence = smallest (i, j) in row-major order
+    if flat.size == 0 or flat.max() == 0.0:
+        # every pair ties at 0: the smallest member pair, as over all members
+        return MaxPair(int(idx[0]), int(idx[1]), 0.0)
+    # first occurrence = smallest (i, j) in row-major order; a maximal pair
+    # of members is made of representatives, since a smaller member of the
+    # same row would give an earlier pair at the same distance
+    best = int(np.argmax(flat))
     i, j = int(iu[0][best]), int(iu[1][best])
-    return MaxPair(int(idx[i]), int(idx[j]), float(flat[best]))
+    return MaxPair(int(reps[i]), int(reps[j]), float(flat[best]))
 
 
 def update_metric(

@@ -42,8 +42,11 @@ class Corpus:
     """Immutable collection of equal-arity messages.
 
     Besides the message tuples a corpus carries per-position vocabularies
-    (symbols in first-occurrence order) and an integer code matrix used by
-    the numeric modules.
+    (symbols in first-occurrence order) and integer codes for the numeric
+    modules.  Messages with identical field tuples share one distinct row:
+    `row_ids[i]` numbers message i's row in first-occurrence order,
+    `unique_codes` holds one code row per distinct row, and `codes` is
+    `unique_codes[row_ids]`.
     """
 
     def __init__(self, messages, arity):
@@ -57,18 +60,30 @@ class Corpus:
                 )
         self.messages = tuple(messages)
         self.arity = arity
+        row_of = {}
+        row_ids = np.fromiter(
+            (row_of.setdefault(m.fields, len(row_of)) for m in self.messages),
+            dtype=np.int64,
+            count=len(self.messages),
+        )
+        rows = list(row_of)
+        # a symbol first occurs in the first occurrence of some distinct row,
+        # so scanning distinct rows gives the per-message first-occurrence order
         self.vocabulary = tuple(
-            tuple(_first_occurrence(m.fields[f] for m in self.messages))
-            for f in range(arity)
+            tuple(_first_occurrence(row[f] for row in rows)) for f in range(arity)
         )
         self._index = [
             {tok: c for c, tok in enumerate(vocab)} for vocab in self.vocabulary
         ]
-        codes = np.empty((len(self.messages), arity), dtype=np.int32)
-        for i, m in enumerate(self.messages):
-            for f, tok in enumerate(m.fields):
-                codes[i, f] = self._index[f][tok]
-        codes.setflags(write=False)
+        unique_codes = np.array(
+            [[self._index[f][tok] for f, tok in enumerate(row)] for row in rows],
+            dtype=np.int32,
+        )
+        codes = unique_codes[row_ids]
+        for a in (row_ids, unique_codes, codes):
+            a.setflags(write=False)
+        self.row_ids = row_ids
+        self.unique_codes = unique_codes
         self.codes = codes
         # lexicographic rank of each code, per position (mode tie-breaking)
         self.lex_rank = tuple(

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from protoabs.corpus_tools import (
     save_corpus,
     save_labels,
     serialize_traces,
+    write_atomic,
 )
 from protoabs.errors import (
     BadSpec,
@@ -23,7 +26,7 @@ from protoabs.errors import (
     SampleTooLarge,
     UnmatchedMessage,
 )
-from protoabs.model import ABSENT, build_corpus
+from protoabs.model import ABSENT, LabelVector, build_corpus
 from protoabs.tls_default import default_rules, default_synth_spec
 
 SAMPLE_TRACE = """\
@@ -232,3 +235,18 @@ def test_corpus_and_labels_file_roundtrip(tmp_path):
     again = load_corpus(tmp_path / "c.json")
     assert [m.fields for m in again.messages] == [m.fields for m in corpus.messages]
     assert load_labels(tmp_path / "l.json") == labels
+
+
+@pytest.mark.parametrize("write", [
+    lambda path: write_atomic(path, "{}\n"),
+    lambda path: save_corpus(build_corpus([["a"]], arity=1), path),
+    lambda path: save_labels(LabelVector(labels=(0,), n_classes=1), path),
+], ids=["write_atomic", "save_corpus", "save_labels"])
+def test_failed_rename_leaves_no_file_behind(tmp_path, monkeypatch, write):
+    def refuse(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    with pytest.raises(OSError, match="rename refused"):
+        write(tmp_path / "out.json")
+    assert list(tmp_path.iterdir()) == []
