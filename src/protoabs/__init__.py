@@ -10,10 +10,7 @@ from .clustering import (
     ClusterModel,
     MpckConfig,
     PenaltyContext,
-    assign_point,
     evaluate_objective,
-    f_cannot,
-    f_must,
     run_kmeans,
     run_mpck,
     update_centroids,
@@ -53,15 +50,7 @@ from .experiments import (
     sweep_k,
     sweep_labels,
 )
-from .metric import (
-    DiagonalMetric,
-    MaxPair,
-    distance_sq,
-    log_det,
-    max_separated_pair,
-    unit_metric,
-    update_metric,
-)
+from .metric import DiagonalMetric, MaxPair, max_separated_pair
 from .model import (
     ABSENT,
     UNLABELED,
@@ -69,7 +58,6 @@ from .model import (
     LabelVector,
     Message,
     build_corpus,
-    message_equal,
 )
 from .tls_default import default_rules, default_synth_spec, default_templates
 

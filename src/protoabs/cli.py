@@ -51,8 +51,28 @@ def _int_list(text):
 def _k_range(text):
     if ".." in text:
         lo, hi = text.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return _int_list(text)
+        values = list(range(int(lo), int(hi) + 1))
+    else:
+        values = _int_list(text)
+    if not values or min(values) < 1:
+        raise argparse.ArgumentTypeError("need one or more K values >= 1, got %r" % text)
+    return values
+
+
+def _bounded(convert, ok, rule):
+    """argparse type: `convert(text)`, rejected unless `ok(value)`."""
+    def parse(text):
+        value = convert(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError("must be %s, got %r" % (rule, text))
+        return value
+    parse.__name__ = convert.__name__  # argparse names it in "invalid int value"
+    return parse
+
+
+_positive_int = _bounded(int, lambda v: v >= 1, ">= 1")
+_positive_float = _bounded(float, lambda v: v > 0, "> 0")
+_non_negative_float = _bounded(float, lambda v: v >= 0, ">= 0")
 
 
 def build_parser():
@@ -83,14 +103,14 @@ def build_parser():
     p.add_argument("--corpus", required=True)
     p.add_argument("--labels", required=True)
     p.add_argument("--algorithm", choices=["kmeans", "mpck"], default="mpck")
-    p.add_argument("--k", type=int, default=None)
+    p.add_argument("--k", type=_positive_int, default=None)
     p.add_argument("--labels-per-class", type=int, default=5)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--w", type=float, default=1.0)
-    p.add_argument("--w-bar", type=float, default=1.0)
+    p.add_argument("--w", type=_non_negative_float, default=1.0)
+    p.add_argument("--w-bar", type=_non_negative_float, default=1.0)
     p.add_argument("--mode", choices=["balanced", "unbalanced"], default="balanced")
     p.add_argument("--max-iters", type=int, default=200)
-    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--tol", type=_positive_float, default=1e-6)
     p.add_argument("--out-dir", required=True)
 
     p = sub.add_parser("eval", help="evaluate a stored model against labels")
@@ -105,10 +125,10 @@ def build_parser():
                    help="range lo..hi or comma list")
     p.add_argument("--labels-per-class", type=int, default=1)
     p.add_argument("--seed", type=_int_list, default="0", help="comma-separated seeds")
-    p.add_argument("--w", type=float, default=1.0)
-    p.add_argument("--w-bar", type=float, default=1.0)
+    p.add_argument("--w", type=_non_negative_float, default=1.0)
+    p.add_argument("--w-bar", type=_non_negative_float, default=1.0)
     p.add_argument("--max-iters", type=int, default=200)
-    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--tol", type=_positive_float, default=1e-6)
     p.add_argument("--out-dir", required=True)
 
     p = sub.add_parser("sweep-labels", help="sweep labels per class")
@@ -116,12 +136,12 @@ def build_parser():
     p.add_argument("--labels", required=True)
     p.add_argument("--counts", type=_int_list, default="1,2,3,4,5")
     p.add_argument("--mode", choices=["balanced", "unbalanced"], default="balanced")
-    p.add_argument("--k", type=int, default=None)
+    p.add_argument("--k", type=_positive_int, default=None)
     p.add_argument("--seed", type=_int_list, default="0", help="comma-separated seeds")
-    p.add_argument("--w", type=float, default=1.0)
-    p.add_argument("--w-bar", type=float, default=1.0)
+    p.add_argument("--w", type=_non_negative_float, default=1.0)
+    p.add_argument("--w-bar", type=_non_negative_float, default=1.0)
     p.add_argument("--max-iters", type=int, default=200)
-    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--tol", type=_positive_float, default=1e-6)
     p.add_argument("--out-dir", required=True)
 
     return parser
@@ -237,20 +257,18 @@ def cmd_eval(args):
 def cmd_sweep_k(args):
     corpus = load_corpus(args.corpus)
     labels = load_labels(args.labels)
-    k_values = args.k if isinstance(args.k, list) else _k_range(args.k)
-    seeds = args.seed if isinstance(args.seed, list) else _int_list(args.seed)
     rows, means, best_k = sweep_k(
-        corpus, labels, k_values, seeds,
+        corpus, labels, args.k, args.seed,
         labels_per_class=args.labels_per_class,
         w=args.w, w_bar=args.w_bar, max_iterations=args.max_iters, tol=args.tol,
     )
     _ensure_dir(args.out_dir)
     write_atomic(os.path.join(args.out_dir, "sweep_k.csv"), sweep_csv(rows, means, "k"))
     plot = svg_lineplot(
-        k_values,
+        args.k,
         {
-            "purity": [means[k][0] for k in k_values],
-            "ari": [means[k][1] for k in k_values],
+            "purity": [means[k][0] for k in args.k],
+            "ari": [means[k][1] for k in args.k],
         },
         title="K sweep (labels/class=%d)" % args.labels_per_class,
         x_label="K",
@@ -263,10 +281,8 @@ def cmd_sweep_k(args):
 def cmd_sweep_labels(args):
     corpus = load_corpus(args.corpus)
     labels = load_labels(args.labels)
-    counts = args.counts if isinstance(args.counts, list) else _int_list(args.counts)
-    seeds = args.seed if isinstance(args.seed, list) else _int_list(args.seed)
     rows, means = sweep_labels(
-        corpus, labels, counts, seeds, mode=args.mode, k=args.k,
+        corpus, labels, args.counts, args.seed, mode=args.mode, k=args.k,
         w=args.w, w_bar=args.w_bar, max_iterations=args.max_iters, tol=args.tol,
     )
     _ensure_dir(args.out_dir)
@@ -275,16 +291,16 @@ def cmd_sweep_labels(args):
         sweep_csv(rows, means, "labels_per_class"),
     )
     plot = svg_lineplot(
-        counts,
+        args.counts,
         {
-            "purity": [means[c][0] for c in counts],
-            "ari": [means[c][1] for c in counts],
+            "purity": [means[c][0] for c in args.counts],
+            "ari": [means[c][1] for c in args.counts],
         },
         title="labels-per-class sweep (%s)" % args.mode,
         x_label="labels per class",
     )
     write_atomic(os.path.join(args.out_dir, "sweep_labels.svg"), plot)
-    for c in counts:
+    for c in args.counts:
         print("labels_per_class=%d mean_purity=%.6f mean_ari=%.6f"
               % (c, means[c][0], means[c][1]))
     return 0

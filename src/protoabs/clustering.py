@@ -7,6 +7,10 @@ with centroid mu and diagonal metric A:
     + sum_{(i,j) in must}   w    * f_must(x_i, x_j)   * [l_i != l_j]
     + sum_{(i,j) in cannot} wbar * f_cannot(x_i, x_j) * [l_i == l_j]
 
+where f_must is the mean of the pair's squared distances under the two
+clusters' metrics and f_cannot = max(0, D_l - d(x_i, x_j)^2_{A_l}) is how
+far the pair falls short of cluster l's maximally separated pair D_l.
+
 Constrained points are visited greedily in a seeded random permutation;
 unconstrained points interact with nothing and take a vectorized argmin of
 costs computed once per distinct code row.  Centroids are per-field modes;
@@ -19,23 +23,15 @@ final assignments.
 """
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import metric as _metric
 from .constraints import ConstraintSet, close_constraints, neighborhoods
-from .errors import EmptyCluster, StaleContext, TooManyClusters
-from .metric import (
-    EPS_DENOM,
-    EPS_WEIGHT,
-    DiagonalMetric,
-    MaxPair,
-    distance_sq,
-    log_det,
-    unit_metric,
-)
-from .model import Corpus, Message
+from .errors import EmptyCluster, TooManyClusters
+from .metric import EPS_DENOM, EPS_WEIGHT, DiagonalMetric, MaxPair
+from .model import Message
 
 
 @dataclass(frozen=True)
@@ -44,11 +40,7 @@ class MpckConfig:
     max_iterations: int = 200
     tol: float = 1e-6
     seed: int = 0
-    w: float = None        # None: take the constraint set's penalty weight
-    w_bar: float = None
     metric_update_enabled: bool = True
-    eps_w: float = EPS_WEIGHT
-    eps_d: float = EPS_DENOM
 
     def __post_init__(self):
         if self.k < 1:
@@ -101,19 +93,11 @@ class ClusterModel:
 
 
 class PenaltyContext:
-    """Per-cluster max-separated-pair table plus the metrics it was built for."""
+    """Per-cluster max-separated-pair table and its squared distances."""
 
-    def __init__(self, maxpairs, metrics):
-        self.maxpairs = list(maxpairs)
-        self.metrics = tuple(metrics)
-        self._stale = False
-
-    @property
-    def stale(self):
-        return self._stale
-
-    def mark_stale(self):
-        self._stale = True
+    def __init__(self, maxpairs):
+        self.maxpairs = tuple(maxpairs)
+        self.maxd2 = np.array([p.sq_distance for p in self.maxpairs])
 
     @classmethod
     def build(cls, corpus, assignments, metrics):
@@ -126,27 +110,17 @@ class PenaltyContext:
                 maxpairs.append(MaxPair(-1, -1, 0.0))
             else:
                 maxpairs.append(_metric.max_separated_pair(members, corpus, metrics[h]))
-        return cls(maxpairs, metrics)
-
-
-def f_must(x_i, x_j, m_i, m_j):
-    """Penalty for a violated must-link: mean of the squared distances
-    under the two clusters' metrics."""
-    return 0.5 * distance_sq(x_i, x_j, m_i) + 0.5 * distance_sq(x_i, x_j, m_j)
-
-
-def f_cannot(x_i, x_j, cluster, ctx):
-    """Penalty for a violated cannot-link inside `cluster`: how far the
-    pair falls short of the cluster's maximally separated pair."""
-    if ctx.stale:
-        raise StaleContext("max-pair table is out of date; refresh before f_cannot")
-    gap = ctx.maxpairs[cluster].sq_distance - distance_sq(x_i, x_j, ctx.metrics[cluster])
-    return max(0.0, gap)
+        return cls(maxpairs)
 
 
 def update_centroids(corpus, assignments, k):
     """Per-field mode of each cluster's members; lexicographically smallest
     token wins ties."""
+    cent_codes = _mode_rows(corpus, assignments, k)
+    return tuple(_centroid_message(corpus, cent_codes[h], h) for h in range(k))
+
+
+def _mode_rows(corpus, assignments, k):
     assignments = np.asarray(assignments)
     cent_codes = np.empty((k, corpus.arity), dtype=np.int32)
     for h in range(k):
@@ -154,7 +128,7 @@ def update_centroids(corpus, assignments, k):
         if members.size == 0:
             raise EmptyCluster("cluster %d has no members" % h)
         cent_codes[h] = _mode_row(corpus, members)
-    return tuple(_centroid_message(corpus, cent_codes[h], h) for h in range(k))
+    return cent_codes
 
 
 def _mode_row(corpus, members):
@@ -176,7 +150,7 @@ def _centroid_message(corpus, code_row, h):
 class _State:
     """Array-level working state shared by the driver and the public ops."""
 
-    def __init__(self, corpus, k, cent_codes, weights, assignments, constraints, w, w_bar, ctx):
+    def __init__(self, corpus, k, cent_codes, weights, assignments, constraints, ctx):
         self.corpus = corpus
         self.codes = corpus.codes
         self.k = k
@@ -184,23 +158,11 @@ class _State:
         self.weights = weights                      # (K, F)
         self.logdets = np.log(weights).sum(axis=1)  # (K,)
         self.assignments = assignments
-        self.w = w
-        self.w_bar = w_bar
+        self.w = constraints.w
+        self.w_bar = constraints.w_bar
         self.ctx = ctx
-        self.maxd2 = np.array([p.sq_distance for p in ctx.maxpairs]) if ctx else None
-        # adjacency over constrained points
-        n = self.codes.shape[0]
-        self.ml_adj = {}
-        self.cl_adj = {}
-        for a, b in constraints.must_links:
-            self.ml_adj.setdefault(a, []).append(b)
-            self.ml_adj.setdefault(b, []).append(a)
-        for a, b in constraints.cannot_links:
-            self.cl_adj.setdefault(a, []).append(b)
-            self.cl_adj.setdefault(b, []).append(a)
-        for adj in (self.ml_adj, self.cl_adj):
-            for key in adj:
-                adj[key] = np.array(sorted(adj[key]), dtype=np.int64)
+        self.ml_adj = _adjacency(constraints.must_links)
+        self.cl_adj = _adjacency(constraints.cannot_links)
         self.constrained = np.array(
             sorted(set(self.ml_adj) | set(self.cl_adj)), dtype=np.int64
         )
@@ -217,37 +179,43 @@ class _State:
             b[:, h] = mism @ self.weights[h] - self.logdets[h]
         return b[self.corpus.row_ids]
 
-    def point_costs(self, i, base_row=None):
-        """K-vector of assignment costs for point i, partners' assignments fixed.
-
-        Partners still unassigned (assignment < 0) contribute nothing.
-        """
-        if base_row is None:
-            mism = self.cent != self.codes[i][None, :]
-            costs = (mism * self.weights).sum(axis=1) - self.logdets
-        else:
-            costs = base_row.copy()
+    def point_costs(self, i, base_row):
+        """K-vector of assignment costs for point i, partners' assignments
+        fixed; `base_row` is row i of base_costs()."""
+        costs = base_row.copy()
         ml = self.ml_adj.get(i)
         if ml is not None:
-            ml = ml[self.assignments[ml] >= 0]
-            if ml.size:
-                m = self.codes[ml] != self.codes[i][None, :]
-                d = m @ self.weights.T                      # (P, K)
-                lj = self.assignments[ml]
-                dj = d[np.arange(ml.size), lj]
-                pen = self.w * (0.5 * d + 0.5 * dj[:, None])
-                pen[np.arange(ml.size), lj] = 0.0
-                costs += pen.sum(axis=0)
+            m = self.codes[ml] != self.codes[i][None, :]
+            d = m @ self.weights.T                      # (P, K)
+            lj = self.assignments[ml]
+            dj = d[np.arange(ml.size), lj]
+            pen = self.w * (0.5 * d + 0.5 * dj[:, None])
+            pen[np.arange(ml.size), lj] = 0.0
+            costs += pen.sum(axis=0)
         cl = self.cl_adj.get(i)
         if cl is not None:
-            cl = cl[self.assignments[cl] >= 0]
-            if cl.size:
-                m = self.codes[cl] != self.codes[i][None, :]
-                lj = self.assignments[cl]
-                d_lj = np.einsum("pf,pf->p", m, self.weights[lj])
-                vals = self.w_bar * np.maximum(0.0, self.maxd2[lj] - d_lj)
-                np.add.at(costs, lj, vals)
+            m = self.codes[cl] != self.codes[i][None, :]
+            lj = self.assignments[cl]
+            d_lj = np.einsum("pf,pf->p", m, self.weights[lj])
+            vals = self.w_bar * np.maximum(0.0, self.ctx.maxd2[lj] - d_lj)
+            np.add.at(costs, lj, vals)
         return costs
+
+    def violated_must(self):
+        """Violated must-links in sorted pair order: the two endpoints'
+        clusters and their (P, F) field-mismatch rows."""
+        ia, ib = self.must_pairs[:, 0], self.must_pairs[:, 1]
+        la, lb = self.assignments[ia], self.assignments[ib]
+        viol = la != lb
+        return la[viol], lb[viol], self.codes[ia[viol]] != self.codes[ib[viol]]
+
+    def violated_cannot(self):
+        """Violated cannot-links in sorted pair order: their shared cluster
+        and their (P, F) field-mismatch rows."""
+        ia, ib = self.cannot_pairs[:, 0], self.cannot_pairs[:, 1]
+        la = self.assignments[ia]
+        viol = la == self.assignments[ib]
+        return la[viol], self.codes[ia[viol]] != self.codes[ib[viol]]
 
     def objective(self):
         """Objective recomputed from scratch against the current max-pair table."""
@@ -258,42 +226,32 @@ class _State:
                 continue
             mism = self.codes[members] != self.cent[h][None, :]
             total += float((mism @ self.weights[h]).sum()) - members.size * self.logdets[h]
-        if self.must_pairs.size:
-            ia, ib = self.must_pairs[:, 0], self.must_pairs[:, 1]
-            la, lb = self.assignments[ia], self.assignments[ib]
-            viol = la != lb
-            if viol.any():
-                m = self.codes[ia[viol]] != self.codes[ib[viol]]
-                da = np.einsum("pf,pf->p", m, self.weights[la[viol]])
-                db = np.einsum("pf,pf->p", m, self.weights[lb[viol]])
-                total += float((self.w * 0.5 * (da + db)).sum())
-        if self.cannot_pairs.size:
-            ia, ib = self.cannot_pairs[:, 0], self.cannot_pairs[:, 1]
-            la, lb = self.assignments[ia], self.assignments[ib]
-            viol = (la == lb) & (la >= 0)
-            if viol.any():
-                m = self.codes[ia[viol]] != self.codes[ib[viol]]
-                d = np.einsum("pf,pf->p", m, self.weights[la[viol]])
-                total += float(
-                    (self.w_bar * np.maximum(0.0, self.maxd2[la[viol]] - d)).sum()
-                )
+        la, lb, m = self.violated_must()
+        if la.size:
+            da = np.einsum("pf,pf->p", m, self.weights[la])
+            db = np.einsum("pf,pf->p", m, self.weights[lb])
+            total += float((self.w * 0.5 * (da + db)).sum())
+        l, m = self.violated_cannot()
+        if l.size:
+            d = np.einsum("pf,pf->p", m, self.weights[l])
+            total += float((self.w_bar * np.maximum(0.0, self.ctx.maxd2[l] - d)).sum())
         return total
+
+
+def _adjacency(pairs):
+    """Sorted partner indices of every point that appears in `pairs`."""
+    adj = {}
+    for a, b in pairs:
+        adj.setdefault(a, []).append(b)
+        adj.setdefault(b, []).append(a)
+    return {p: np.array(sorted(q), dtype=np.int64) for p, q in adj.items()}
 
 
 def _state_from_model(corpus, model, constraints, ctx):
     cent = np.stack([corpus.encode(c) for c in model.centroids])
     weights = np.stack([m.weights for m in model.metrics])
-    return _State(
-        corpus,
-        model.k,
-        cent,
-        weights,
-        np.asarray(model.assignments, dtype=np.int64),
-        constraints,
-        constraints.w,
-        constraints.w_bar,
-        ctx,
-    )
+    assignments = np.asarray(model.assignments, dtype=np.int64)
+    return _State(corpus, model.k, cent, weights, assignments, constraints, ctx)
 
 
 def evaluate_objective(corpus, model, constraints, ctx=None):
@@ -301,17 +259,6 @@ def evaluate_objective(corpus, model, constraints, ctx=None):
     if ctx is None:
         ctx = PenaltyContext.build(corpus, model.assignments, model.metrics)
     return _state_from_model(corpus, model, constraints, ctx).objective()
-
-
-def assign_point(i, corpus, model, constraints, ctx):
-    """Cost-minimizing cluster for point i with everything else held fixed.
-
-    Ties break toward the smallest cluster id.
-    """
-    if ctx.stale:
-        raise StaleContext("refresh the max-pair table before assigning points")
-    state = _state_from_model(corpus, model, constraints, ctx)
-    return int(np.argmin(state.point_costs(i)))
 
 
 def _seed_centroids(corpus, constraints, k, rng):
@@ -337,30 +284,26 @@ def _seed_centroids(corpus, constraints, k, rng):
     return np.stack(cent)
 
 
-def _update_weights(state, config):
-    """Closed-form metric update for every cluster, including violation tallies."""
+def _update_weights(state):
+    """Closed-form metric update for every cluster, including violation tallies.
+
+    a_f = n / max(EPS_DENOM, D_f), clamped to [EPS_WEIGHT, 1/EPS_WEIGHT],
+    where D_f is the members' dispersion around the centroid plus the
+    weighted must- and cannot-link violation tallies.
+    """
     k, arity = state.k, state.codes.shape[1]
     tallies = np.zeros((k, arity))
+    la, lb, mism = state.violated_must()
+    # each pair adds to la, then lb, in pair order
+    np.add.at(tallies, np.column_stack([la, lb]).ravel(),
+              np.repeat(0.5 * state.w * mism, 2, axis=0))
+    far = np.zeros((k, arity))
+    for h, pair in enumerate(state.ctx.maxpairs):
+        if pair.first >= 0:
+            far[h] = state.codes[pair.first] != state.codes[pair.second]
+    l, near = state.violated_cannot()
     cl_tallies = np.zeros((k, arity))
-    if state.must_pairs.size:
-        for a, b in state.must_pairs:
-            la, lb = state.assignments[a], state.assignments[b]
-            if la != lb:
-                mism = (state.codes[a] != state.codes[b]).astype(np.float64)
-                tallies[la] += 0.5 * state.w * mism
-                tallies[lb] += 0.5 * state.w * mism
-    if state.cannot_pairs.size:
-        for a, b in state.cannot_pairs:
-            la, lb = state.assignments[a], state.assignments[b]
-            if la == lb:
-                pair = state.ctx.maxpairs[la]
-                far = (
-                    (state.codes[pair.first] != state.codes[pair.second]).astype(np.float64)
-                    if pair.first >= 0
-                    else np.zeros(arity)
-                )
-                near = (state.codes[a] != state.codes[b]).astype(np.float64)
-                cl_tallies[la] += state.w_bar * (far - near)
+    np.add.at(cl_tallies, l, state.w_bar * (far[l] - near))
     tallies += np.maximum(0.0, cl_tallies)
     weights = np.empty_like(state.weights)
     for h in range(k):
@@ -368,8 +311,8 @@ def _update_weights(state, config):
         if members.size == 0:
             raise EmptyCluster("cluster %d empty at metric update" % h)
         disp = (state.codes[members] != state.cent[h][None, :]).sum(axis=0)
-        d = np.maximum(config.eps_d, disp + tallies[h])
-        weights[h] = np.clip(members.size / d, config.eps_w, 1.0 / config.eps_w)
+        d = np.maximum(EPS_DENOM, disp + tallies[h])
+        weights[h] = np.clip(members.size / d, EPS_WEIGHT, 1.0 / EPS_WEIGHT)
     return weights
 
 
@@ -382,65 +325,51 @@ def run_mpck(corpus, constraints, config):
     if k > n:
         raise TooManyClusters("k=%d exceeds corpus size %d" % (k, n))
     constraints = close_constraints(constraints)
-    if config.w is not None or config.w_bar is not None:
-        constraints = ConstraintSet(
-            constraints.must_links,
-            constraints.cannot_links,
-            w=constraints.w if config.w is None else config.w,
-            w_bar=constraints.w_bar if config.w_bar is None else config.w_bar,
-        )
     rng = np.random.default_rng(config.seed)
 
     cent = _seed_centroids(corpus, constraints, k, rng)
     weights = np.ones((k, corpus.arity))
     assignments = np.full(n, -1, dtype=np.int64)
-    state = _State(corpus, k, cent, weights, assignments, constraints,
-                   constraints.w, constraints.w_bar, _EMPTY_CTX)
+    state = _State(corpus, k, cent, weights, assignments, constraints, None)
 
     # initial pass: plain nearest-centroid under the seeded centroids
     base = state.base_costs()
     state.assignments[:] = np.argmin(base, axis=1)
     _repair_empty_clusters(state)
-    _refresh_centroids(state)
+    state.cent = _mode_rows(corpus, state.assignments, k)
     if config.metric_update_enabled:
-        # no violation context yet: dispersion-only update
-        ctx0 = PenaltyContext.build(corpus, state.assignments, _metrics_of(state))
-        state.ctx = ctx0
-        state.maxd2 = np.array([p.sq_distance for p in ctx0.maxpairs])
-        state.weights = _update_weights(state, config)
+        _rebuild_penalties(state)
+        state.weights = _update_weights(state)
         state.logdets = np.log(state.weights).sum(axis=1)
-    ctx = PenaltyContext.build(corpus, state.assignments, _metrics_of(state))
-    state.ctx = ctx
-    state.maxd2 = np.array([p.sq_distance for p in ctx.maxpairs])
+    _rebuild_penalties(state)
+
+    # unconstrained points interact with nothing: a vectorized argmin is
+    # order-equivalent to the sequential visit
+    free = np.ones(n, dtype=bool)
+    free[state.constrained] = False
+    free_rows = np.flatnonzero(free)
 
     history = []
     max_gap = 0.0
+    j_end = state.objective()
     prev_j_end = None
     converged_by = "max_iterations"
     iterations = 0
     for t in range(1, config.max_iterations + 1):
         iterations = t
-        tracked = state.objective()
+        # nothing changes the state between the last objective and here
+        tracked = j_end
         prev_assign = state.assignments.copy()
         perm = rng.permutation(n)
 
         base = state.base_costs()
-        # unconstrained points interact with nothing: a vectorized argmin is
-        # order-equivalent to the sequential visit
-        mask = np.ones(n, dtype=bool)
-        mask[state.constrained] = False
-        if mask.any():
-            new = np.argmin(base[mask], axis=1)
-            old = state.assignments[mask]
-            rows = np.arange(n)[mask]
-            tracked += float(base[rows, new].sum() - base[rows, old].sum())
-            state.assignments[mask] = new
-        constrained_set = set(int(i) for i in state.constrained)
-        for i in perm:
-            i = int(i)
-            if i not in constrained_set:
-                continue
-            costs = state.point_costs(i, base_row=base[i])
+        if free_rows.size:
+            new = np.argmin(base[free_rows], axis=1)
+            old = state.assignments[free_rows]
+            tracked += float(base[free_rows, new].sum() - base[free_rows, old].sum())
+            state.assignments[free_rows] = new
+        for i in perm[~free[perm]].tolist():
+            costs = state.point_costs(i, base[i])
             h = int(np.argmin(costs))
             tracked += float(costs[h] - costs[state.assignments[i]])
             state.assignments[i] = h
@@ -453,13 +382,11 @@ def run_mpck(corpus, constraints, config):
             break
 
         _repair_empty_clusters(state)
-        _refresh_centroids(state)
+        state.cent = _mode_rows(corpus, state.assignments, k)
         if config.metric_update_enabled:
-            state.weights = _update_weights(state, config)
+            state.weights = _update_weights(state)
             state.logdets = np.log(state.weights).sum(axis=1)
-            ctx = PenaltyContext.build(corpus, state.assignments, _metrics_of(state))
-            state.ctx = ctx
-            state.maxd2 = np.array([p.sq_distance for p in ctx.maxpairs])
+            _rebuild_penalties(state)
 
         j_end = state.objective()
         history.append(j_end)
@@ -492,26 +419,16 @@ def run_mpck(corpus, constraints, config):
 def run_kmeans(corpus, config):
     """Unsupervised baseline: same loop with no constraints and the unit
     metric frozen (log-det contribution is identically zero)."""
-    cfg = replace(config, metric_update_enabled=False, w=None, w_bar=None)
+    cfg = replace(config, metric_update_enabled=False)
     return run_mpck(corpus, ConstraintSet(), cfg)
-
-
-class _EmptyCtx:
-    maxpairs = ()
-    stale = False
-
-
-_EMPTY_CTX = _EmptyCtx()
 
 
 def _metrics_of(state):
     return tuple(DiagonalMetric(state.weights[h].copy()) for h in range(state.k))
 
 
-def _refresh_centroids(state):
-    for h in range(state.k):
-        members = np.flatnonzero(state.assignments == h)
-        state.cent[h] = _mode_row(state.corpus, members)
+def _rebuild_penalties(state):
+    state.ctx = PenaltyContext.build(state.corpus, state.assignments, _metrics_of(state))
 
 
 def _repair_empty_clusters(state):

@@ -1,6 +1,6 @@
 """Must-link / cannot-link constraint sets derived from labeled samples."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import ConflictingLabels, InconsistentConstraints, ParseError
@@ -65,8 +65,12 @@ def constraints_from_labels(samples, w=1.0, w_bar=1.0):
     return ConstraintSet(frozenset(must), frozenset(cannot), w=w, w_bar=w_bar)
 
 
-def close_constraints(cs):
-    """Smallest superset that is transitively closed and cannot-link consistent."""
+def _components(cs):
+    """Must-link components over the constrained points.
+
+    Returns ({point: root}, {root: members}); a component's root is its
+    smallest member.
+    """
     parent = {}
 
     def find(x):
@@ -76,32 +80,38 @@ def close_constraints(cs):
             x = parent[x]
         return x
 
-    def union(a, b):
+    for a, b in cs.must_links:
         ra, rb = find(a), find(b)
         if ra != rb:
             parent[max(ra, rb)] = min(ra, rb)
-
-    for a, b in cs.must_links:
-        union(a, b)
-    points = cs.constrained_points
+    root = {p: find(p) for p in cs.constrained_points}
     comp = {}
-    for p in points:
-        comp.setdefault(find(p), []).append(p)
+    for p, r in root.items():
+        comp.setdefault(r, []).append(p)
+    return root, comp
+
+
+def close_constraints(cs):
+    """Smallest superset that is transitively closed and cannot-link consistent."""
+    root, comp = _components(cs)
     must = set()
     for members in comp.values():
         members.sort()
         for i, a in enumerate(members):
             for b in members[i + 1:]:
                 must.add((a, b))
-    cannot = set()
+    comp_pairs = set()
     for a, b in cs.cannot_links:
-        ca, cb = comp[find(a)], comp[find(b)]
-        if find(a) == find(b):
+        if root[a] == root[b]:
             raise InconsistentConstraints(
                 "closure forces (%d, %d) into both constraint sets" % (a, b)
             )
-        for x in ca:
-            for y in cb:
+        comp_pairs.add(_pair(root[a], root[b]))
+    # expand comp(a) x comp(b) once per component pair
+    cannot = set()
+    for ra, rb in comp_pairs:
+        for x in comp[ra]:
+            for y in comp[rb]:
                 cannot.add(_pair(x, y))
     return ConstraintSet(frozenset(must), frozenset(cannot), w=cs.w, w_bar=cs.w_bar)
 
@@ -120,22 +130,7 @@ def neighborhoods(cs):
 
     Sorted by descending size, then by smallest member index.
     """
-    parent = {}
-
-    def find(x):
-        parent.setdefault(x, x)
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a, b in cs.must_links:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-    comp = {}
-    for p in cs.constrained_points:
-        comp.setdefault(find(p), []).append(p)
+    _, comp = _components(cs)
     hoods = [Neighborhood(tuple(sorted(members))) for members in comp.values()]
     hoods.sort(key=lambda h: (-len(h), h.member_indices[0]))
     return hoods

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadSpec, EmptyCorpus, ParseError, SampleTooLarge, UnmatchedMessage
-from .model import ABSENT, Corpus, LabelVector, Message, build_corpus
+from .model import ABSENT, Corpus, LabelVector, build_corpus
 
 DEFAULT_DROP_KEYS = frozenset({"RANDOM", "SESSIONID"})
 

@@ -38,10 +38,6 @@ class InconsistentConstraints(DataError):
     pass
 
 
-class StaleContext(ProtoabsError):
-    """A cannot-link penalty was evaluated against an out-of-date max-pair table."""
-
-
 class NoLabels(DataError):
     pass
 

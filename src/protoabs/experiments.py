@@ -16,7 +16,6 @@ from .clustering import MpckConfig, run_kmeans, run_mpck
 from .constraints import LabeledSample, constraints_from_labels
 from .errors import InsufficientLabels
 from .evaluation import evaluate
-from .model import UNLABELED
 
 
 def draw_labeled_samples(labels, per_class, seed, mode="balanced"):

@@ -1,16 +1,17 @@
-"""Weighted squared-Hamming distances under diagonal per-cluster metrics.
+"""Diagonal per-cluster metrics and the max-separated-pair table.
 
 The squared distance between two messages is sum_f a_f * [x_f != y_f]
-where a_f are non-negative per-position weights.  Weights are floored at
-EPS_WEIGHT so log(a_f) stays finite and capped at 1/EPS_WEIGHT so that
-zero-dispersion fields do not produce infinities.
+where a_f are non-negative per-position weights.  Metric updates floor
+weights at EPS_WEIGHT so log(a_f) stays finite, cap them at 1/EPS_WEIGHT
+so that zero-dispersion fields do not produce infinities, and floor the
+per-field mismatch tally at EPS_DENOM.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ArityMismatch, EmptyCluster
+from .errors import EmptyCluster
 
 EPS_WEIGHT = 1e-6
 EPS_DENOM = 1e-9
@@ -32,29 +33,6 @@ class DiagonalMetric:
         return self.weights.shape[0]
 
 
-def unit_metric(arity):
-    return DiagonalMetric(np.ones(arity))
-
-
-def distance_sq(a, b, m):
-    """Weighted squared-Hamming distance between two messages."""
-    if a.arity != b.arity or a.arity != m.arity:
-        raise ArityMismatch(
-            "arities differ: %d, %d, metric %d" % (a.arity, b.arity, m.arity)
-        )
-    mism = np.fromiter(
-        (x != y for x, y in zip(a.fields, b.fields)), dtype=bool, count=a.arity
-    )
-    return float(m.weights[mism].sum())
-
-
-def log_det(m):
-    """Log-determinant of the diagonal metric: sum of log-weights."""
-    if np.any(m.weights < EPS_WEIGHT):
-        raise ValueError("weights below the floor %g have no finite log" % EPS_WEIGHT)
-    return float(np.log(m.weights).sum())
-
-
 @dataclass(frozen=True)
 class MaxPair:
     first: int
@@ -63,7 +41,7 @@ class MaxPair:
 
 
 def max_separated_pair(indices, corpus, m):
-    """Argmax of distance_sq over unordered index pairs.
+    """Argmax of the squared distance under `m` over unordered index pairs.
 
     Members with identical code rows are interchangeable, so the table is
     built over the cluster's distinct rows (time and memory grow with their
@@ -100,29 +78,3 @@ def max_separated_pair(indices, corpus, m):
     i, j = int(iu[0][best]), int(iu[1][best])
     return MaxPair(int(reps[i]), int(reps[j]), float(flat[best]))
 
-
-def update_metric(
-    corpus,
-    member_indices,
-    centroid,
-    violations=None,
-    eps_w=EPS_WEIGHT,
-    eps_d=EPS_DENOM,
-):
-    """Closed-form diagonal weight update for one cluster.
-
-    a_f = n / max(eps_d, D_f) where D_f is the per-field mismatch tally:
-    the dispersion of members around the centroid plus the caller-supplied
-    constraint-violation tallies (already weighted; see clustering).
-    Weights are clamped to [eps_w, 1/eps_w].
-    """
-    idx = np.asarray(sorted(member_indices), dtype=np.int64)
-    if idx.size == 0:
-        raise EmptyCluster("cannot update the metric of an empty cluster")
-    cent = corpus.encode(centroid)
-    disp = (corpus.codes[idx] != cent[None, :]).sum(axis=0).astype(np.float64)
-    if violations is not None:
-        disp = disp + np.asarray(violations, dtype=np.float64)
-    weights = idx.size / np.maximum(eps_d, disp)
-    weights = np.clip(weights, eps_w, 1.0 / eps_w)
-    return DiagonalMetric(weights)

@@ -6,7 +6,7 @@ the right so that every message in a corpus has the same arity and
 positional Hamming comparison is well defined.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,15 +27,6 @@ class Message:
     @property
     def arity(self):
         return len(self.fields)
-
-
-def message_equal(a, b):
-    """Positional equality over field tokens; source_id is ignored."""
-    if len(a.fields) != len(b.fields):
-        raise ArityMismatch(
-            "cannot compare messages of arity %d and %d" % (len(a.fields), len(b.fields))
-        )
-    return a.fields == b.fields
 
 
 class Corpus:

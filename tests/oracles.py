@@ -1,13 +1,14 @@
 """Reference implementations that the tests compare the package against.
 
-Each is the plain per-message version of a quantity the package computes
-over distinct code rows; they are slow and kept only as oracles.
+Each is the plain per-message (or per-pair) version of a quantity the
+package computes with arrays, over distinct code rows where it can; they
+are slow and kept only as oracles.
 """
 
 import numpy as np
 
-from protoabs.errors import EmptyCluster
-from protoabs.metric import MaxPair
+from protoabs.errors import ArityMismatch, EmptyCluster
+from protoabs.metric import EPS_DENOM, EPS_WEIGHT, DiagonalMetric, MaxPair
 
 
 def encode_messages(messages, arity):
@@ -58,3 +59,158 @@ def max_separated_pair(indices, corpus, m):
     best = int(np.argmax(flat))
     i, j = int(iu[0][best]), int(iu[1][best])
     return MaxPair(int(idx[i]), int(idx[j]), float(flat[best]))
+
+
+def unit_metric(arity):
+    return DiagonalMetric(np.ones(arity))
+
+
+def distance_sq(a, b, m):
+    """Weighted squared-Hamming distance between two messages."""
+    if a.arity != b.arity or a.arity != m.arity:
+        raise ArityMismatch(
+            "arities differ: %d, %d, metric %d" % (a.arity, b.arity, m.arity)
+        )
+    mism = np.fromiter(
+        (x != y for x, y in zip(a.fields, b.fields)), dtype=bool, count=a.arity
+    )
+    return float(m.weights[mism].sum())
+
+
+def log_det(m):
+    """Log-determinant of the diagonal metric: sum of log-weights."""
+    if np.any(m.weights < EPS_WEIGHT):
+        raise ValueError("weights below the floor %g have no finite log" % EPS_WEIGHT)
+    return float(np.log(m.weights).sum())
+
+
+def f_must(x_i, x_j, m_i, m_j):
+    """Penalty for a violated must-link: mean of the squared distances
+    under the two clusters' metrics."""
+    return 0.5 * distance_sq(x_i, x_j, m_i) + 0.5 * distance_sq(x_i, x_j, m_j)
+
+
+def f_cannot(x_i, x_j, m, max_sq):
+    """Penalty for a violated cannot-link inside a cluster with metric `m`
+    whose maximally separated pair lies `max_sq` apart: how far the pair
+    falls short of it."""
+    return max(0.0, max_sq - distance_sq(x_i, x_j, m))
+
+
+def point_costs(i, corpus, model, constraints, max_sq):
+    """Per-cluster cost of moving point i, everything else held fixed."""
+    x = corpus.messages[i]
+    costs = []
+    for h in range(model.k):
+        m = model.metrics[h]
+        c = distance_sq(x, model.centroids[h], m) - log_det(m)
+        for a, b in sorted(constraints.must_links):
+            if i in (a, b):
+                j = b if a == i else a
+                lj = model.assignments[j]
+                if lj != h:
+                    c += constraints.w * f_must(x, corpus.messages[j], m, model.metrics[lj])
+        for a, b in sorted(constraints.cannot_links):
+            if i in (a, b):
+                j = b if a == i else a
+                if model.assignments[j] == h:
+                    c += constraints.w_bar * f_cannot(x, corpus.messages[j], m, max_sq[h])
+        costs.append(c)
+    return costs
+
+
+def assign_point(i, corpus, model, constraints, max_sq):
+    """Cost-minimizing cluster for point i; ties break toward the smallest id."""
+    return int(np.argmin(point_costs(i, corpus, model, constraints, max_sq)))
+
+
+def max_pair_distances(corpus, assignments, metrics):
+    """Per-cluster squared distance of the brute-force max-separated pair
+    (0.0 for an empty cluster)."""
+    out = []
+    for h, m in enumerate(metrics):
+        members = np.flatnonzero(np.asarray(assignments) == h)
+        out.append(max_separated_pair(members, corpus, m).sq_distance if members.size else 0.0)
+    return out
+
+
+def objective(corpus, model, constraints):
+    """The MPCK-means objective summed term by term over messages and pairs."""
+    max_sq = max_pair_distances(corpus, model.assignments, model.metrics)
+    total = 0.0
+    for i, h in enumerate(model.assignments):
+        m = model.metrics[h]
+        total += distance_sq(corpus.messages[i], model.centroids[h], m) - log_det(m)
+    for a, b in sorted(constraints.must_links):
+        la, lb = model.assignments[a], model.assignments[b]
+        if la != lb:
+            total += constraints.w * f_must(
+                corpus.messages[a], corpus.messages[b], model.metrics[la], model.metrics[lb]
+            )
+    for a, b in sorted(constraints.cannot_links):
+        h = model.assignments[a]
+        if h == model.assignments[b]:
+            total += constraints.w_bar * f_cannot(
+                corpus.messages[a], corpus.messages[b], model.metrics[h], max_sq[h]
+            )
+    return total
+
+
+def violation_tallies(corpus, assignments, constraints, maxpairs):
+    """(K, F) weighted violation tallies of the metric update, one pair at
+    a time in sorted pair order.
+
+    A violated must-link adds w/2 per mismatching field to both clusters;
+    a violated cannot-link inside cluster h adds w_bar * (far - near), where
+    far mismatches the pair `maxpairs[h]`; each cluster's cannot-link sum is
+    floored at 0 before it is added.
+    """
+    k, arity = len(maxpairs), corpus.arity
+    codes = corpus.codes
+    tallies = np.zeros((k, arity))
+    cl_tallies = np.zeros((k, arity))
+    for a, b in sorted(constraints.must_links):
+        la, lb = assignments[a], assignments[b]
+        if la != lb:
+            mism = (codes[a] != codes[b]).astype(np.float64)
+            tallies[la] += 0.5 * constraints.w * mism
+            tallies[lb] += 0.5 * constraints.w * mism
+    for a, b in sorted(constraints.cannot_links):
+        la, lb = assignments[a], assignments[b]
+        if la == lb:
+            pair = maxpairs[la]
+            far = (
+                (codes[pair.first] != codes[pair.second]).astype(np.float64)
+                if pair.first >= 0
+                else np.zeros(arity)
+            )
+            near = (codes[a] != codes[b]).astype(np.float64)
+            cl_tallies[la] += constraints.w_bar * (far - near)
+    return tallies + np.maximum(0.0, cl_tallies)
+
+
+def update_metric(
+    corpus,
+    member_indices,
+    centroid,
+    violations=None,
+    eps_w=EPS_WEIGHT,
+    eps_d=EPS_DENOM,
+):
+    """Closed-form diagonal weight update for one cluster.
+
+    a_f = n / max(eps_d, D_f) where D_f is the per-field mismatch tally:
+    the dispersion of members around the centroid plus the caller-supplied
+    constraint-violation tallies (already weighted).
+    Weights are clamped to [eps_w, 1/eps_w].
+    """
+    idx = np.asarray(sorted(member_indices), dtype=np.int64)
+    if idx.size == 0:
+        raise EmptyCluster("cannot update the metric of an empty cluster")
+    cent = corpus.encode(centroid)
+    disp = (corpus.codes[idx] != cent[None, :]).sum(axis=0).astype(np.float64)
+    if violations is not None:
+        disp = disp + np.asarray(violations, dtype=np.float64)
+    weights = idx.size / np.maximum(eps_d, disp)
+    weights = np.clip(weights, eps_w, 1.0 / eps_w)
+    return DiagonalMetric(weights)

@@ -8,12 +8,12 @@ import itertools
 import numpy as np
 import pytest
 
+from oracles import f_cannot, unit_metric
 from protoabs.clustering import (
     ClusterModel,
     MpckConfig,
     PenaltyContext,
     evaluate_objective,
-    f_cannot,
     run_kmeans,
     run_mpck,
     update_centroids,
@@ -23,7 +23,6 @@ from protoabs.constraints import ConstraintSet, LabeledSample, constraints_from_
 from protoabs.corpus_tools import generate_synthetic, load_corpus, save_corpus
 from protoabs.evaluation import ari, confusion, purity
 from protoabs.experiments import run_experiment, sweep_k, sweep_labels
-from protoabs.metric import unit_metric
 from protoabs.model import LabelVector, build_corpus
 from protoabs.tls_default import default_synth_spec
 
@@ -165,7 +164,8 @@ def test_criterion_6_objective_invariants(headline_runs):
         hist = model.objective_history
         monotone_ok &= all(b <= a + 1e-9 for a, b in zip(hist, hist[1:]))
 
-    # 1e5 random f_cannot probes over a random clustered corpus
+    # 1e5 random f_cannot probes over a random clustered corpus, the oracle
+    # formula evaluated against the package's max-pair table
     corpus, _ = _random_instance(rng, n=120, arity=6)
     assignments = rng.integers(0, 4, size=120)
     metrics = tuple(unit_metric(6) for _ in range(4))
@@ -173,7 +173,7 @@ def test_criterion_6_objective_invariants(headline_runs):
     probes = rng.integers(0, 120, size=(100_000, 2))
     clusters = rng.integers(0, 4, size=100_000)
     nonneg = all(
-        f_cannot(corpus.messages[i], corpus.messages[j], int(h), ctx) >= 0.0
+        f_cannot(corpus.messages[i], corpus.messages[j], metrics[h], ctx.maxd2[h]) >= 0.0
         for (i, j), h in zip(probes, clusters)
     )
     report(

@@ -1,0 +1,114 @@
+"""The array core of MPCK-means agrees with the scalar per-message oracles:
+the objective, the metric update and the per-point assignment."""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import oracles
+from protoabs.clustering import (
+    ClusterModel,
+    PenaltyContext,
+    _state_from_model,
+    _update_weights,
+    evaluate_objective,
+    update_centroids,
+)
+from protoabs.constraints import LabeledSample, constraints_from_labels
+from protoabs.metric import DiagonalMetric, MaxPair
+from protoabs.model import build_corpus
+
+PROPERTY = settings(max_examples=200, deadline=None)
+
+
+def _assignments(draw, n, k):
+    """n cluster ids in [0, k) with every cluster non-empty."""
+    ids = draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n))
+    perm = draw(st.permutations(range(n)))
+    for h in range(k):
+        ids[perm[h]] = h
+    return np.array(ids, dtype=np.int64)
+
+
+@st.composite
+def instances(draw):
+    """A small corpus, a model over it with random metrics, and label-derived
+    constraints with random penalty weights."""
+    arity = draw(st.integers(1, 4))
+    n = draw(st.integers(2, 14))
+    # few symbols per field, so messages repeat and distances tie
+    raw = draw(st.lists(
+        st.lists(st.sampled_from(["a", "b", "c"]), min_size=arity, max_size=arity),
+        min_size=n, max_size=n,
+    ))
+    corpus = build_corpus(raw, arity=arity)
+    k = draw(st.integers(1, min(3, n)))
+    assignments = _assignments(draw, n, k)
+    weights = st.floats(0.05, 5.0, allow_nan=False)
+    metrics = tuple(
+        DiagonalMetric(np.array(draw(st.lists(weights, min_size=arity, max_size=arity))))
+        for _ in range(k)
+    )
+    model = ClusterModel(
+        k=k, centroids=update_centroids(corpus, assignments, k), metrics=metrics,
+        assignments=assignments, objective=0.0,
+    )
+    labeled = draw(st.lists(st.integers(0, n - 1), max_size=n, unique=True))
+    samples = [LabeledSample(i, draw(st.integers(0, 2))) for i in labeled]
+    w = draw(st.floats(0.0, 3.0))
+    w_bar = draw(st.floats(0.0, 3.0))
+    return corpus, model, constraints_from_labels(samples, w=w, w_bar=w_bar)
+
+
+@PROPERTY
+@given(instances())
+def test_objective_matches_scalar_oracle(inst):
+    corpus, model, cs = inst
+    got = evaluate_objective(corpus, model, cs)
+    want = oracles.objective(corpus, model, cs)
+    assert abs(got - want) <= 1e-9 * max(1.0, abs(want))
+
+
+@PROPERTY
+@given(instances(), st.data())
+def test_update_weights_matches_oracle_update_metric(inst, data):
+    corpus, model, cs = inst
+    # the max-pair table comes from earlier assignments, as in the EM loop,
+    # and may hold empty clusters
+    table_assign = np.array(data.draw(st.lists(
+        st.integers(0, model.k - 1), min_size=len(corpus), max_size=len(corpus)
+    )), dtype=np.int64)
+    ctx = PenaltyContext.build(corpus, table_assign, model.metrics)
+    got = _update_weights(_state_from_model(corpus, model, cs, ctx))
+
+    maxpairs = []
+    for h, m in enumerate(model.metrics):
+        members = np.flatnonzero(table_assign == h)
+        maxpairs.append(
+            oracles.max_separated_pair(members, corpus, m) if members.size
+            else MaxPair(-1, -1, 0.0)
+        )
+    tallies = oracles.violation_tallies(corpus, model.assignments, cs, maxpairs)
+    for h in range(model.k):
+        members = np.flatnonzero(model.assignments == h)
+        want = oracles.update_metric(corpus, members, model.centroids[h], violations=tallies[h])
+        assert np.array_equal(got[h], want.weights)
+
+
+@PROPERTY
+@given(instances())
+def test_point_costs_argmin_matches_oracle_assign_point(inst):
+    corpus, model, cs = inst
+    ctx = PenaltyContext.build(corpus, model.assignments, model.metrics)
+    state = _state_from_model(corpus, model, cs, ctx)
+    max_sq = oracles.max_pair_distances(corpus, model.assignments, model.metrics)
+    base = state.base_costs()
+    for i in range(len(corpus)):
+        costs = state.point_costs(i, base[i])
+        want = oracles.point_costs(i, corpus, model, cs, max_sq)
+        assert np.allclose(costs, want, rtol=1e-9, atol=1e-9)
+        got = int(np.argmin(costs))
+        best = oracles.assign_point(i, corpus, model, cs, max_sq)
+        # the two sum penalties in different orders, so clusters whose
+        # costs tie exactly may differ in the last bit
+        assert got == best or abs(want[got] - want[best]) <= 1e-9 * max(1.0, abs(want[best]))

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
@@ -53,6 +57,36 @@ def test_label_with_non_total_rules_exits_2(tmp_path, workspace):
 def test_usage_error_exit_code():
     assert run(["cluster"]) == 1
     assert run(["no-such-command"]) == 1
+
+
+BAD_ARGUMENTS = [
+    ("cluster", ["--k", "0"]),
+    ("cluster", ["--tol", "0"]),
+    ("cluster", ["--w", "-1"]),
+    ("cluster", ["--w-bar", "-1"]),
+    ("sweep-k", ["--k", "5..3"]),
+]
+
+
+@pytest.mark.parametrize(
+    "command,bad", BAD_ARGUMENTS, ids=[" ".join([c] + b) for c, b in BAD_ARGUMENTS]
+)
+def test_bad_numeric_argument_exits_1_without_traceback(workspace, tmp_path, command, bad):
+    # a subprocess, so that stderr shows whatever a user would see
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = [src, os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+    argv = [
+        command, "--corpus", str(workspace / "corpus.json"),
+        "--labels", str(workspace / "labels.json"), "--out-dir", str(tmp_path),
+    ] + bad
+    proc = subprocess.run(
+        [sys.executable, "-m", "protoabs.cli"] + argv,
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.strip().splitlines()[-1].startswith("error: argument --")
 
 
 def test_cluster_writes_artifacts(workspace, tmp_path):

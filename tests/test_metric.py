@@ -3,20 +3,26 @@ import math
 import numpy as np
 import pytest
 
+from oracles import distance_sq, log_det, unit_metric, update_metric
+from protoabs.clustering import ClusterModel, PenaltyContext, _state_from_model, _update_weights
+from protoabs.constraints import ConstraintSet
 from protoabs.errors import ArityMismatch, EmptyCluster
-from protoabs.metric import (
-    DiagonalMetric,
-    distance_sq,
-    log_det,
-    max_separated_pair,
-    unit_metric,
-    update_metric,
-)
+from protoabs.metric import DiagonalMetric, max_separated_pair
 from protoabs.model import Message, build_corpus
 
 
 def msg(*tokens):
     return Message(tuple(tokens))
+
+
+def package_update(corpus, centroid):
+    """The package's metric update for one cluster holding the whole corpus."""
+    model = ClusterModel(
+        k=1, centroids=(centroid,), metrics=(unit_metric(corpus.arity),),
+        assignments=np.zeros(len(corpus), dtype=np.int64), objective=0.0,
+    )
+    ctx = PenaltyContext.build(corpus, model.assignments, model.metrics)
+    return _update_weights(_state_from_model(corpus, model, ConstraintSet(), ctx))[0]
 
 
 class TestDistance:
@@ -112,6 +118,7 @@ class TestUpdateMetric:
         corpus = build_corpus([["a", "b"], ["a", "b"]], arity=2)
         m = update_metric(corpus, [0, 1], corpus.messages[0])
         assert np.allclose(m.weights, 1e6)
+        assert np.array_equal(package_update(corpus, corpus.messages[0]), m.weights)
 
     def test_two_point_cluster_single_mismatch(self):
         corpus = build_corpus([["a", "b"], ["X", "b"]], arity=2)
@@ -120,6 +127,7 @@ class TestUpdateMetric:
         # field 0: dispersion 1 -> weight 2/1; field 1: zero dispersion -> clamp
         assert m.weights[0] == pytest.approx(2.0)
         assert m.weights[1] == pytest.approx(1e6)
+        assert np.array_equal(package_update(corpus, centroid), m.weights)
 
     def test_violation_tally_added(self):
         corpus = build_corpus([["a", "b"], ["X", "b"]], arity=2)
@@ -140,3 +148,4 @@ class TestUpdateMetric:
         assert m.weights[0] == pytest.approx(3.0 / 1.0)
         assert m.weights[1] == pytest.approx(3.0 / 2.0)
         assert m.weights[2] == pytest.approx(1e6)
+        assert np.array_equal(package_update(corpus, corpus.messages[0]), m.weights)

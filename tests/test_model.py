@@ -1,15 +1,8 @@
 import numpy as np
 import pytest
 
-from protoabs.errors import ArityMismatch, EmptyCorpus
-from protoabs.model import (
-    ABSENT,
-    Corpus,
-    LabelVector,
-    Message,
-    build_corpus,
-    message_equal,
-)
+from protoabs.errors import EmptyCorpus
+from protoabs.model import ABSENT, Corpus, LabelVector, Message, build_corpus
 
 
 def test_padding_to_arity():
@@ -26,7 +19,7 @@ def test_truncation_keeps_first_32_tokens():
 def test_identical_raw_messages_yield_equal_messages():
     corpus = build_corpus([["a", "b"], ["a", "b"]], arity=2)
     assert len(corpus) == 2
-    assert message_equal(corpus.messages[0], corpus.messages[1])
+    assert corpus.messages[0].fields == corpus.messages[1].fields
 
 
 def test_empty_input_rejected():
@@ -43,13 +36,8 @@ def test_message_equal_basic():
     a = Message(("x", "y", ABSENT), source_id="s1")
     b = Message(("x", "y", ABSENT), source_id="s2")
     c = Message(("x", "y", "z"))
-    assert message_equal(a, b)  # source_id excluded
-    assert not message_equal(a, c)  # differs in the pad position
-
-
-def test_message_equal_arity_mismatch():
-    with pytest.raises(ArityMismatch):
-        message_equal(Message(("x",)), Message(("x", "y")))
+    assert a.fields == b.fields  # source_id excluded
+    assert a.fields != c.fields  # differs in the pad position
 
 
 def test_build_corpus_deterministic():
@@ -57,7 +45,7 @@ def test_build_corpus_deterministic():
     c1 = build_corpus(raw, arity=3)
     c2 = build_corpus(raw, arity=3)
     assert c1.vocabulary == c2.vocabulary
-    assert all(message_equal(m1, m2) for m1, m2 in zip(c1.messages, c2.messages))
+    assert all(m1.fields == m2.fields for m1, m2 in zip(c1.messages, c2.messages))
     assert np.array_equal(c1.codes, c2.codes)
 
 
@@ -75,7 +63,7 @@ def test_equality_iff_zero_mismatch_count():
         for j in range(0, 30, 3):
             a, b = corpus.messages[i], corpus.messages[j]
             mismatches = int((corpus.codes[i] != corpus.codes[j]).sum())
-            assert message_equal(a, b) == (mismatches == 0)
+            assert (a.fields == b.fields) == (mismatches == 0)
 
 
 def test_corpus_roundtrip():
