@@ -5,7 +5,6 @@ violation.
 """
 
 import argparse
-import json
 import os
 import sys
 
@@ -20,6 +19,7 @@ from .corpus_tools import (
     load_rules,
     parse_trace_file,
     preprocess,
+    read_json,
     save_corpus,
     save_labels,
     write_atomic,
@@ -73,6 +73,8 @@ def _bounded(convert, ok, rule):
 _positive_int = _bounded(int, lambda v: v >= 1, ">= 1")
 _positive_float = _bounded(float, lambda v: v > 0, "> 0")
 _non_negative_float = _bounded(float, lambda v: v >= 0, ">= 0")
+_non_negative_int = _bounded(int, lambda v: v >= 0, ">= 0")
+_count_list = _bounded(_int_list, lambda v: bool(v) and min(v) >= 0, "one or more counts >= 0")
 
 
 def build_parser():
@@ -104,12 +106,12 @@ def build_parser():
     p.add_argument("--labels", required=True)
     p.add_argument("--algorithm", choices=["kmeans", "mpck"], default="mpck")
     p.add_argument("--k", type=_positive_int, default=None)
-    p.add_argument("--labels-per-class", type=int, default=5)
+    p.add_argument("--labels-per-class", type=_non_negative_int, default=5)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--w", type=_non_negative_float, default=1.0)
     p.add_argument("--w-bar", type=_non_negative_float, default=1.0)
     p.add_argument("--mode", choices=["balanced", "unbalanced"], default="balanced")
-    p.add_argument("--max-iters", type=int, default=200)
+    p.add_argument("--max-iters", type=_non_negative_int, default=200)
     p.add_argument("--tol", type=_positive_float, default=1e-6)
     p.add_argument("--out-dir", required=True)
 
@@ -123,24 +125,24 @@ def build_parser():
     p.add_argument("--labels", required=True)
     p.add_argument("--k", type=_k_range, default="20..40",
                    help="range lo..hi or comma list")
-    p.add_argument("--labels-per-class", type=int, default=1)
+    p.add_argument("--labels-per-class", type=_non_negative_int, default=1)
     p.add_argument("--seed", type=_int_list, default="0", help="comma-separated seeds")
     p.add_argument("--w", type=_non_negative_float, default=1.0)
     p.add_argument("--w-bar", type=_non_negative_float, default=1.0)
-    p.add_argument("--max-iters", type=int, default=200)
+    p.add_argument("--max-iters", type=_non_negative_int, default=200)
     p.add_argument("--tol", type=_positive_float, default=1e-6)
     p.add_argument("--out-dir", required=True)
 
     p = sub.add_parser("sweep-labels", help="sweep labels per class")
     p.add_argument("--corpus", required=True)
     p.add_argument("--labels", required=True)
-    p.add_argument("--counts", type=_int_list, default="1,2,3,4,5")
+    p.add_argument("--counts", type=_count_list, default="1,2,3,4,5")
     p.add_argument("--mode", choices=["balanced", "unbalanced"], default="balanced")
     p.add_argument("--k", type=_positive_int, default=None)
     p.add_argument("--seed", type=_int_list, default="0", help="comma-separated seeds")
     p.add_argument("--w", type=_non_negative_float, default=1.0)
     p.add_argument("--w-bar", type=_non_negative_float, default=1.0)
-    p.add_argument("--max-iters", type=int, default=200)
+    p.add_argument("--max-iters", type=_non_negative_int, default=200)
     p.add_argument("--tol", type=_positive_float, default=1e-6)
     p.add_argument("--out-dir", required=True)
 
@@ -159,6 +161,17 @@ def _summary(corpus, labels=None):
         )
         line += " J=%d class_histogram=%s" % (labels.n_classes, hist.tolist())
     return line
+
+
+def _load_labeled_corpus(args):
+    corpus = load_corpus(args.corpus)
+    labels = load_labels(args.labels)
+    if len(labels) != len(corpus):
+        raise DataError(
+            "labels %s has %d entries but corpus %s has %d messages"
+            % (args.labels, len(labels), args.corpus, len(corpus))
+        )
+    return corpus, labels
 
 
 def cmd_synth(args):
@@ -210,8 +223,7 @@ def _emit_report(out_dir, result):
 
 
 def cmd_cluster(args):
-    corpus = load_corpus(args.corpus)
-    labels = load_labels(args.labels)
+    corpus, labels = _load_labeled_corpus(args)
     result = run_experiment(
         corpus,
         labels,
@@ -230,12 +242,14 @@ def cmd_cluster(args):
         os.path.join(args.out_dir, "model.json"), result.model.to_json() + "\n"
     )
     _emit_report(args.out_dir, result)
+    model = result.model
     print(
         "%s k=%d seed=%d purity=%.6f ari=%.6f objective=%.6f iters=%d "
-        "must=%d cannot=%d duration=%.2fs"
+        "converged_by=%s gap=%.3g must=%d cannot=%d duration=%.2fs"
         % (
             result.algorithm, result.k, result.seed, result.report.purity,
-            result.report.ari, result.model.objective, result.model.iterations,
+            result.report.ari, model.objective, model.iterations,
+            model.converged_by, model.accounting_gap,
             result.n_must, result.n_cannot, result.duration,
         )
     )
@@ -243,9 +257,13 @@ def cmd_cluster(args):
 
 
 def cmd_eval(args):
-    with open(args.model, "r", encoding="utf-8") as fh:
-        model = ClusterModel.from_dict(json.load(fh))
+    model = read_json(args.model, ClusterModel.from_dict, "model")
     labels = load_labels(args.labels)
+    if len(model.assignments) != len(labels):
+        raise DataError(
+            "model %s assigns %d messages but labels %s has %d"
+            % (args.model, len(model.assignments), args.labels, len(labels))
+        )
     report = evaluate(model.assignments, labels)
     _ensure_dir(args.out_dir)
     write_atomic(os.path.join(args.out_dir, "eval.json"), report.to_json() + "\n")
@@ -255,8 +273,7 @@ def cmd_eval(args):
 
 
 def cmd_sweep_k(args):
-    corpus = load_corpus(args.corpus)
-    labels = load_labels(args.labels)
+    corpus, labels = _load_labeled_corpus(args)
     rows, means, best_k = sweep_k(
         corpus, labels, args.k, args.seed,
         labels_per_class=args.labels_per_class,
@@ -279,8 +296,7 @@ def cmd_sweep_k(args):
 
 
 def cmd_sweep_labels(args):
-    corpus = load_corpus(args.corpus)
-    labels = load_labels(args.labels)
+    corpus, labels = _load_labeled_corpus(args)
     rows, means = sweep_labels(
         corpus, labels, args.counts, args.seed, mode=args.mode, k=args.k,
         w=args.w, w_bar=args.w_bar, max_iterations=args.max_iters, tol=args.tol,

@@ -14,12 +14,14 @@ far the pair falls short of cluster l's maximally separated pair D_l.
 Constrained points are visited greedily in a seeded random permutation;
 unconstrained points interact with nothing and take a vectorized argmin of
 costs computed once per distinct code row.  Centroids are per-field modes;
-metrics are closed-form per-cluster weight updates.  The per-cluster
-max-separated-pair table used by the cannot-link penalty (built over each
-cluster's distinct rows) is refreshed whenever the metrics change, so with
-metric updates disabled it stays fixed during the loop, which keeps the
-objective non-increasing; the final objective uses a table rebuilt for the
-final assignments.
+metrics are closed-form per-cluster weight updates.  Both come from one
+(distinct rows, K) count matrix, and float sums over members gather
+per-row costs into member order.  The per-cluster max-separated-pair table
+read by the cannot-link penalty (built over each cluster's distinct rows)
+is refreshed whenever the metrics change, so with metric updates disabled
+it stays fixed during the loop, which keeps the objective non-increasing;
+the final objective uses a table built for the final assignments.  Without
+cannot-links no table is built.
 """
 
 import json
@@ -101,43 +103,61 @@ class PenaltyContext:
 
     @classmethod
     def build(cls, corpus, assignments, metrics):
-        k = len(metrics)
-        assignments = np.asarray(assignments)
-        maxpairs = []
-        for h in range(k):
-            members = np.flatnonzero(assignments == h)
-            if members.size == 0:
-                maxpairs.append(MaxPair(-1, -1, 0.0))
-            else:
-                maxpairs.append(_metric.max_separated_pair(members, corpus, metrics[h]))
+        maxpairs = [
+            _metric.max_separated_pair(members, corpus, m) if members.size
+            else MaxPair(-1, -1, 0.0)
+            for members, m in zip(_members_by_cluster(assignments, len(metrics)), metrics)
+        ]
         return cls(maxpairs)
+
+
+def _members_by_cluster(assignments, k):
+    """Ascending member indices of each of the k clusters, from one stable
+    sort of the assignments."""
+    assignments = np.asarray(assignments, dtype=np.int64)
+    order = np.argsort(assignments, kind="stable")
+    ends = np.cumsum(np.bincount(assignments, minlength=k))
+    return np.split(order, ends[:-1])
+
+
+def _row_counts(corpus, row_ids, groups, g):
+    """(u, g) matrix counting, per distinct row and group, the messages
+    whose row ids and group ids are `row_ids` and `groups`."""
+    u = corpus.unique_codes.shape[0]
+    flat = row_ids * g + np.asarray(groups, dtype=np.int64)
+    return np.bincount(flat, minlength=u * g).reshape(u, g)
 
 
 def update_centroids(corpus, assignments, k):
     """Per-field mode of each cluster's members; lexicographically smallest
     token wins ties."""
-    cent_codes = _mode_rows(corpus, assignments, k)
+    cent_codes = _centroid_codes(corpus, assignments, k)
     return tuple(_centroid_message(corpus, cent_codes[h], h) for h in range(k))
 
 
-def _mode_rows(corpus, assignments, k):
-    assignments = np.asarray(assignments)
-    cent_codes = np.empty((k, corpus.arity), dtype=np.int32)
-    for h in range(k):
-        members = np.flatnonzero(assignments == h)
-        if members.size == 0:
-            raise EmptyCluster("cluster %d has no members" % h)
-        cent_codes[h] = _mode_row(corpus, members)
+def _centroid_codes(corpus, assignments, k):
+    return _mode_rows(corpus, _row_counts(corpus, corpus.row_ids, assignments, k))
+
+
+def _mode_rows(corpus, counts):
+    """(g, F) per-field modes of the g groups counted in the (u, g) count
+    matrix; the lexicographically smallest token wins ties."""
+    g = counts.shape[1]
+    empty = np.flatnonzero(counts.sum(axis=0) == 0)
+    if empty.size:
+        raise EmptyCluster("cluster %d has no members" % empty[0])
+    cent_codes = np.zeros((g, corpus.arity), dtype=np.int32)
+    weights = counts.ravel()
+    for f, order in enumerate(corpus.lex_order):
+        if order.size == 1:
+            continue                    # one symbol: the mode is code 0
+        # token counts per group, tokens in lexicographic order, so the
+        # first maximum is the smallest tied token
+        ranks = corpus.lex_rank[f][corpus.unique_codes[:, f]]
+        flat = (ranks[:, None] * g + np.arange(g)).ravel()
+        tokens = np.bincount(flat, weights=weights, minlength=order.size * g)
+        cent_codes[:, f] = order[tokens.reshape(order.size, g).argmax(axis=0)]
     return cent_codes
-
-
-def _mode_row(corpus, members):
-    row = np.empty(corpus.arity, dtype=np.int32)
-    for f in range(corpus.arity):
-        cnt = np.bincount(corpus.codes[members, f], minlength=len(corpus.vocabulary[f]))
-        cands = np.flatnonzero(cnt == cnt.max())
-        row[f] = cands[np.argmin(corpus.lex_rank[f][cands])]
-    return row
 
 
 def _centroid_message(corpus, code_row, h):
@@ -160,31 +180,36 @@ class _State:
         self.assignments = assignments
         self.w = constraints.w
         self.w_bar = constraints.w_bar
-        self.ctx = ctx
-        self.ml_adj = _adjacency(constraints.must_links)
-        self.cl_adj = _adjacency(constraints.cannot_links)
-        self.constrained = np.array(
-            sorted(set(self.ml_adj) | set(self.cl_adj)), dtype=np.int64
-        )
+        self.ctx = ctx                              # None without cannot-links
         self.must_pairs = np.array(sorted(constraints.must_links), dtype=np.int64).reshape(-1, 2)
         self.cannot_pairs = np.array(sorted(constraints.cannot_links), dtype=np.int64).reshape(-1, 2)
+        n = len(corpus)
+        self.ml_ptr, self.ml_nbr = _adjacency(self.must_pairs, n)
+        self.cl_ptr, self.cl_nbr = _adjacency(self.cannot_pairs, n)
+        self.constrained = np.flatnonzero(
+            (np.diff(self.ml_ptr) > 0) | (np.diff(self.cl_ptr) > 0)
+        )
+
+    def dispersion_costs(self):
+        """(u, K) weighted mismatch of each distinct code row against each
+        centroid."""
+        rows = self.corpus.unique_codes
+        d = np.empty((rows.shape[0], self.k))
+        for h in range(self.k):
+            d[:, h] = (rows != self.cent[h][None, :]) @ self.weights[h]
+        return d
 
     def base_costs(self):
-        """(N, K) dispersion-plus-logdet costs against current centroids,
-        computed once per distinct code row."""
-        rows = self.corpus.unique_codes
-        b = np.empty((rows.shape[0], self.k))
-        for h in range(self.k):
-            mism = rows != self.cent[h][None, :]
-            b[:, h] = mism @ self.weights[h] - self.logdets[h]
-        return b[self.corpus.row_ids]
+        """(u, K) dispersion-plus-logdet costs of each distinct code row;
+        message i's costs are row `corpus.row_ids[i]`."""
+        return self.dispersion_costs() - self.logdets
 
     def point_costs(self, i, base_row):
         """K-vector of assignment costs for point i, partners' assignments
-        fixed; `base_row` is row i of base_costs()."""
+        fixed; `base_row` is point i's row of base_costs()."""
         costs = base_row.copy()
-        ml = self.ml_adj.get(i)
-        if ml is not None:
+        ml = self.ml_nbr[self.ml_ptr[i]:self.ml_ptr[i + 1]]
+        if ml.size:
             m = self.codes[ml] != self.codes[i][None, :]
             d = m @ self.weights.T                      # (P, K)
             lj = self.assignments[ml]
@@ -192,8 +217,8 @@ class _State:
             pen = self.w * (0.5 * d + 0.5 * dj[:, None])
             pen[np.arange(ml.size), lj] = 0.0
             costs += pen.sum(axis=0)
-        cl = self.cl_adj.get(i)
-        if cl is not None:
+        cl = self.cl_nbr[self.cl_ptr[i]:self.cl_ptr[i + 1]]
+        if cl.size:
             m = self.codes[cl] != self.codes[i][None, :]
             lj = self.assignments[cl]
             d_lj = np.einsum("pf,pf->p", m, self.weights[lj])
@@ -220,12 +245,13 @@ class _State:
     def objective(self):
         """Objective recomputed from scratch against the current max-pair table."""
         total = 0.0
-        for h in range(self.k):
-            members = np.flatnonzero(self.assignments == h)
+        disp = self.dispersion_costs()
+        for h, members in enumerate(_members_by_cluster(self.assignments, self.k)):
             if members.size == 0:
                 continue
-            mism = self.codes[members] != self.cent[h][None, :]
-            total += float((mism @ self.weights[h]).sum()) - members.size * self.logdets[h]
+            # per-row costs gathered into member order keep the sum's order
+            costs = disp[self.corpus.row_ids[members], h]
+            total += float(costs.sum()) - members.size * self.logdets[h]
         la, lb, m = self.violated_must()
         if la.size:
             da = np.einsum("pf,pf->p", m, self.weights[la])
@@ -238,13 +264,15 @@ class _State:
         return total
 
 
-def _adjacency(pairs):
-    """Sorted partner indices of every point that appears in `pairs`."""
-    adj = {}
-    for a, b in pairs:
-        adj.setdefault(a, []).append(b)
-        adj.setdefault(b, []).append(a)
-    return {p: np.array(sorted(q), dtype=np.int64) for p, q in adj.items()}
+def _adjacency(pairs, n):
+    """Partner lists of the (P, 2) `pairs` over n points: point i's
+    partners, ascending, are nbr[ptr[i]:ptr[i + 1]]."""
+    src = np.concatenate([pairs[:, 0], pairs[:, 1]])
+    nbr = np.concatenate([pairs[:, 1], pairs[:, 0]])
+    nbr = nbr[np.lexsort((nbr, src))]
+    ptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=n), out=ptr[1:])
+    return ptr, nbr
 
 
 def _state_from_model(corpus, model, constraints, ctx):
@@ -256,31 +284,36 @@ def _state_from_model(corpus, model, constraints, ctx):
 
 def evaluate_objective(corpus, model, constraints, ctx=None):
     """Recompute the full objective from a model's stored state."""
-    if ctx is None:
+    if ctx is None and constraints.cannot_links:
         ctx = PenaltyContext.build(corpus, model.assignments, model.metrics)
     return _state_from_model(corpus, model, constraints, ctx).objective()
 
 
 def _seed_centroids(corpus, constraints, k, rng):
     """Initial centroid codes: modes of the largest constraint neighborhoods,
-    then farthest-first under the unit Hamming metric."""
-    hoods = neighborhoods(constraints) if not constraints.is_empty() else []
+    then farthest-first under the unit Hamming metric, over distinct rows."""
+    hoods = neighborhoods(constraints)[:k] if not constraints.is_empty() else []
     cent = []
-    for hood in hoods[:k]:
-        cent.append(_mode_row(corpus, np.asarray(hood.member_indices)))
-    n = len(corpus)
+    if hoods:
+        members = np.concatenate([h.member_indices for h in hoods]).astype(np.int64)
+        groups = np.repeat(np.arange(len(hoods)), [len(h) for h in hoods])
+        counts = _row_counts(corpus, corpus.row_ids[members], groups, len(hoods))
+        cent = list(_mode_rows(corpus, counts))
+    rows = corpus.unique_codes
     if len(cent) < k:
-        mindist = np.full(n, np.inf)
+        mindist = np.full(rows.shape[0], np.inf)
         for row in cent:
-            mindist = np.minimum(mindist, (corpus.codes != row[None, :]).sum(axis=1))
+            mindist = np.minimum(mindist, (rows != row[None, :]).sum(axis=1))
         if not cent:
-            first = int(rng.integers(n))
+            first = int(rng.integers(len(corpus)))
             cent.append(corpus.codes[first].copy())
-            mindist = np.minimum(mindist, (corpus.codes != cent[-1][None, :]).sum(axis=1))
+            mindist = np.minimum(mindist, (rows != cent[-1][None, :]).sum(axis=1))
         while len(cent) < k:
+            # rows are numbered in first-occurrence order, so the first
+            # farthest row holds the first farthest message
             pick = int(np.argmax(mindist))
-            cent.append(corpus.codes[pick].copy())
-            mindist = np.minimum(mindist, (corpus.codes != cent[-1][None, :]).sum(axis=1))
+            cent.append(rows[pick].copy())
+            mindist = np.minimum(mindist, (rows != cent[-1][None, :]).sum(axis=1))
     return np.stack(cent)
 
 
@@ -297,23 +330,29 @@ def _update_weights(state):
     # each pair adds to la, then lb, in pair order
     np.add.at(tallies, np.column_stack([la, lb]).ravel(),
               np.repeat(0.5 * state.w * mism, 2, axis=0))
-    far = np.zeros((k, arity))
-    for h, pair in enumerate(state.ctx.maxpairs):
-        if pair.first >= 0:
-            far[h] = state.codes[pair.first] != state.codes[pair.second]
     l, near = state.violated_cannot()
-    cl_tallies = np.zeros((k, arity))
-    np.add.at(cl_tallies, l, state.w_bar * (far[l] - near))
-    tallies += np.maximum(0.0, cl_tallies)
-    weights = np.empty_like(state.weights)
-    for h in range(k):
-        members = np.flatnonzero(state.assignments == h)
-        if members.size == 0:
-            raise EmptyCluster("cluster %d empty at metric update" % h)
-        disp = (state.codes[members] != state.cent[h][None, :]).sum(axis=0)
-        d = np.maximum(EPS_DENOM, disp + tallies[h])
-        weights[h] = np.clip(members.size / d, EPS_WEIGHT, 1.0 / EPS_WEIGHT)
-    return weights
+    if l.size:
+        far = np.zeros((k, arity))
+        for h, pair in enumerate(state.ctx.maxpairs):
+            if pair.first >= 0:
+                far[h] = state.codes[pair.first] != state.codes[pair.second]
+        cl_tallies = np.zeros((k, arity))
+        np.add.at(cl_tallies, l, state.w_bar * (far[l] - near))
+        tallies += np.maximum(0.0, cl_tallies)
+    counts = _row_counts(state.corpus, state.corpus.row_ids, state.assignments, k)
+    sizes = counts.sum(axis=0)
+    empty = np.flatnonzero(sizes == 0)
+    if empty.size:
+        raise EmptyCluster("cluster %d empty at metric update" % empty[0])
+    d = np.maximum(EPS_DENOM, _dispersion(state.corpus, counts, state.cent) + tallies)
+    return np.clip(sizes[:, None] / d, EPS_WEIGHT, 1.0 / EPS_WEIGHT)
+
+
+def _dispersion(corpus, counts, cent):
+    """(K, F) number of members that mismatch their centroid at each field,
+    from the (u, K) count matrix; integer sums, so exact."""
+    rows = corpus.unique_codes
+    return np.stack([counts[:, h] @ (rows != cent[h][None, :]) for h in range(len(cent))])
 
 
 def run_mpck(corpus, constraints, config):
@@ -331,12 +370,12 @@ def run_mpck(corpus, constraints, config):
     weights = np.ones((k, corpus.arity))
     assignments = np.full(n, -1, dtype=np.int64)
     state = _State(corpus, k, cent, weights, assignments, constraints, None)
+    row_ids = corpus.row_ids
 
     # initial pass: plain nearest-centroid under the seeded centroids
-    base = state.base_costs()
-    state.assignments[:] = np.argmin(base, axis=1)
+    state.assignments[:] = np.argmin(state.base_costs(), axis=1)[row_ids]
     _repair_empty_clusters(state)
-    state.cent = _mode_rows(corpus, state.assignments, k)
+    state.cent = _centroid_codes(corpus, state.assignments, k)
     if config.metric_update_enabled:
         _rebuild_penalties(state)
         state.weights = _update_weights(state)
@@ -348,6 +387,7 @@ def run_mpck(corpus, constraints, config):
     free = np.ones(n, dtype=bool)
     free[state.constrained] = False
     free_rows = np.flatnonzero(free)
+    free_row_ids = row_ids[free_rows]
 
     history = []
     max_gap = 0.0
@@ -364,12 +404,12 @@ def run_mpck(corpus, constraints, config):
 
         base = state.base_costs()
         if free_rows.size:
-            new = np.argmin(base[free_rows], axis=1)
+            new = np.argmin(base, axis=1)[free_row_ids]
             old = state.assignments[free_rows]
-            tracked += float(base[free_rows, new].sum() - base[free_rows, old].sum())
+            tracked += float(base[free_row_ids, new].sum() - base[free_row_ids, old].sum())
             state.assignments[free_rows] = new
         for i in perm[~free[perm]].tolist():
-            costs = state.point_costs(i, base[i])
+            costs = state.point_costs(i, base[row_ids[i]])
             h = int(np.argmin(costs))
             tracked += float(costs[h] - costs[state.assignments[i]])
             state.assignments[i] = h
@@ -382,7 +422,7 @@ def run_mpck(corpus, constraints, config):
             break
 
         _repair_empty_clusters(state)
-        state.cent = _mode_rows(corpus, state.assignments, k)
+        state.cent = _centroid_codes(corpus, state.assignments, k)
         if config.metric_update_enabled:
             state.weights = _update_weights(state)
             state.logdets = np.log(state.weights).sum(axis=1)
@@ -395,15 +435,17 @@ def run_mpck(corpus, constraints, config):
             break
         prev_j_end = j_end
 
+    if not config.metric_update_enabled:
+        # the loop's table belongs to the initial assignments; with metric
+        # updates on it was built for the final assignments and metrics
+        _rebuild_penalties(state)
     centroids = tuple(
         _centroid_message(corpus, state.cent[h], h) for h in range(k)
     )
-    metrics = _metrics_of(state)
-    final_ctx = PenaltyContext.build(corpus, state.assignments, metrics)
     model = ClusterModel(
         k=k,
         centroids=centroids,
-        metrics=metrics,
+        metrics=_metrics_of(state),
         assignments=state.assignments.copy(),
         objective=0.0,
         iterations=iterations,
@@ -412,7 +454,7 @@ def run_mpck(corpus, constraints, config):
         accounting_gap=max_gap,
         converged_by=converged_by,
     )
-    model.objective = evaluate_objective(corpus, model, constraints, ctx=final_ctx)
+    model.objective = evaluate_objective(corpus, model, constraints, ctx=state.ctx)
     return model
 
 
@@ -428,7 +470,10 @@ def _metrics_of(state):
 
 
 def _rebuild_penalties(state):
-    state.ctx = PenaltyContext.build(state.corpus, state.assignments, _metrics_of(state))
+    """Max-pair table for the current assignments and metrics; only
+    cannot-link terms read it, so without them none is built."""
+    if state.cannot_pairs.size:
+        state.ctx = PenaltyContext.build(state.corpus, state.assignments, _metrics_of(state))
 
 
 def _repair_empty_clusters(state):
@@ -438,13 +483,7 @@ def _repair_empty_clusters(state):
     for h in range(state.k):
         if sizes[h] > 0:
             continue
-        disp = np.empty(len(state.corpus))
-        for g in range(state.k):
-            members = np.flatnonzero(state.assignments == g)
-            if members.size == 0:
-                continue
-            mism = state.codes[members] != state.cent[g][None, :]
-            disp[members] = mism @ state.weights[g]
+        disp = state.dispersion_costs()[state.corpus.row_ids, state.assignments]
         eligible = sizes[state.assignments] >= 2
         if not eligible.any():
             raise EmptyCluster("no cluster can spare a point for reseeding")

@@ -23,7 +23,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadSpec, EmptyCorpus, ParseError, SampleTooLarge, UnmatchedMessage
+from .errors import (
+    BadSpec,
+    DataError,
+    EmptyCorpus,
+    ParseError,
+    SampleTooLarge,
+    UnmatchedMessage,
+)
 from .model import ABSENT, Corpus, LabelVector, build_corpus
 
 DEFAULT_DROP_KEYS = frozenset({"RANDOM", "SESSIONID"})
@@ -327,9 +334,20 @@ def save_corpus(corpus, path):
     write_atomic(path, _json_text(corpus.to_dict()))
 
 
-def load_corpus(path):
+def read_json(path, build, what):
+    """`build(obj)` of the JSON object in the file at `path`; malformed JSON
+    and missing or ill-typed fields raise DataError naming `what`."""
     with open(path, "r", encoding="utf-8") as fh:
-        return Corpus.from_dict(json.load(fh))
+        try:
+            return build(json.load(fh))
+        except KeyError as e:
+            raise DataError("%s %s: missing field %s" % (what, path, e)) from e
+        except (ValueError, TypeError) as e:
+            raise DataError("%s %s: %s" % (what, path, e)) from e
+
+
+def load_corpus(path):
+    return read_json(path, Corpus.from_dict, "corpus")
 
 
 def save_labels(labels, path):
@@ -337,5 +355,4 @@ def save_labels(labels, path):
 
 
 def load_labels(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return LabelVector.from_dict(json.load(fh))
+    return read_json(path, LabelVector.from_dict, "labels")

@@ -49,7 +49,7 @@ def max_separated_pair(indices, corpus, m):
     member index.  Deterministic: among ties the smallest (first, second)
     pair wins.  A singleton domain yields (i, i, 0.0).
     """
-    idx = np.asarray(sorted(indices), dtype=np.int64)
+    idx = np.sort(np.asarray(indices, dtype=np.int64))
     if idx.size == 0:
         raise EmptyCluster("max_separated_pair needs at least one index")
     if idx.size == 1:
@@ -62,19 +62,17 @@ def max_separated_pair(indices, corpus, m):
     x = corpus.unique_codes[rows[first]]
     w = np.asarray(m.weights, dtype=np.float64)
     # (u, u) pairwise weighted mismatch totals, accumulated per field in the
-    # same order for every pair
+    # same order for every pair; a field on which all rows agree would add
+    # +0.0 to every total, so it is skipped
     d = np.zeros((reps.size, reps.size))
-    for f in range(x.shape[1]):
+    for f in np.flatnonzero((x != x[0]).any(axis=0)):
         d += w[f] * (x[:, None, f] != x[None, :, f])
-    iu = np.triu_indices(reps.size, k=1)
-    flat = d[iu]
-    if flat.size == 0 or flat.max() == 0.0:
+    # d is symmetric with a zero diagonal, so its first maximum in row-major
+    # order is the smallest (i, j) with i < j
+    i, j = divmod(int(np.argmax(d)), reps.size)
+    if d[i, j] == 0.0:
         # every pair ties at 0: the smallest member pair, as over all members
         return MaxPair(int(idx[0]), int(idx[1]), 0.0)
-    # first occurrence = smallest (i, j) in row-major order; a maximal pair
-    # of members is made of representatives, since a smaller member of the
-    # same row would give an earlier pair at the same distance
-    best = int(np.argmax(flat))
-    i, j = int(iu[0][best]), int(iu[1][best])
-    return MaxPair(int(reps[i]), int(reps[j]), float(flat[best]))
-
+    # a maximal pair of members is made of representatives, since a smaller
+    # member of the same row would give an earlier pair at the same distance
+    return MaxPair(int(reps[i]), int(reps[j]), float(d[i, j]))

@@ -37,7 +37,8 @@ class Corpus:
     modules.  Messages with identical field tuples share one distinct row:
     `row_ids[i]` numbers message i's row in first-occurrence order,
     `unique_codes` holds one code row per distinct row, and `codes` is
-    `unique_codes[row_ids]`.
+    `unique_codes[row_ids]`.  `lex_rank[f]` ranks position f's codes by
+    their symbols and `lex_order[f]` lists the codes in that order.
     """
 
     def __init__(self, messages, arity):
@@ -76,10 +77,13 @@ class Corpus:
         self.row_ids = row_ids
         self.unique_codes = unique_codes
         self.codes = codes
-        # lexicographic rank of each code, per position (mode tie-breaking)
-        self.lex_rank = tuple(
-            _lex_ranks(vocab) for vocab in self.vocabulary
+        # lexicographic order and rank of the codes, per position (mode
+        # tie-breaking)
+        self.lex_order = tuple(
+            np.array(sorted(range(len(vocab)), key=vocab.__getitem__), dtype=np.int64)
+            for vocab in self.vocabulary
         )
+        self.lex_rank = tuple(np.argsort(order) for order in self.lex_order)
 
     def __len__(self):
         return len(self.messages)
@@ -123,14 +127,6 @@ def _first_occurrence(items):
             seen.add(x)
             out.append(x)
     return out
-
-
-def _lex_ranks(vocab):
-    order = sorted(range(len(vocab)), key=lambda c: vocab[c])
-    ranks = np.empty(len(vocab), dtype=np.int64)
-    for rank, c in enumerate(order):
-        ranks[c] = rank
-    return ranks
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,7 @@ are slow and kept only as oracles.
 
 import numpy as np
 
+from protoabs.constraints import neighborhoods
 from protoabs.errors import ArityMismatch, EmptyCluster
 from protoabs.metric import EPS_DENOM, EPS_WEIGHT, DiagonalMetric, MaxPair
 
@@ -214,3 +215,92 @@ def update_metric(
     weights = idx.size / np.maximum(eps_d, disp)
     weights = np.clip(weights, eps_w, 1.0 / eps_w)
     return DiagonalMetric(weights)
+
+
+def mode_row(corpus, members):
+    """Per-field mode of the members' codes, one bincount per field; the
+    lexicographically smallest token wins ties."""
+    row = np.empty(corpus.arity, dtype=np.int32)
+    for f in range(corpus.arity):
+        cnt = np.bincount(corpus.codes[members, f], minlength=len(corpus.vocabulary[f]))
+        cands = np.flatnonzero(cnt == cnt.max())
+        row[f] = cands[np.argmin(corpus.lex_rank[f][cands])]
+    return row
+
+
+def mode_rows(corpus, assignments, k):
+    """(K, F) per-field modes of each cluster, scanning all messages once
+    per cluster."""
+    assignments = np.asarray(assignments)
+    cent_codes = np.empty((k, corpus.arity), dtype=np.int32)
+    for h in range(k):
+        members = np.flatnonzero(assignments == h)
+        if members.size == 0:
+            raise EmptyCluster("cluster %d has no members" % h)
+        cent_codes[h] = mode_row(corpus, members)
+    return cent_codes
+
+
+def dispersion(corpus, assignments, cent):
+    """(K, F) per-field mismatch counts of each cluster's members against
+    its centroid row."""
+    assignments = np.asarray(assignments)
+    return np.stack([
+        (corpus.codes[assignments == h] != cent[h][None, :]).sum(axis=0)
+        for h in range(len(cent))
+    ])
+
+
+def seed_centroids(corpus, constraints, k, rng):
+    """Modes of the largest constraint neighborhoods, then farthest-first
+    under the unit Hamming metric over every message; ties go to the
+    smallest message index."""
+    hoods = neighborhoods(constraints) if not constraints.is_empty() else []
+    cent = []
+    for hood in hoods[:k]:
+        cent.append(mode_row(corpus, np.asarray(hood.member_indices)))
+    n = len(corpus)
+    if len(cent) < k:
+        mindist = np.full(n, np.inf)
+        for row in cent:
+            mindist = np.minimum(mindist, (corpus.codes != row[None, :]).sum(axis=1))
+        if not cent:
+            first = int(rng.integers(n))
+            cent.append(corpus.codes[first].copy())
+            mindist = np.minimum(mindist, (corpus.codes != cent[-1][None, :]).sum(axis=1))
+        while len(cent) < k:
+            pick = int(np.argmax(mindist))
+            cent.append(corpus.codes[pick].copy())
+            mindist = np.minimum(mindist, (corpus.codes != cent[-1][None, :]).sum(axis=1))
+    return np.stack(cent)
+
+
+def repair_empty_clusters(corpus, assignments, cent, weights):
+    """Reseed each empty cluster with the point farthest from its own
+    centroid among clusters of two or more, one member scan per cluster.
+
+    Returns new (assignments, cent) arrays.
+    """
+    assignments, cent = np.array(assignments), np.array(cent)
+    k = len(cent)
+    sizes = np.bincount(assignments, minlength=k)
+    for h in range(k):
+        if sizes[h] > 0:
+            continue
+        disp = np.empty(len(corpus))
+        for g in range(k):
+            members = np.flatnonzero(assignments == g)
+            if members.size == 0:
+                continue
+            mism = corpus.codes[members] != cent[g][None, :]
+            disp[members] = mism @ weights[g]
+        eligible = sizes[assignments] >= 2
+        if not eligible.any():
+            raise EmptyCluster("no cluster can spare a point for reseeding")
+        disp[~eligible] = -np.inf
+        pick = int(np.argmax(disp))
+        sizes[assignments[pick]] -= 1
+        assignments[pick] = h
+        sizes[h] += 1
+        cent[h] = corpus.codes[pick].copy()
+    return assignments, cent

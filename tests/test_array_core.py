@@ -36,11 +36,14 @@ def instances(draw):
     constraints with random penalty weights."""
     arity = draw(st.integers(1, 4))
     n = draw(st.integers(2, 14))
-    # few symbols per field, so messages repeat and distances tie
-    raw = draw(st.lists(
+    # messages drawn from a pool of rows over few symbols, so rows repeat,
+    # per-field counts tie and distances tie
+    pool = draw(st.lists(
         st.lists(st.sampled_from(["a", "b", "c"]), min_size=arity, max_size=arity),
-        min_size=n, max_size=n,
+        min_size=1, max_size=n,
     ))
+    raw = [pool[i] for i in draw(st.lists(
+        st.integers(0, len(pool) - 1), min_size=n, max_size=n))]
     corpus = build_corpus(raw, arity=arity)
     k = draw(st.integers(1, min(3, n)))
     assignments = _assignments(draw, n, k)
@@ -104,7 +107,7 @@ def test_point_costs_argmin_matches_oracle_assign_point(inst):
     max_sq = oracles.max_pair_distances(corpus, model.assignments, model.metrics)
     base = state.base_costs()
     for i in range(len(corpus)):
-        costs = state.point_costs(i, base[i])
+        costs = state.point_costs(i, base[corpus.row_ids[i]])
         want = oracles.point_costs(i, corpus, model, cs, max_sq)
         assert np.allclose(costs, want, rtol=1e-9, atol=1e-9)
         got = int(np.argmin(costs))

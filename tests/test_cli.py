@@ -59,12 +59,28 @@ def test_usage_error_exit_code():
     assert run(["no-such-command"]) == 1
 
 
+def run_subprocess(argv):
+    """protoabs in a subprocess, so that stderr shows whatever a user would see."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = [src, os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+    return subprocess.run(
+        [sys.executable, "-m", "protoabs.cli"] + argv,
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+
+
 BAD_ARGUMENTS = [
     ("cluster", ["--k", "0"]),
     ("cluster", ["--tol", "0"]),
     ("cluster", ["--w", "-1"]),
     ("cluster", ["--w-bar", "-1"]),
+    ("cluster", ["--labels-per-class", "-1"]),
+    ("cluster", ["--max-iters", "-1"]),
     ("sweep-k", ["--k", "5..3"]),
+    ("sweep-k", ["--labels-per-class", "-1"]),
+    ("sweep-labels", ["--counts", "-1"]),
+    ("sweep-labels", ["--counts", "2,-1"]),
 ]
 
 
@@ -72,21 +88,65 @@ BAD_ARGUMENTS = [
     "command,bad", BAD_ARGUMENTS, ids=[" ".join([c] + b) for c, b in BAD_ARGUMENTS]
 )
 def test_bad_numeric_argument_exits_1_without_traceback(workspace, tmp_path, command, bad):
-    # a subprocess, so that stderr shows whatever a user would see
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = [src, os.environ.get("PYTHONPATH", "")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
-    argv = [
+    proc = run_subprocess([
         command, "--corpus", str(workspace / "corpus.json"),
         "--labels", str(workspace / "labels.json"), "--out-dir", str(tmp_path),
-    ] + bad
-    proc = subprocess.run(
-        [sys.executable, "-m", "protoabs.cli"] + argv,
-        capture_output=True, text=True, env=env, timeout=120,
-    )
+    ] + bad)
     assert proc.returncode == 1, proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stderr.strip().splitlines()[-1].startswith("error: argument --")
+    assert not any(tmp_path.iterdir())
+
+
+def _write(path, obj):
+    path.write_text(obj if isinstance(obj, str) else json.dumps(obj))
+    return str(path)
+
+
+# (case, command, {argument: file content or None for the workspace's file}),
+# each a data error: exit 2 with one line on stderr
+BAD_DATA = [
+    ("corpus not JSON", "cluster", {"--corpus": "not json"}),
+    ("corpus without arity", "cluster",
+     {"--corpus": {"messages": [{"fields": ["A=1"], "source_id": "m0"}]}}),
+    ("corpus messages not a list", "cluster", {"--corpus": {"arity": 1, "messages": 3}}),
+    ("labels not JSON", "cluster", {"--labels": "{"}),
+    ("labels out of range", "cluster", {"--labels": {"n_classes": 2, "labels": [0, 5]}}),
+    ("labels shorter than corpus", "sweep-k", {"--labels": "short"}),
+    ("model not JSON", "eval", {"--model": "not json"}),
+    ("model without k", "eval", {"--model": {"assignments": [0]}}),
+    ("model and labels of different lengths", "eval", {"--model": "short"}),
+]
+
+
+@pytest.mark.parametrize(
+    "command,files", [c[1:] for c in BAD_DATA], ids=[c[0] for c in BAD_DATA]
+)
+def test_bad_data_exits_2_without_traceback(workspace, tmp_path, command, files):
+    labels = json.loads((workspace / "labels.json").read_text())
+    short_labels = dict(labels, labels=labels["labels"][:10])
+    short_model = {"k": 1, "seed": 0, "iterations": 0, "objective": 0.0,
+                   "assignments": [0] * 10, "centroids": [["A=1"]],
+                   "metric_weights": [[1.0]]}
+    shorts = {"--labels": short_labels, "--model": short_model}
+    args = {
+        "--corpus": str(workspace / "corpus.json"),
+        "--labels": str(workspace / "labels.json"),
+    }
+    for flag, content in files.items():
+        content = shorts[flag] if content == "short" else content
+        args[flag] = _write(tmp_path / ("%s.json" % flag.strip("-")), content)
+    if command == "eval":
+        del args["--corpus"]
+    argv = [command, "--out-dir", str(tmp_path / "out")]
+    for flag, path in args.items():
+        argv += [flag, path]
+    proc = run_subprocess(argv)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("data error: "), proc.stderr
+    assert not (tmp_path / "out").exists()
 
 
 def test_cluster_writes_artifacts(workspace, tmp_path):

@@ -46,7 +46,7 @@ def assign_both(i, corpus, model, cs, ctx):
     """The package's choice for point i (argmin of its array costs), checked
     against the scalar oracle over the same max-pair table."""
     state = _state_from_model(corpus, model, cs, ctx)
-    got = int(np.argmin(state.point_costs(i, state.base_costs()[i])))
+    got = int(np.argmin(state.point_costs(i, state.base_costs()[corpus.row_ids[i]])))
     assert got == assign_point(i, corpus, model, cs, ctx.maxd2)
     return got
 
