@@ -395,6 +395,7 @@ def run_mpck(corpus, constraints, config):
     prev_j_end = None
     converged_by = "max_iterations"
     iterations = 0
+    moved = False
     for t in range(1, config.max_iterations + 1):
         iterations = t
         # nothing changes the state between the last objective and here
@@ -420,6 +421,7 @@ def run_mpck(corpus, constraints, config):
         if np.array_equal(prev_assign, state.assignments):
             converged_by = "fixpoint"
             break
+        moved = True
 
         _repair_empty_clusters(state)
         state.cent = _centroid_codes(corpus, state.assignments, k)
@@ -435,7 +437,7 @@ def run_mpck(corpus, constraints, config):
             break
         prev_j_end = j_end
 
-    if not config.metric_update_enabled:
+    if moved and not config.metric_update_enabled:
         # the loop's table belongs to the initial assignments; with metric
         # updates on it was built for the final assignments and metrics
         _rebuild_penalties(state)

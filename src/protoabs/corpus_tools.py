@@ -149,14 +149,14 @@ class AbstractionRule:
     priority: int
     terms: tuple            # (selector, expected) pairs; selector int = position
 
-    def matches(self, message):
+    def matches(self, fields):
         for selector, expected in self.terms:
             if isinstance(selector, int):
-                if selector >= message.arity or message.fields[selector] != expected:
+                if selector >= len(fields) or fields[selector] != expected:
                     return False
             else:
                 hits = [
-                    tok for tok in message.fields
+                    tok for tok in fields
                     if tok.split("=", 1)[0] == selector and tok != ABSENT
                 ]
                 if expected == "*":
@@ -214,18 +214,17 @@ def apply_rules(corpus, rules):
     if class_ids != list(range(j)):
         raise ParseError("rule class ids must be contiguous from 0, got %r" % class_ids)
     ordered = sorted(rules, key=lambda r: (-r.priority, r.rule_id))
-    labels = []
-    for i, msg in enumerate(corpus.messages):
-        for rule in ordered:
-            if rule.matches(msg):
-                labels.append(rule.rule_id)
-                break
-        else:
+    row_labels = []
+    for r, fields in enumerate(corpus.rows):
+        label = next((rule.rule_id for rule in ordered if rule.matches(fields)), None)
+        if label is None:
+            i = int(np.argmax(corpus.row_ids == r))  # the row's first message
             raise UnmatchedMessage(
                 "message %d (%s) matched no rule: %r"
-                % (i, msg.source_id, [t for t in msg.fields if t != ABSENT])
+                % (i, corpus.source_ids[i], [t for t in fields if t != ABSENT])
             )
-    return LabelVector(labels=tuple(labels), n_classes=j)
+        row_labels.append(label)
+    return LabelVector(labels=tuple(np.array(row_labels)[corpus.row_ids].tolist()), n_classes=j)
 
 
 @dataclass(frozen=True)
@@ -326,12 +325,8 @@ def write_atomic(path, text):
         raise
 
 
-def _json_text(obj):
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
-
-
 def save_corpus(corpus, path):
-    write_atomic(path, _json_text(corpus.to_dict()))
+    write_atomic(path, json.dumps(corpus.to_dict(), sort_keys=True) + "\n")
 
 
 def read_json(path, build, what):
@@ -351,7 +346,7 @@ def load_corpus(path):
 
 
 def save_labels(labels, path):
-    write_atomic(path, _json_text(labels.to_dict()))
+    write_atomic(path, json.dumps(labels.to_dict(), indent=2, sort_keys=True) + "\n")
 
 
 def load_labels(path):

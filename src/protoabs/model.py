@@ -7,6 +7,7 @@ positional Hamming comparison is well defined.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -30,53 +31,53 @@ class Message:
 
 
 class Corpus:
-    """Immutable collection of equal-arity messages.
+    """Immutable collection of equal-arity messages, stored as distinct rows.
 
-    Besides the message tuples a corpus carries per-position vocabularies
-    (symbols in first-occurrence order) and integer codes for the numeric
-    modules.  Messages with identical field tuples share one distinct row:
-    `row_ids[i]` numbers message i's row in first-occurrence order,
-    `unique_codes` holds one code row per distinct row, and `codes` is
-    `unique_codes[row_ids]`.  `lex_rank[f]` ranks position f's codes by
-    their symbols and `lex_order[f]` lists the codes in that order.
+    Message i is `rows[row_ids[i]]`, read from `source_ids[i]`.  The
+    constructor merges duplicate rows, drops unused ones and numbers the
+    rest in first-occurrence order.  Per-position vocabularies list symbols
+    in first-occurrence order; `unique_codes` holds one code row per row and
+    `codes` is `unique_codes[row_ids]`.  `lex_rank[f]` ranks position f's
+    codes by their symbols and `lex_order[f]` lists the codes in that order.
     """
 
-    def __init__(self, messages, arity):
-        if not messages:
+    def __init__(self, rows, row_ids, arity, source_ids):
+        row_ids = np.asarray(row_ids)
+        self.source_ids = tuple(source_ids)
+        if row_ids.size == 0:
             raise EmptyCorpus("corpus must contain at least one message")
-        for m in messages:
-            if m.arity != arity:
-                raise ArityMismatch(
-                    "message %r has arity %d, corpus arity is %d"
-                    % (m.source_id, m.arity, arity)
-                )
-        self.messages = tuple(messages)
-        self.arity = arity
-        row_of = {}
-        row_ids = np.fromiter(
-            (row_of.setdefault(m.fields, len(row_of)) for m in self.messages),
-            dtype=np.int64,
-            count=len(self.messages),
+        if len(self.source_ids) != row_ids.size:
+            raise ValueError("%d source_ids for %d row_ids" % (len(self.source_ids), row_ids.size))
+        key_of = {}
+        merged = [key_of.setdefault(tuple(row), len(key_of)) for row in rows]
+        other = sorted({len(row) for row in key_of} - {arity})
+        if other:
+            raise ArityMismatch("rows of arity %s in a corpus of arity %d" % (other, arity))
+        if row_ids.min() < 0 or row_ids.max() >= len(merged):
+            raise ValueError("row_ids must lie in 0..%d" % (len(merged) - 1))
+        number = {}                     # rows in use, first occurrence first
+        self.row_ids = np.fromiter(
+            (number.setdefault(merged[i], len(number)) for i in row_ids.tolist()),
+            dtype=np.int64, count=row_ids.size,
         )
-        rows = list(row_of)
+        keys = list(key_of)
+        self.rows = tuple(keys[m] for m in number)
+        self.arity = arity
         # a symbol first occurs in the first occurrence of some distinct row,
         # so scanning distinct rows gives the per-message first-occurrence order
         self.vocabulary = tuple(
-            tuple(_first_occurrence(row[f] for row in rows)) for f in range(arity)
+            tuple(dict.fromkeys(row[f] for row in self.rows)) for f in range(arity)
         )
         self._index = [
             {tok: c for c, tok in enumerate(vocab)} for vocab in self.vocabulary
         ]
-        unique_codes = np.array(
-            [[self._index[f][tok] for f, tok in enumerate(row)] for row in rows],
+        self.unique_codes = np.array(
+            [[self._index[f][tok] for f, tok in enumerate(row)] for row in self.rows],
             dtype=np.int32,
         )
-        codes = unique_codes[row_ids]
-        for a in (row_ids, unique_codes, codes):
+        self.codes = self.unique_codes[self.row_ids]
+        for a in (self.row_ids, self.unique_codes, self.codes):
             a.setflags(write=False)
-        self.row_ids = row_ids
-        self.unique_codes = unique_codes
-        self.codes = codes
         # lexicographic order and rank of the codes, per position (mode
         # tie-breaking)
         self.lex_order = tuple(
@@ -86,7 +87,13 @@ class Corpus:
         self.lex_rank = tuple(np.argsort(order) for order in self.lex_order)
 
     def __len__(self):
-        return len(self.messages)
+        return self.row_ids.size
+
+    @cached_property
+    def messages(self):
+        """One Message per message, built on first use."""
+        rows = self.rows
+        return tuple(Message(rows[r], s) for r, s in zip(self.row_ids.tolist(), self.source_ids))
 
     def encode(self, message):
         """Code row for a message over this corpus' vocabulary.
@@ -103,30 +110,29 @@ class Corpus:
 
     def to_dict(self):
         return {
+            "format": 2,
             "arity": self.arity,
-            "messages": [
-                {"fields": list(m.fields), "source_id": m.source_id}
-                for m in self.messages
-            ],
+            "rows": [list(row) for row in self.rows],
+            "row_ids": self.row_ids.tolist(),
+            "source_ids": list(self.source_ids),
         }
 
     @classmethod
     def from_dict(cls, d):
-        msgs = [
-            Message(fields=tuple(row["fields"]), source_id=row.get("source_id", ""))
-            for row in d["messages"]
-        ]
-        return cls(msgs, d["arity"])
-
-
-def _first_occurrence(items):
-    seen = set()
-    out = []
-    for x in items:
-        if x not in seen:
-            seen.add(x)
-            out.append(x)
-    return out
+        """Inverse of to_dict; also reads the original form, a "messages"
+        list of {"fields", "source_id"} objects."""
+        if "format" not in d:
+            msgs = d["messages"]
+            return cls(
+                [m["fields"] for m in msgs], range(len(msgs)), d["arity"],
+                [m.get("source_id", "") for m in msgs],
+            )
+        if type(d["format"]) is not int or d["format"] != 2:
+            raise ValueError("unknown corpus format %r" % (d["format"],))
+        # JSON booleans would pass as integers through numpy
+        if any(type(i) is not int for i in d["row_ids"]):
+            raise ValueError("row_ids must be integers")
+        return cls(d["rows"], d["row_ids"], d["arity"], d["source_ids"])
 
 
 @dataclass(frozen=True)
@@ -158,15 +164,13 @@ def build_corpus(raw_messages, arity=DEFAULT_ARITY, source_ids=None):
     """
     if arity < 1:
         raise ValueError("arity must be >= 1")
-    raw_messages = list(raw_messages)
-    if not raw_messages:
+    row_of = {}
+    row_ids = [row_of.setdefault(tuple(tokens)[:arity], len(row_of)) for tokens in raw_messages]
+    if not row_ids:
         raise EmptyCorpus("no raw messages given")
-    msgs = []
-    for i, tokens in enumerate(raw_messages):
-        tokens = list(tokens)[:arity]
-        if ABSENT in tokens:
-            raise ValueError("the token %r is reserved for padding" % ABSENT)
-        tokens += [ABSENT] * (arity - len(tokens))
-        sid = source_ids[i] if source_ids is not None else "msg%d" % i
-        msgs.append(Message(fields=tuple(tokens), source_id=sid))
-    return Corpus(msgs, arity)
+    if any(ABSENT in row for row in row_of):
+        raise ValueError("the token %r is reserved for padding" % ABSENT)
+    if source_ids is None:
+        source_ids = ["msg%d" % i for i in range(len(row_ids))]
+    rows = [row + (ABSENT,) * (arity - len(row)) for row in row_of]
+    return Corpus(rows, row_ids, arity, source_ids)

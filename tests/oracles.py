@@ -5,11 +5,14 @@ package computes with arrays, over distinct code rows where it can; they
 are slow and kept only as oracles.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 
 from protoabs.constraints import neighborhoods
-from protoabs.errors import ArityMismatch, EmptyCluster
+from protoabs.errors import ArityMismatch, EmptyCluster, UnmatchedMessage
 from protoabs.metric import EPS_DENOM, EPS_WEIGHT, DiagonalMetric, MaxPair
+from protoabs.model import ABSENT, LabelVector
 
 
 def encode_messages(messages, arity):
@@ -36,6 +39,54 @@ def encode_messages(messages, arity):
             ranks[c] = rank
         lex_rank.append(ranks)
     return tuple(vocabulary), codes, tuple(lex_rank)
+
+
+def per_message_corpus(messages, arity):
+    """Per-message corpus construction: the parts a corpus of `messages`
+    holds, as a namespace.
+
+    Hashes every message's field tuple; rows are numbered in
+    first-occurrence order over the messages, and vocabularies list
+    symbols in first-occurrence order.
+    """
+    row_of = {}
+    row_ids = np.fromiter(
+        (row_of.setdefault(m.fields, len(row_of)) for m in messages),
+        dtype=np.int64, count=len(messages),
+    )
+    vocabulary, codes, _ = encode_messages(messages, arity)
+    first = [int(np.flatnonzero(row_ids == r)[0]) for r in range(len(row_of))]
+    return SimpleNamespace(
+        rows=tuple(row_of),
+        row_ids=row_ids,
+        vocabulary=vocabulary,
+        unique_codes=codes[first],
+        codes=codes,
+        lex_order=tuple(
+            np.array(sorted(range(len(vocab)), key=vocab.__getitem__), dtype=np.int64)
+            for vocab in vocabulary
+        ),
+        source_ids=tuple(m.source_id for m in messages),
+    )
+
+
+def apply_rules(corpus, rules):
+    """Per-message rule labeling: each message gets its highest-priority
+    matching rule (ties to the smallest class id); the first message that
+    matches none raises UnmatchedMessage."""
+    ordered = sorted(rules, key=lambda r: (-r.priority, r.rule_id))
+    labels = []
+    for i, msg in enumerate(corpus.messages):
+        for rule in ordered:
+            if rule.matches(msg.fields):
+                labels.append(rule.rule_id)
+                break
+        else:
+            raise UnmatchedMessage(
+                "message %d (%s) matched no rule: %r"
+                % (i, msg.source_id, [t for t in msg.fields if t != ABSENT])
+            )
+    return LabelVector(labels=tuple(labels), n_classes=len({r.rule_id for r in rules}))
 
 
 def max_separated_pair(indices, corpus, m):

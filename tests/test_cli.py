@@ -25,8 +25,9 @@ def workspace(tmp_path_factory):
 def test_synth_writes_corpus_and_labels(workspace):
     corpus = json.loads((workspace / "corpus.json").read_text())
     labels = json.loads((workspace / "labels.json").read_text())
+    assert corpus["format"] == 2
     assert corpus["arity"] == 32
-    assert len(corpus["messages"]) == 400
+    assert len(corpus["row_ids"]) == len(corpus["source_ids"]) == 400
     assert labels["n_classes"] == 21
 
 
@@ -39,7 +40,7 @@ def test_ingest_and_label(tmp_path):
     out = tmp_path / "out"
     assert run(["ingest", str(trace), "--out-dir", str(out), "--arity", "8"]) == 0
     corpus = json.loads((out / "corpus.json").read_text())
-    assert len(corpus["messages"]) == 2
+    assert len(corpus["row_ids"]) == len(corpus["source_ids"]) == 2
     assert run(["label", "--corpus", str(out / "corpus.json"), "--out-dir", str(out)]) == 0
     labels = json.loads((out / "labels.json").read_text())
     assert len(labels["labels"]) == 2
@@ -103,13 +104,30 @@ def _write(path, obj):
     return str(path)
 
 
-# (case, command, {argument: file content or None for the workspace's file}),
-# each a data error: exit 2 with one line on stderr
+def _first_row_ids(corpus, ids):
+    """The format-2 corpus with its first row_ids replaced by `ids`."""
+    return dict(corpus, row_ids=ids + corpus["row_ids"][len(ids):])
+
+
+# (case, command, {argument: file content, "short", or a function of the
+# workspace file's JSON}), each a data error: exit 2 with one line on stderr
 BAD_DATA = [
     ("corpus not JSON", "cluster", {"--corpus": "not json"}),
     ("corpus without arity", "cluster",
      {"--corpus": {"messages": [{"fields": ["A=1"], "source_id": "m0"}]}}),
     ("corpus messages not a list", "cluster", {"--corpus": {"arity": 1, "messages": 3}}),
+    ("corpus row of another arity", "cluster",
+     {"--corpus": lambda c: dict(c, rows=c["rows"] + [c["rows"][0][1:]])}),
+    ("corpus row_id negative", "cluster", {"--corpus": lambda c: _first_row_ids(c, [-1])}),
+    ("corpus row_id out of range", "cluster",
+     {"--corpus": lambda c: _first_row_ids(c, [len(c["rows"])])}),
+    ("corpus row_id 1.5", "cluster", {"--corpus": lambda c: _first_row_ids(c, [1.5])}),
+    ("corpus row_id true", "cluster", {"--corpus": lambda c: _first_row_ids(c, [True])}),
+    ("corpus source_ids shorter than row_ids", "cluster",
+     {"--corpus": lambda c: dict(c, source_ids=c["source_ids"][1:])}),
+    ("corpus row_ids empty", "cluster",
+     {"--corpus": lambda c: dict(c, row_ids=[], source_ids=[])}),
+    ("corpus of unknown format", "cluster", {"--corpus": lambda c: dict(c, format=3)}),
     ("labels not JSON", "cluster", {"--labels": "{"}),
     ("labels out of range", "cluster", {"--labels": {"n_classes": 2, "labels": [0, 5]}}),
     ("labels shorter than corpus", "sweep-k", {"--labels": "short"}),
@@ -134,6 +152,8 @@ def test_bad_data_exits_2_without_traceback(workspace, tmp_path, command, files)
         "--labels": str(workspace / "labels.json"),
     }
     for flag, content in files.items():
+        if callable(content):
+            content = content(json.loads(Path(args[flag]).read_text()))
         content = shorts[flag] if content == "short" else content
         args[flag] = _write(tmp_path / ("%s.json" % flag.strip("-")), content)
     if command == "eval":

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,12 @@ from protoabs.clustering import (
     run_mpck,
     update_centroids,
 )
-from protoabs.constraints import ConstraintSet, LabeledSample, constraints_from_labels
+from protoabs.constraints import (
+    ConstraintSet,
+    LabeledSample,
+    close_constraints,
+    constraints_from_labels,
+)
 from protoabs.errors import EmptyCluster, TooManyClusters
 from protoabs.evaluation import evaluate
 from protoabs.experiments import draw_labeled_samples
@@ -269,6 +276,40 @@ class TestRunMpck:
         assert again.to_dict() == model.to_dict()
         assert again.objective == model.objective
         assert np.array_equal(again.assignments, model.assignments)
+
+
+    @pytest.mark.parametrize("case, max_iterations, iterations, builds", [
+        ("synthetic", 0, 0, 1),         # no iteration ran
+        ("synthetic", 200, 1, 1),       # fixpoint in the first iteration
+        ("random", 200, 2, 2),          # assignments moved: final table rebuilt
+    ])
+    def test_frozen_metrics_rebuild_the_table_only_after_a_move(
+        self, monkeypatch, case, max_iterations, iterations, builds
+    ):
+        if case == "synthetic":
+            corpus, labels = generate_synthetic(default_synth_spec(n_messages=500, seed=1))
+            cs, k = constraints_from_labels(draw_labeled_samples(labels, 5, seed=0)), 21
+        else:
+            corpus = random_corpus(np.random.default_rng(0), 40, 4)
+            cs, k = constraints_from_labels([LabeledSample(i, i % 3) for i in range(9)]), 3
+        calls = []
+        build = PenaltyContext.build.__func__
+
+        def counted(cls, *args):
+            calls.append(args)
+            return build(cls, *args)
+
+        monkeypatch.setattr(PenaltyContext, "build", classmethod(counted))
+        cfg = MpckConfig(k=k, seed=0, max_iterations=max_iterations,
+                         metric_update_enabled=False)
+        model = run_mpck(corpus, cs, cfg)
+        monkeypatch.undo()
+        assert model.iterations == iterations
+        assert len(calls) == builds
+        # the stored objective is the one a table built for the final
+        # assignments gives
+        rebuilt = evaluate_objective(corpus, model, close_constraints(cs))
+        assert replace(model, objective=rebuilt).to_json() == model.to_json()
 
 
 class TestRunKmeans:
