@@ -77,11 +77,29 @@ _non_negative_int = _bounded(int, lambda v: v >= 0, ">= 0")
 _count_list = _bounded(_int_list, lambda v: bool(v) and min(v) >= 0, "one or more counts >= 0")
 
 
+def _add_run_options(p):
+    """The options of every command that clusters; see _run_options."""
+    p.add_argument("--corpus", required=True)
+    p.add_argument("--labels", required=True)
+    p.add_argument("--w", type=_non_negative_float, default=1.0)
+    p.add_argument("--w-bar", type=_non_negative_float, default=1.0)
+    p.add_argument("--max-iters", dest="max_iterations", metavar="MAX_ITERS",
+                   type=_non_negative_int, default=200)
+    p.add_argument("--tol", type=_positive_float, default=1e-6)
+    p.add_argument("--out-dir", required=True)
+
+
+def _run_options(args):
+    """The run options as keyword arguments of run_experiment and the sweeps."""
+    return {name: getattr(args, name) for name in ("w", "w_bar", "max_iterations", "tol")}
+
+
 def build_parser():
     parser = _Parser(prog="protoabs", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate the synthetic labeled corpus")
+    p.set_defaults(run=cmd_synth)
     p.add_argument("--out-dir", required=True)
     p.add_argument("--n", type=int, default=5000)
     p.add_argument("--noise-rate", type=float, default=0.05)
@@ -89,6 +107,7 @@ def build_parser():
     p.add_argument("--arity", type=int, default=32)
 
     p = sub.add_parser("ingest", help="parse a decoded trace file into a corpus")
+    p.set_defaults(run=cmd_ingest)
     p.add_argument("trace_file")
     p.add_argument("--out-dir", required=True)
     p.add_argument("--arity", type=int, default=32)
@@ -97,60 +116,43 @@ def build_parser():
     p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("label", help="apply abstraction rules to a corpus")
+    p.set_defaults(run=cmd_label)
     p.add_argument("--corpus", required=True)
     p.add_argument("--rules", default=None, help="rule file (default: bundled TLS rules)")
     p.add_argument("--out-dir", required=True)
 
     p = sub.add_parser("cluster", help="run one clustering experiment")
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--labels", required=True)
+    p.set_defaults(run=cmd_cluster)
+    _add_run_options(p)
     p.add_argument("--algorithm", choices=["kmeans", "mpck"], default="mpck")
     p.add_argument("--k", type=_positive_int, default=None)
     p.add_argument("--labels-per-class", type=_non_negative_int, default=5)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--w", type=_non_negative_float, default=1.0)
-    p.add_argument("--w-bar", type=_non_negative_float, default=1.0)
     p.add_argument("--mode", choices=["balanced", "unbalanced"], default="balanced")
-    p.add_argument("--max-iters", type=_non_negative_int, default=200)
-    p.add_argument("--tol", type=_positive_float, default=1e-6)
-    p.add_argument("--out-dir", required=True)
 
     p = sub.add_parser("eval", help="evaluate a stored model against labels")
+    p.set_defaults(run=cmd_eval)
     p.add_argument("--model", required=True)
     p.add_argument("--labels", required=True)
     p.add_argument("--out-dir", required=True)
 
     p = sub.add_parser("sweep-k", help="sweep the cluster count K")
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--labels", required=True)
+    p.set_defaults(run=cmd_sweep_k)
+    _add_run_options(p)
     p.add_argument("--k", type=_k_range, default="20..40",
                    help="range lo..hi or comma list")
     p.add_argument("--labels-per-class", type=_non_negative_int, default=1)
     p.add_argument("--seed", type=_int_list, default="0", help="comma-separated seeds")
-    p.add_argument("--w", type=_non_negative_float, default=1.0)
-    p.add_argument("--w-bar", type=_non_negative_float, default=1.0)
-    p.add_argument("--max-iters", type=_non_negative_int, default=200)
-    p.add_argument("--tol", type=_positive_float, default=1e-6)
-    p.add_argument("--out-dir", required=True)
 
     p = sub.add_parser("sweep-labels", help="sweep labels per class")
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--labels", required=True)
+    p.set_defaults(run=cmd_sweep_labels)
+    _add_run_options(p)
     p.add_argument("--counts", type=_count_list, default="1,2,3,4,5")
     p.add_argument("--mode", choices=["balanced", "unbalanced"], default="balanced")
     p.add_argument("--k", type=_positive_int, default=None)
     p.add_argument("--seed", type=_int_list, default="0", help="comma-separated seeds")
-    p.add_argument("--w", type=_non_negative_float, default=1.0)
-    p.add_argument("--w-bar", type=_non_negative_float, default=1.0)
-    p.add_argument("--max-iters", type=_non_negative_int, default=200)
-    p.add_argument("--tol", type=_positive_float, default=1e-6)
-    p.add_argument("--out-dir", required=True)
 
     return parser
-
-
-def _ensure_dir(path):
-    os.makedirs(path, exist_ok=True)
 
 
 def _summary(corpus, labels=None):
@@ -179,7 +181,7 @@ def cmd_synth(args):
         n_messages=args.n, noise_rate=args.noise_rate, seed=args.seed, arity=args.arity
     )
     corpus, labels = generate_synthetic(spec)
-    _ensure_dir(args.out_dir)
+    os.makedirs(args.out_dir, exist_ok=True)
     save_corpus(corpus, os.path.join(args.out_dir, "corpus.json"))
     save_labels(labels, os.path.join(args.out_dir, "labels.json"))
     print(_summary(corpus, labels))
@@ -192,7 +194,7 @@ def cmd_ingest(args):
     corpus = preprocess(
         traces, arity=args.arity, drop_keys=drop, sample_n=args.sample_n, seed=args.seed
     )
-    _ensure_dir(args.out_dir)
+    os.makedirs(args.out_dir, exist_ok=True)
     save_corpus(corpus, os.path.join(args.out_dir, "corpus.json"))
     print(_summary(corpus))
     return 0
@@ -202,24 +204,15 @@ def cmd_label(args):
     corpus = load_corpus(args.corpus)
     rules = load_rules(args.rules) if args.rules else default_rules()
     labels = apply_rules(corpus, rules)
-    _ensure_dir(args.out_dir)
+    os.makedirs(args.out_dir, exist_ok=True)
     save_labels(labels, os.path.join(args.out_dir, "labels.json"))
     print(_summary(corpus, labels))
     return 0
 
 
-def _emit_report(out_dir, result):
-    report = result.report
+def _write_report(out_dir, report):
     write_atomic(os.path.join(out_dir, "eval.json"), report.to_json() + "\n")
     write_atomic(os.path.join(out_dir, "confusion.csv"), report.confusion_csv())
-    heatmap = svg_heatmap(
-        report.confusion.counts,
-        ["w%d" % k for k in report.confusion.row_ids],
-        ["c%d" % j for j in report.confusion.col_ids],
-        title="%s K=%d purity=%.4f ARI=%.4f"
-        % (result.algorithm, result.k, report.purity, report.ari),
-    )
-    write_atomic(os.path.join(out_dir, "confusion.svg"), heatmap)
 
 
 def cmd_cluster(args):
@@ -231,24 +224,29 @@ def cmd_cluster(args):
         k=args.k,
         labels_per_class=args.labels_per_class,
         seed=args.seed,
-        w=args.w,
-        w_bar=args.w_bar,
-        max_iterations=args.max_iters,
-        tol=args.tol,
         mode=args.mode,
+        **_run_options(args),
     )
-    _ensure_dir(args.out_dir)
+    model, report = result.model, result.report
+    os.makedirs(args.out_dir, exist_ok=True)
     write_atomic(
-        os.path.join(args.out_dir, "model.json"), result.model.to_json() + "\n"
+        os.path.join(args.out_dir, "model.json"), model.to_json() + "\n"
     )
-    _emit_report(args.out_dir, result)
-    model = result.model
+    _write_report(args.out_dir, report)
+    heatmap = svg_heatmap(
+        report.confusion.counts,
+        ["w%d" % k for k in report.confusion.row_ids],
+        ["c%d" % j for j in report.confusion.col_ids],
+        title="%s K=%d purity=%.4f ARI=%.4f"
+        % (result.algorithm, result.k, report.purity, report.ari),
+    )
+    write_atomic(os.path.join(args.out_dir, "confusion.svg"), heatmap)
     print(
         "%s k=%d seed=%d purity=%.6f ari=%.6f objective=%.6f iters=%d "
         "converged_by=%s gap=%.3g must=%d cannot=%d duration=%.2fs"
         % (
-            result.algorithm, result.k, result.seed, result.report.purity,
-            result.report.ari, model.objective, model.iterations,
+            result.algorithm, result.k, result.seed, report.purity,
+            report.ari, model.objective, model.iterations,
             model.converged_by, model.accounting_gap,
             result.n_must, result.n_cannot, result.duration,
         )
@@ -265,32 +263,33 @@ def cmd_eval(args):
             % (args.model, len(model.assignments), args.labels, len(labels))
         )
     report = evaluate(model.assignments, labels)
-    _ensure_dir(args.out_dir)
-    write_atomic(os.path.join(args.out_dir, "eval.json"), report.to_json() + "\n")
-    write_atomic(os.path.join(args.out_dir, "confusion.csv"), report.confusion_csv())
+    os.makedirs(args.out_dir, exist_ok=True)
+    _write_report(args.out_dir, report)
     print("purity=%.6f ari=%.6f n=%d" % (report.purity, report.ari, report.n))
     return 0
+
+
+def _write_sweep(out_dir, name, x_field, x_values, rows, means, **plot):
+    """<name>.csv with the runs and means, <name>.svg with the means."""
+    os.makedirs(out_dir, exist_ok=True)
+    write_atomic(os.path.join(out_dir, name + ".csv"), sweep_csv(rows, means, x_field))
+    series = {
+        "purity": [means[x][0] for x in x_values],
+        "ari": [means[x][1] for x in x_values],
+    }
+    write_atomic(os.path.join(out_dir, name + ".svg"), svg_lineplot(x_values, series, **plot))
 
 
 def cmd_sweep_k(args):
     corpus, labels = _load_labeled_corpus(args)
     rows, means, best_k = sweep_k(
         corpus, labels, args.k, args.seed,
-        labels_per_class=args.labels_per_class,
-        w=args.w, w_bar=args.w_bar, max_iterations=args.max_iters, tol=args.tol,
+        labels_per_class=args.labels_per_class, **_run_options(args),
     )
-    _ensure_dir(args.out_dir)
-    write_atomic(os.path.join(args.out_dir, "sweep_k.csv"), sweep_csv(rows, means, "k"))
-    plot = svg_lineplot(
-        args.k,
-        {
-            "purity": [means[k][0] for k in args.k],
-            "ari": [means[k][1] for k in args.k],
-        },
-        title="K sweep (labels/class=%d)" % args.labels_per_class,
-        x_label="K",
+    _write_sweep(
+        args.out_dir, "sweep_k", "k", args.k, rows, means,
+        title="K sweep (labels/class=%d)" % args.labels_per_class, x_label="K",
     )
-    write_atomic(os.path.join(args.out_dir, "sweep_k.svg"), plot)
     print("best_k=%d ari=%.6f" % (best_k, means[best_k][1]))
     return 0
 
@@ -299,38 +298,16 @@ def cmd_sweep_labels(args):
     corpus, labels = _load_labeled_corpus(args)
     rows, means = sweep_labels(
         corpus, labels, args.counts, args.seed, mode=args.mode, k=args.k,
-        w=args.w, w_bar=args.w_bar, max_iterations=args.max_iters, tol=args.tol,
+        **_run_options(args),
     )
-    _ensure_dir(args.out_dir)
-    write_atomic(
-        os.path.join(args.out_dir, "sweep_labels.csv"),
-        sweep_csv(rows, means, "labels_per_class"),
+    _write_sweep(
+        args.out_dir, "sweep_labels", "labels_per_class", args.counts, rows, means,
+        title="labels-per-class sweep (%s)" % args.mode, x_label="labels per class",
     )
-    plot = svg_lineplot(
-        args.counts,
-        {
-            "purity": [means[c][0] for c in args.counts],
-            "ari": [means[c][1] for c in args.counts],
-        },
-        title="labels-per-class sweep (%s)" % args.mode,
-        x_label="labels per class",
-    )
-    write_atomic(os.path.join(args.out_dir, "sweep_labels.svg"), plot)
     for c in args.counts:
         print("labels_per_class=%d mean_purity=%.6f mean_ari=%.6f"
               % (c, means[c][0], means[c][1]))
     return 0
-
-
-_COMMANDS = {
-    "synth": cmd_synth,
-    "ingest": cmd_ingest,
-    "label": cmd_label,
-    "cluster": cmd_cluster,
-    "eval": cmd_eval,
-    "sweep-k": cmd_sweep_k,
-    "sweep-labels": cmd_sweep_labels,
-}
 
 
 def main(argv=None):
@@ -340,11 +317,8 @@ def main(argv=None):
     except SystemExit as e:
         return e.code if e.code is not None else 1
     try:
-        return _COMMANDS[args.command](args)
-    except DataError as e:
-        print("data error: %s" % e, file=sys.stderr)
-        return 2
-    except OSError as e:
+        return args.run(args)
+    except (DataError, OSError) as e:
         print("data error: %s" % e, file=sys.stderr)
         return 2
     except ProtoabsError as e:

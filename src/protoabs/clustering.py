@@ -33,7 +33,7 @@ from . import metric as _metric
 from .constraints import ConstraintSet, close_constraints, neighborhoods
 from .errors import EmptyCluster, TooManyClusters
 from .metric import EPS_DENOM, EPS_WEIGHT, DiagonalMetric, MaxPair
-from .model import Message
+from .model import Message, json_ints
 
 
 @dataclass(frozen=True)
@@ -80,17 +80,18 @@ class ClusterModel:
 
     @classmethod
     def from_dict(cls, d):
+        k, iterations, seed = json_ints([d["k"], d["iterations"], d["seed"]], "k, iterations, seed")
         return cls(
-            k=int(d["k"]),
+            k=k,
             centroids=tuple(
                 Message(fields=tuple(c), source_id="centroid:%d" % h)
                 for h, c in enumerate(d["centroids"])
             ),
             metrics=tuple(DiagonalMetric(np.array(w)) for w in d["metric_weights"]),
-            assignments=np.array(d["assignments"], dtype=np.int64),
+            assignments=np.array(json_ints(d["assignments"], "assignments"), dtype=np.int64),
             objective=float(d["objective"]),
-            iterations=int(d["iterations"]),
-            seed=int(d["seed"]),
+            iterations=iterations,
+            seed=seed,
         )
 
 

@@ -330,11 +330,14 @@ def save_corpus(corpus, path):
 
 
 def read_json(path, build, what):
-    """`build(obj)` of the JSON object in the file at `path`; malformed JSON
-    and missing or ill-typed fields raise DataError naming `what`."""
+    """`build(obj)` of the JSON object in the file at `path`; malformed JSON,
+    missing or ill-typed fields and data errors of `build` raise DataError
+    naming `what` and `path` (a DataError keeps its class)."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return build(json.load(fh))
+        except DataError as e:
+            raise type(e)("%s %s: %s" % (what, path, e)) from e
         except KeyError as e:
             raise DataError("%s %s: missing field %s" % (what, path, e)) from e
         except (ValueError, TypeError) as e:

@@ -24,17 +24,18 @@ def draw_labeled_samples(labels, per_class, seed, mode="balanced"):
     balanced: exactly per_class samples from every class.
     unbalanced: per-class counts drawn uniformly from 1..per_class, with at
     least one class kept at per_class.
+    Either mode draws no samples when per_class is 0.
     """
+    if mode not in ("balanced", "unbalanced"):
+        raise ValueError("mode must be balanced or unbalanced")
     rng = np.random.default_rng(seed)
     lab = np.asarray(labels.labels)
     j = labels.n_classes
     counts = np.full(j, per_class)
-    if mode == "unbalanced":
+    if mode == "unbalanced" and per_class > 0:
         counts = rng.integers(1, per_class + 1, size=j)
         if counts.max() < per_class:
             counts[int(rng.integers(j))] = per_class
-    elif mode != "balanced":
-        raise ValueError("mode must be balanced or unbalanced")
     samples = []
     for c in range(j):
         members = np.flatnonzero(lab == c)
@@ -102,45 +103,36 @@ def run_experiment(
     )
 
 
-def sweep_k(corpus, labels, k_values, seeds, labels_per_class=1, **kwargs):
-    """One run per (K, seed); returns (rows, per-K means, argmax-ARI K)."""
-    rows = []
-    for k in k_values:
-        for seed in seeds:
-            res = run_experiment(
-                corpus, labels, algorithm="mpck", k=k,
-                labels_per_class=labels_per_class, seed=seed, **kwargs
-            )
-            rows.append(res)
+def _sweep(corpus, labels, x_field, values, seeds, **kwargs):
+    """One mpck run per (x, seed), x passed as `x_field`; returns (rows,
+    per-x (mean purity, mean ARI))."""
+    rows = [
+        run_experiment(corpus, labels, algorithm="mpck", seed=seed, **{x_field: x}, **kwargs)
+        for x in values
+        for seed in seeds
+    ]
     means = {}
-    for k in k_values:
-        sub = [r for r in rows if r.k == k]
-        means[k] = (
+    for x in values:
+        sub = [r for r in rows if getattr(r, x_field) == x]
+        means[x] = (
             float(np.mean([r.report.purity for r in sub])),
             float(np.mean([r.report.ari for r in sub])),
         )
+    return rows, means
+
+
+def sweep_k(corpus, labels, k_values, seeds, labels_per_class=1, **kwargs):
+    """One run per (K, seed); returns (rows, per-K means, argmax-ARI K)."""
+    rows, means = _sweep(
+        corpus, labels, "k", k_values, seeds, labels_per_class=labels_per_class, **kwargs
+    )
     best_k = max(k_values, key=lambda k: (means[k][1], -k))
     return rows, means, best_k
 
 
 def sweep_labels(corpus, labels, counts, seeds, mode="balanced", k=None, **kwargs):
     """One run per (labels_per_class, seed) with K = J unless overridden."""
-    rows = []
-    for c in counts:
-        for seed in seeds:
-            res = run_experiment(
-                corpus, labels, algorithm="mpck", k=k,
-                labels_per_class=c, seed=seed, mode=mode, **kwargs
-            )
-            rows.append(res)
-    means = {}
-    for c in counts:
-        sub = [r for r in rows if r.labels_per_class == c]
-        means[c] = (
-            float(np.mean([r.report.purity for r in sub])),
-            float(np.mean([r.report.ari for r in sub])),
-        )
-    return rows, means
+    return _sweep(corpus, labels, "labels_per_class", counts, seeds, mode=mode, k=k, **kwargs)
 
 
 def sweep_csv(rows, means, x_field):

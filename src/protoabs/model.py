@@ -20,6 +20,15 @@ UNLABELED = -1
 DEFAULT_ARITY = 32
 
 
+def json_ints(values, what):
+    """`values`, read from a JSON file, if each one is an integer: int() and
+    numpy would truncate 1.5 and read true as 1."""
+    for v in values:
+        if type(v) is not int:
+            raise ValueError("%s: %r is not an integer" % (what, v))
+    return values
+
+
 @dataclass(frozen=True)
 class Message:
     fields: tuple
@@ -121,18 +130,16 @@ class Corpus:
     def from_dict(cls, d):
         """Inverse of to_dict; also reads the original form, a "messages"
         list of {"fields", "source_id"} objects."""
+        (arity,) = json_ints([d["arity"]], "arity")
         if "format" not in d:
             msgs = d["messages"]
             return cls(
-                [m["fields"] for m in msgs], range(len(msgs)), d["arity"],
+                [m["fields"] for m in msgs], range(len(msgs)), arity,
                 [m.get("source_id", "") for m in msgs],
             )
         if type(d["format"]) is not int or d["format"] != 2:
             raise ValueError("unknown corpus format %r" % (d["format"],))
-        # JSON booleans would pass as integers through numpy
-        if any(type(i) is not int for i in d["row_ids"]):
-            raise ValueError("row_ids must be integers")
-        return cls(d["rows"], d["row_ids"], d["arity"], d["source_ids"])
+        return cls(d["rows"], json_ints(d["row_ids"], "row_ids"), arity, d["source_ids"])
 
 
 @dataclass(frozen=True)
@@ -153,7 +160,8 @@ class LabelVector:
 
     @classmethod
     def from_dict(cls, d):
-        return cls(labels=tuple(int(x) for x in d["labels"]), n_classes=int(d["n_classes"]))
+        (n_classes,) = json_ints([d["n_classes"]], "n_classes")
+        return cls(labels=tuple(json_ints(d["labels"], "labels")), n_classes=n_classes)
 
 
 def build_corpus(raw_messages, arity=DEFAULT_ARITY, source_ids=None):

@@ -8,17 +8,22 @@ from pathlib import Path
 import pytest
 
 from protoabs.cli import main
+from protoabs.corpus_tools import load_labels
+from protoabs.experiments import draw_labeled_samples
 
 
 def run(argv):
     return main(argv)
 
 
+N = 400
+
+
 @pytest.fixture(scope="module")
 def workspace(tmp_path_factory):
     """Small synthetic corpus plus labels shared by the CLI tests."""
     root = tmp_path_factory.mktemp("cli")
-    assert run(["synth", "--out-dir", str(root), "--n", "400", "--seed", "3"]) == 0
+    assert run(["synth", "--out-dir", str(root), "--n", str(N), "--seed", "3"]) == 0
     return root
 
 
@@ -27,7 +32,7 @@ def test_synth_writes_corpus_and_labels(workspace):
     labels = json.loads((workspace / "labels.json").read_text())
     assert corpus["format"] == 2
     assert corpus["arity"] == 32
-    assert len(corpus["row_ids"]) == len(corpus["source_ids"]) == 400
+    assert len(corpus["row_ids"]) == len(corpus["source_ids"]) == N
     assert labels["n_classes"] == 21
 
 
@@ -60,17 +65,6 @@ def test_usage_error_exit_code():
     assert run(["no-such-command"]) == 1
 
 
-def run_subprocess(argv):
-    """protoabs in a subprocess, so that stderr shows whatever a user would see."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = [src, os.environ.get("PYTHONPATH", "")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
-    return subprocess.run(
-        [sys.executable, "-m", "protoabs.cli"] + argv,
-        capture_output=True, text=True, env=env, timeout=120,
-    )
-
-
 BAD_ARGUMENTS = [
     ("cluster", ["--k", "0"]),
     ("cluster", ["--tol", "0"]),
@@ -88,14 +82,18 @@ BAD_ARGUMENTS = [
 @pytest.mark.parametrize(
     "command,bad", BAD_ARGUMENTS, ids=[" ".join([c] + b) for c, b in BAD_ARGUMENTS]
 )
-def test_bad_numeric_argument_exits_1_without_traceback(workspace, tmp_path, command, bad):
-    proc = run_subprocess([
+def test_bad_numeric_argument_exits_1_without_traceback(
+        workspace, tmp_path, capsys, command, bad):
+    code = run([
         command, "--corpus", str(workspace / "corpus.json"),
         "--labels", str(workspace / "labels.json"), "--out-dir", str(tmp_path),
     ] + bad)
-    assert proc.returncode == 1, proc.stderr
-    assert "Traceback" not in proc.stderr
-    assert proc.stderr.strip().splitlines()[-1].startswith("error: argument --")
+    err = capsys.readouterr().err
+    assert code == 1, err
+    assert "Traceback" not in err
+    errors = [line for line in err.splitlines() if line.startswith("error: ")]
+    assert len(errors) == 1 and errors[0].startswith("error: argument --"), err
+    assert err.strip().splitlines()[-1] == errors[0]
     assert not any(tmp_path.iterdir())
 
 
@@ -109,8 +107,12 @@ def _first_row_ids(corpus, ids):
     return dict(corpus, row_ids=ids + corpus["row_ids"][len(ids):])
 
 
+SHORT_MODEL = {"k": 1, "seed": 0, "iterations": 0, "objective": 0.0,
+               "assignments": [0] * 10, "centroids": [["A=1"]], "metric_weights": [[1.0]]}
+
 # (case, command, {argument: file content, "short", or a function of the
-# workspace file's JSON}), each a data error: exit 2 with one line on stderr
+# workspace file's JSON}), each a data error: exit 2 with one line on stderr,
+# naming the file
 BAD_DATA = [
     ("corpus not JSON", "cluster", {"--corpus": "not json"}),
     ("corpus without arity", "cluster",
@@ -128,11 +130,17 @@ BAD_DATA = [
     ("corpus row_ids empty", "cluster",
      {"--corpus": lambda c: dict(c, row_ids=[], source_ids=[])}),
     ("corpus of unknown format", "cluster", {"--corpus": lambda c: dict(c, format=3)}),
+    ("corpus arity true", "cluster",
+     {"--corpus": lambda c: dict(c, arity=True, rows=[r[:1] for r in c["rows"]])}),
     ("labels not JSON", "cluster", {"--labels": "{"}),
     ("labels out of range", "cluster", {"--labels": {"n_classes": 2, "labels": [0, 5]}}),
+    ("labels 1.5", "cluster", {"--labels": lambda l: dict(l, labels=[1.5] + l["labels"][1:])}),
+    ("labels true", "cluster", {"--labels": lambda l: dict(l, labels=[True] + l["labels"][1:])}),
     ("labels shorter than corpus", "sweep-k", {"--labels": "short"}),
     ("model not JSON", "eval", {"--model": "not json"}),
     ("model without k", "eval", {"--model": {"assignments": [0]}}),
+    ("model assignment 0.5", "eval",
+     {"--model": dict(SHORT_MODEL, assignments=[0] * (N - 1) + [0.5])}),
     ("model and labels of different lengths", "eval", {"--model": "short"}),
 ]
 
@@ -140,13 +148,9 @@ BAD_DATA = [
 @pytest.mark.parametrize(
     "command,files", [c[1:] for c in BAD_DATA], ids=[c[0] for c in BAD_DATA]
 )
-def test_bad_data_exits_2_without_traceback(workspace, tmp_path, command, files):
+def test_bad_data_exits_2_without_traceback(workspace, tmp_path, capsys, command, files):
     labels = json.loads((workspace / "labels.json").read_text())
-    short_labels = dict(labels, labels=labels["labels"][:10])
-    short_model = {"k": 1, "seed": 0, "iterations": 0, "objective": 0.0,
-                   "assignments": [0] * 10, "centroids": [["A=1"]],
-                   "metric_weights": [[1.0]]}
-    shorts = {"--labels": short_labels, "--model": short_model}
+    shorts = {"--labels": dict(labels, labels=labels["labels"][:10]), "--model": SHORT_MODEL}
     args = {
         "--corpus": str(workspace / "corpus.json"),
         "--labels": str(workspace / "labels.json"),
@@ -161,11 +165,46 @@ def test_bad_data_exits_2_without_traceback(workspace, tmp_path, command, files)
     argv = [command, "--out-dir", str(tmp_path / "out")]
     for flag, path in args.items():
         argv += [flag, path]
-    proc = run_subprocess(argv)
-    assert proc.returncode == 2, proc.stderr
+    code = run(argv)
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert "Traceback" not in err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("data error: "), err
+    assert all(args[flag] in lines[0] for flag in files), err
+    assert not (tmp_path / "out").exists()
+
+
+def run_subprocess(argv):
+    """protoabs in a subprocess, so that stderr shows whatever a user would see."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = [src, os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+    return subprocess.run(
+        [sys.executable, "-m", "protoabs.cli"] + argv,
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+
+
+@pytest.mark.parametrize("bad_corpus,bad,code,prefix", [
+    (False, ["--k", "0"], 1, "error: argument --k"),
+    (True, [], 2, "data error: corpus "),
+], ids=["usage", "data"])
+def test_errors_of_a_real_run_are_one_line(workspace, tmp_path, bad_corpus, bad, code, prefix):
+    """The in-process cases above cannot see what the interpreter itself
+    prints; one usage error and one data error run `python -m protoabs.cli`."""
+    corpus = str(workspace / "corpus.json")
+    if bad_corpus:
+        corpus = _write(tmp_path / "corpus.json", "not json")
+    proc = run_subprocess([
+        "cluster", "--corpus", corpus, "--labels", str(workspace / "labels.json"),
+        "--out-dir", str(tmp_path / "out"),
+    ] + bad)
+    assert proc.returncode == code, proc.stderr
     assert "Traceback" not in proc.stderr
     lines = proc.stderr.strip().splitlines()
-    assert len(lines) == 1 and lines[0].startswith("data error: "), proc.stderr
+    assert sum(line.startswith(("error: ", "data error: ")) for line in lines) == 1, proc.stderr
+    assert lines[-1].startswith(prefix), proc.stderr
     assert not (tmp_path / "out").exists()
 
 
@@ -235,3 +274,22 @@ def test_sweep_labels_artifacts_and_determinism(workspace, tmp_path):
     assert run(argv + ["--out-dir", str(out2)]) == 0
     assert (out1 / "sweep_labels.csv").read_bytes() == (out2 / "sweep_labels.csv").read_bytes()
     assert (out1 / "sweep_labels.svg").read_bytes() == (out2 / "sweep_labels.svg").read_bytes()
+
+
+def test_zero_labels_per_class_draws_none_in_either_mode(workspace, tmp_path, capsys):
+    """Unbalanced mode draws its per-class counts from 1..per_class; a count
+    of 0 must draw nothing, as in balanced mode, not fail in the draw."""
+    runs = []
+    for mode in ("balanced", "unbalanced"):
+        out = tmp_path / mode
+        assert run([
+            "cluster", "--corpus", str(workspace / "corpus.json"),
+            "--labels", str(workspace / "labels.json"), "--labels-per-class", "0",
+            "--mode", mode, "--seed", "1", "--out-dir", str(out),
+        ]) == 0
+        line = capsys.readouterr().out
+        assert " must=0 cannot=0 " in line
+        files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+        runs.append((line.split(" duration=")[0], files))
+        assert draw_labeled_samples(load_labels(str(workspace / "labels.json")), 0, 1, mode) == []
+    assert runs[0] == runs[1]
