@@ -16,6 +16,7 @@ from .clustering import (
     update_centroids,
 )
 from .constraints import (
+    ClosedConstraints,
     ConstraintSet,
     LabeledSample,
     Neighborhood,

@@ -24,7 +24,7 @@ from .corpus_tools import (
     save_labels,
     write_atomic,
 )
-from .errors import DataError, ProtoabsError
+from .errors import DataError, ProtoabsError, TooManyClusters
 from .evaluation import evaluate
 from .experiments import (
     run_experiment,
@@ -49,14 +49,22 @@ def _int_list(text):
 
 
 def _k_range(text):
+    """A comma list, or lo..hi as a range; the bounds are checked before
+    anything is built."""
     if ".." in text:
-        lo, hi = text.split("..", 1)
-        values = list(range(int(lo), int(hi) + 1))
+        lo, hi = (int(x) for x in text.split("..", 1))
+        values, smallest = range(lo, hi + 1), lo
     else:
         values = _int_list(text)
-    if not values or min(values) < 1:
+        smallest = min(values, default=0)
+    if not values or smallest < 1:
         raise argparse.ArgumentTypeError("need one or more K values >= 1, got %r" % text)
     return values
+
+
+# argparse names a type in "invalid <name> value"
+_int_list.__name__ = "integer list"
+_k_range.__name__ = "K range"
 
 
 def _bounded(convert, ok, rule):
@@ -282,12 +290,19 @@ def _write_sweep(out_dir, name, x_field, x_values, rows, means, **plot):
 
 def cmd_sweep_k(args):
     corpus, labels = _load_labeled_corpus(args)
+    # --k may be a huge range: stop at its first K above the corpus size
+    too_big = next((k for k in args.k if k > len(corpus)), None)
+    if too_big is not None:
+        raise TooManyClusters(
+            "K=%d exceeds the %d messages of corpus %s" % (too_big, len(corpus), args.corpus)
+        )
+    k_values = list(args.k)
     rows, means, best_k = sweep_k(
-        corpus, labels, args.k, args.seed,
+        corpus, labels, k_values, args.seed,
         labels_per_class=args.labels_per_class, **_run_options(args),
     )
     _write_sweep(
-        args.out_dir, "sweep_k", "k", args.k, rows, means,
+        args.out_dir, "sweep_k", "k", k_values, rows, means,
         title="K sweep (labels/class=%d)" % args.labels_per_class, x_label="K",
     )
     print("best_k=%d ari=%.6f" % (best_k, means[best_k][1]))

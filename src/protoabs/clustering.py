@@ -182,8 +182,7 @@ class _State:
         self.w = constraints.w
         self.w_bar = constraints.w_bar
         self.ctx = ctx                              # None without cannot-links
-        self.must_pairs = np.array(sorted(constraints.must_links), dtype=np.int64).reshape(-1, 2)
-        self.cannot_pairs = np.array(sorted(constraints.cannot_links), dtype=np.int64).reshape(-1, 2)
+        self.must_pairs, self.cannot_pairs = constraints.pairs()
         n = len(corpus)
         self.ml_ptr, self.ml_nbr = _adjacency(self.must_pairs, n)
         self.cl_ptr, self.cl_nbr = _adjacency(self.cannot_pairs, n)
@@ -270,7 +269,7 @@ def _adjacency(pairs, n):
     partners, ascending, are nbr[ptr[i]:ptr[i + 1]]."""
     src = np.concatenate([pairs[:, 0], pairs[:, 1]])
     nbr = np.concatenate([pairs[:, 1], pairs[:, 0]])
-    nbr = nbr[np.lexsort((nbr, src))]
+    nbr = np.sort(src * n + nbr) % n          # by (src, nbr), one sort
     ptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(src, minlength=n), out=ptr[1:])
     return ptr, nbr
@@ -285,9 +284,10 @@ def _state_from_model(corpus, model, constraints, ctx):
 
 def evaluate_objective(corpus, model, constraints, ctx=None):
     """Recompute the full objective from a model's stored state."""
-    if ctx is None and constraints.cannot_links:
-        ctx = PenaltyContext.build(corpus, model.assignments, model.metrics)
-    return _state_from_model(corpus, model, constraints, ctx).objective()
+    state = _state_from_model(corpus, model, constraints, ctx)
+    if ctx is None and state.cannot_pairs.size:
+        state.ctx = PenaltyContext.build(corpus, model.assignments, model.metrics)
+    return state.objective()
 
 
 def _seed_centroids(corpus, constraints, k, rng):

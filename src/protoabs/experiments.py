@@ -84,7 +84,7 @@ def run_experiment(
     elif algorithm == "mpck":
         samples = draw_labeled_samples(labels, labels_per_class, seed, mode=mode)
         cs = constraints_from_labels(samples, w=w, w_bar=w_bar)
-        n_must, n_cannot = len(cs.must_links), len(cs.cannot_links)
+        n_must, n_cannot = cs.pair_counts()
         model = run_mpck(corpus, cs, config)
     else:
         raise ValueError("unknown algorithm %r" % algorithm)

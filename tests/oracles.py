@@ -9,8 +9,13 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from protoabs.constraints import neighborhoods
-from protoabs.errors import ArityMismatch, EmptyCluster, UnmatchedMessage
+from protoabs.constraints import ConstraintSet
+from protoabs.errors import (
+    ArityMismatch,
+    EmptyCluster,
+    InconsistentConstraints,
+    UnmatchedMessage,
+)
 from protoabs.metric import EPS_DENOM, EPS_WEIGHT, DiagonalMetric, MaxPair
 from protoabs.model import ABSENT, LabelVector
 
@@ -309,7 +314,7 @@ def seed_centroids(corpus, constraints, k, rng):
     hoods = neighborhoods(constraints) if not constraints.is_empty() else []
     cent = []
     for hood in hoods[:k]:
-        cent.append(mode_row(corpus, np.asarray(hood.member_indices)))
+        cent.append(mode_row(corpus, np.asarray(hood)))
     n = len(corpus)
     if len(cent) < k:
         mindist = np.full(n, np.inf)
@@ -355,3 +360,82 @@ def repair_empty_clusters(corpus, assignments, cent, weights):
         sizes[h] += 1
         cent[h] = corpus.codes[pick].copy()
     return assignments, cent
+
+
+def _pair(a, b):
+    return (a, b) if a < b else (b, a)
+
+
+def label_constraints(samples, w=1.0, w_bar=1.0):
+    """Pair-set constraints of labeled samples: every same-class pair of
+    distinct indices a must-link, every cross-class pair a cannot-link."""
+    by_index = {s.index: s.class_id for s in samples}
+    items = sorted(by_index.items())
+    must, cannot = set(), set()
+    for i, (ia, ca) in enumerate(items):
+        for ib, cb in items[i + 1:]:
+            (must if ca == cb else cannot).add(_pair(ia, ib))
+    return ConstraintSet(frozenset(must), frozenset(cannot), w=w, w_bar=w_bar)
+
+
+def _components(cs):
+    """Must-link components over the constrained points, from a
+    dictionary union-find over the pairs.
+
+    Returns ({point: root}, {root: members}); a component's root is its
+    smallest member.
+    """
+    parent = {}
+
+    def find(x):
+        parent.setdefault(x, x)
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for a, b in cs.must_links:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[max(ra, rb)] = min(ra, rb)
+    points = {p for pair in cs.must_links | cs.cannot_links for p in pair}
+    root = {p: find(p) for p in points}
+    comp = {}
+    for p, r in root.items():
+        comp.setdefault(r, []).append(p)
+    return root, comp
+
+
+def close_constraints(cs):
+    """Smallest superset of the pair set that is transitively closed and
+    cannot-link consistent, as a pair set: all pairs of each must-link
+    component, and comp(a) x comp(b) for each cannot-link (a, b)."""
+    root, comp = _components(cs)
+    must = set()
+    for members in comp.values():
+        members.sort()
+        for i, a in enumerate(members):
+            for b in members[i + 1:]:
+                must.add((a, b))
+    comp_pairs = set()
+    for a, b in cs.cannot_links:
+        if root[a] == root[b]:
+            raise InconsistentConstraints(
+                "closure forces (%d, %d) into both constraint sets" % (a, b)
+            )
+        comp_pairs.add(_pair(root[a], root[b]))
+    cannot = set()
+    for ra, rb in comp_pairs:
+        for x in comp[ra]:
+            for y in comp[rb]:
+                cannot.add(_pair(x, y))
+    return ConstraintSet(frozenset(must), frozenset(cannot), w=cs.w, w_bar=cs.w_bar)
+
+
+def neighborhoods(cs):
+    """Member tuples of the must-link components, largest first, ties to
+    the smallest member."""
+    _, comp = _components(cs)
+    hoods = [tuple(sorted(members)) for members in comp.values()]
+    hoods.sort(key=lambda h: (-len(h), h[0]))
+    return hoods

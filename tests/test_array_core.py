@@ -14,7 +14,7 @@ from protoabs.clustering import (
     evaluate_objective,
     update_centroids,
 )
-from protoabs.constraints import LabeledSample, constraints_from_labels
+from protoabs.constraints import ConstraintSet, LabeledSample, constraints_from_labels
 from protoabs.metric import DiagonalMetric, MaxPair
 from protoabs.model import build_corpus
 
@@ -32,8 +32,8 @@ def _assignments(draw, n, k):
 
 @st.composite
 def instances(draw):
-    """A small corpus, a model over it with random metrics, and label-derived
-    constraints with random penalty weights."""
+    """A small corpus, a model over it with random metrics, and constraints
+    with random penalty weights: label-derived, or an unclosed pair set."""
     arity = draw(st.integers(1, 4))
     n = draw(st.integers(2, 14))
     # messages drawn from a pool of rows over few symbols, so rows repeat,
@@ -56,10 +56,16 @@ def instances(draw):
         k=k, centroids=update_centroids(corpus, assignments, k), metrics=metrics,
         assignments=assignments, objective=0.0,
     )
-    labeled = draw(st.lists(st.integers(0, n - 1), max_size=n, unique=True))
-    samples = [LabeledSample(i, draw(st.integers(0, 2))) for i in labeled]
     w = draw(st.floats(0.0, 3.0))
     w_bar = draw(st.floats(0.0, 3.0))
+    if draw(st.booleans()):
+        # a pair set, scored as given: it need not be closed
+        pairs = st.frozensets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                              .filter(lambda p: p[0] != p[1]).map(sorted).map(tuple), max_size=n)
+        must = draw(pairs)
+        return corpus, model, ConstraintSet(must, draw(pairs) - must, w=w, w_bar=w_bar)
+    labeled = draw(st.lists(st.integers(0, n - 1), max_size=n, unique=True))
+    samples = [LabeledSample(i, draw(st.integers(0, 2))) for i in labeled]
     return corpus, model, constraints_from_labels(samples, w=w, w_bar=w_bar)
 
 

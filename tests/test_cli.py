@@ -73,9 +73,16 @@ BAD_ARGUMENTS = [
     ("cluster", ["--labels-per-class", "-1"]),
     ("cluster", ["--max-iters", "-1"]),
     ("sweep-k", ["--k", "5..3"]),
+    ("sweep-k", ["--k", "0..100000000000"]),
+    ("sweep-k", ["--k", "100000000000..1"]),
+    ("sweep-k", ["--k", "20.."]),
+    ("sweep-k", ["--k", "20,0"]),
+    ("sweep-k", ["--seed", "a"]),
     ("sweep-k", ["--labels-per-class", "-1"]),
     ("sweep-labels", ["--counts", "-1"]),
     ("sweep-labels", ["--counts", "2,-1"]),
+    ("sweep-labels", ["--counts", "x"]),
+    ("sweep-labels", ["--seed", "0,b"]),
 ]
 
 
@@ -94,6 +101,7 @@ def test_bad_numeric_argument_exits_1_without_traceback(
     errors = [line for line in err.splitlines() if line.startswith("error: ")]
     assert len(errors) == 1 and errors[0].startswith("error: argument --"), err
     assert err.strip().splitlines()[-1] == errors[0]
+    assert "_int_list" not in err and "_k_range" not in err, err
     assert not any(tmp_path.iterdir())
 
 
@@ -110,9 +118,9 @@ def _first_row_ids(corpus, ids):
 SHORT_MODEL = {"k": 1, "seed": 0, "iterations": 0, "objective": 0.0,
                "assignments": [0] * 10, "centroids": [["A=1"]], "metric_weights": [[1.0]]}
 
-# (case, command, {argument: file content, "short", or a function of the
-# workspace file's JSON}), each a data error: exit 2 with one line on stderr,
-# naming the file
+# (case, command and its other arguments, {argument: file content, "short",
+# or a function of the workspace file's JSON}), each a data error: exit 2
+# with one line on stderr, naming the file
 BAD_DATA = [
     ("corpus not JSON", "cluster", {"--corpus": "not json"}),
     ("corpus without arity", "cluster",
@@ -137,6 +145,8 @@ BAD_DATA = [
     ("labels 1.5", "cluster", {"--labels": lambda l: dict(l, labels=[1.5] + l["labels"][1:])}),
     ("labels true", "cluster", {"--labels": lambda l: dict(l, labels=[True] + l["labels"][1:])}),
     ("labels shorter than corpus", "sweep-k", {"--labels": "short"}),
+    ("K range above the corpus size", "sweep-k --k 1..100000000000", {}),
+    ("K list above the corpus size", "sweep-k --k 20,%d" % (N + 1), {}),
     ("model not JSON", "eval", {"--model": "not json"}),
     ("model without k", "eval", {"--model": {"assignments": [0]}}),
     ("model assignment 0.5", "eval",
@@ -162,7 +172,7 @@ def test_bad_data_exits_2_without_traceback(workspace, tmp_path, capsys, command
         args[flag] = _write(tmp_path / ("%s.json" % flag.strip("-")), content)
     if command == "eval":
         del args["--corpus"]
-    argv = [command, "--out-dir", str(tmp_path / "out")]
+    argv = command.split() + ["--out-dir", str(tmp_path / "out")]
     for flag, path in args.items():
         argv += [flag, path]
     code = run(argv)

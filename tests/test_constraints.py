@@ -1,8 +1,12 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from protoabs.constraints import (
+    ClosedConstraints,
     ConstraintSet,
     LabeledSample,
     close_constraints,
@@ -11,6 +15,8 @@ from protoabs.constraints import (
     neighborhoods,
 )
 from protoabs.errors import ConflictingLabels, InconsistentConstraints, ParseError
+
+PROPERTY = settings(max_examples=300, deadline=None)
 
 
 def labels_for(per_class, n_classes, start=0):
@@ -119,3 +125,51 @@ def test_labeled_sample_file(tmp_path):
     bad.write_text("3 0 7\n")
     with pytest.raises(ParseError):
         load_labeled_samples(bad)
+
+
+def assert_closed_like(got, want):
+    """`got` (components) holds exactly the pairs of `want` (a pair set),
+    in sorted order, with the same weights and neighborhoods."""
+    assert isinstance(got, ClosedConstraints)
+    assert got.must_links == want.must_links
+    assert got.cannot_links == want.cannot_links
+    must, cannot = got.pairs()
+    assert must.tolist() == [list(p) for p in sorted(want.must_links)]
+    assert cannot.tolist() == [list(p) for p in sorted(want.cannot_links)]
+    assert got.pair_counts() == (len(want.must_links), len(want.cannot_links))
+    assert (got.w, got.w_bar) == (want.w, want.w_bar)
+    assert got.is_empty() == want.is_empty()
+    assert [h.member_indices for h in neighborhoods(got)] == oracles.neighborhoods(want)
+    assert close_constraints(got) is got
+
+
+point_pairs = st.frozensets(st.tuples(st.integers(0, 14), st.integers(0, 14)), max_size=14)
+
+
+@PROPERTY
+@given(point_pairs, point_pairs, st.floats(0.0, 3.0), st.floats(0.0, 3.0))
+def test_closure_matches_pair_set_oracle(must, cannot, w, w_bar):
+    try:
+        cs = ConstraintSet(must, cannot, w=w, w_bar=w_bar)
+    except InconsistentConstraints:
+        return
+    # neighborhoods of the pair set itself, consistent or not
+    assert [h.member_indices for h in neighborhoods(cs)] == oracles.neighborhoods(cs)
+    try:
+        want = oracles.close_constraints(cs)
+    except InconsistentConstraints:
+        with pytest.raises(InconsistentConstraints):
+            close_constraints(cs)
+        return
+    assert_closed_like(close_constraints(cs), want)
+
+
+@PROPERTY
+@given(st.lists(st.tuples(st.integers(0, 40), st.integers(-3, 60)), max_size=30),
+       st.floats(0.0, 3.0), st.floats(0.0, 3.0))
+def test_label_constraints_match_pair_oracle(labeled, w, w_bar):
+    samples = [LabeledSample(i, c) for i, c in dict(labeled).items()]
+    assert_closed_like(
+        constraints_from_labels(samples, w=w, w_bar=w_bar),
+        oracles.label_constraints(samples, w=w, w_bar=w_bar),
+    )

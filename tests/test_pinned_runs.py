@@ -7,6 +7,13 @@ centroids and metric weights are pinned by the sha256 of their JSON form
 (`ClusterModel.to_dict`), iterations exactly, the objective to 1e-12
 relative.
 
+On an N=5000 synthetic corpus (seed 0), mpck runs at K=21 with 1, 5, 20
+and 50 labels per class (draw seed 0), and with a pair-form constraint set
+whose closure adds pairs, pin the sha256 of `to_json()`, the bits of the
+objective, of its history and of the accounting gap, how the run stopped
+and its iterations; these values were computed before label constraints
+were held as must-link components.
+
 A small CLI pipeline (synth, cluster, eval and both sweeps, then each run
 option away from its default) pins the sha256 of every file it writes and
 of its stdout without durations; the digests were computed before the
@@ -21,7 +28,7 @@ import pytest
 
 from protoabs.cli import main
 from protoabs.clustering import MpckConfig, run_kmeans, run_mpck
-from protoabs.constraints import constraints_from_labels
+from protoabs.constraints import ConstraintSet, constraints_from_labels
 from protoabs.corpus_tools import generate_synthetic
 from protoabs.experiments import draw_labeled_samples
 from protoabs.tls_default import default_synth_spec
@@ -56,6 +63,56 @@ def test_pinned_run(inputs, algorithm, k):
     assert model.iterations == want_iterations
     assert model.objective == pytest.approx(want_objective, rel=1e-12, abs=0)
 
+
+# key: labels per class, or "pairs"; value: (sha256 of to_json(), objective
+# hex, objective_history hex, accounting_gap hex, converged_by, iterations)
+PINNED_DENSE = {
+    1: ("d72b3c7a06a2ce3fe0deb060049b166a7ec248c22b6e0f1977118de7dc124600",
+        "-0x1.0455cf046ead8p+21", ("-0x1.0455cf046ead8p+21",), "0x0.0p+0", "fixpoint", 2),
+    5: ("6e1d7413cc6b518be71d0fe8d69825fdb89d837112708745a84f35e4cb49984b",
+        "-0x1.0455cf046ead9p+21", (), "0x0.0p+0", "fixpoint", 1),
+    20: ("9e1bd402aa43ebc11882befc6b8dae6433a7de3545acbbbad0c5f7f417964273",
+         "-0x1.0455cf046ead8p+21", (), "0x0.0p+0", "fixpoint", 1),
+    50: ("b6efe6fa745bd1cd265f075a1c2df422034fc583c7943f310d2c8686b7f1225f",
+         "-0x1.0455cf046ead8p+21", (), "0x0.0p+0", "fixpoint", 1),
+    "pairs": ("bcd268bbec458a523fc9f5508e192bf831434ff0883db4338905040431f52f5b",
+              "-0x1.013d31e089580p+21", ("-0x1.013d31e089580p+21",), "0x0.0p+0", "fixpoint", 2),
+}
+
+
+@pytest.fixture(scope="module")
+def corpus_5k():
+    return generate_synthetic(default_synth_spec(n_messages=5000, seed=0))
+
+
+def chained_pairs(labels):
+    """Pair-form constraints whose closure adds pairs: a must-link chain
+    through each class's 4 drawn samples, one must-link bridging the first
+    two chains, and cannot-links from each class to the class two after it."""
+    by_class = {}
+    for s in draw_labeled_samples(labels, 4, seed=0):
+        by_class.setdefault(s.class_id, []).append(s.index)
+    chains = [by_class[c] for c in sorted(by_class)]
+    must = [(a, b) for chain in chains for a, b in zip(chain, chain[1:])]
+    must.append((chains[0][-1], chains[1][0]))
+    cannot = [(c[0], d[-1]) for c, d in zip(chains, chains[2:])]
+    return ConstraintSet(frozenset(must), frozenset(cannot), w=1.7, w_bar=0.6)
+
+
+@pytest.mark.parametrize("case", list(PINNED_DENSE), ids=str)
+def test_pinned_bits(corpus_5k, case):
+    corpus, labels = corpus_5k
+    cs = (chained_pairs(labels) if case == "pairs"
+          else constraints_from_labels(draw_labeled_samples(labels, case, seed=0)))
+    model = run_mpck(corpus, cs, MpckConfig(k=21, seed=0))
+    assert (
+        hashlib.sha256(model.to_json().encode()).hexdigest(),
+        model.objective.hex(),
+        tuple(h.hex() for h in model.objective_history),
+        model.accounting_gap.hex(),
+        model.converged_by,
+        model.iterations,
+    ) == PINNED_DENSE[case]
 
 
 PINNED_ARTIFACTS = {
