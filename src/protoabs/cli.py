@@ -5,6 +5,7 @@ violation.
 """
 
 import argparse
+import functools
 import os
 import sys
 
@@ -102,7 +103,10 @@ def _run_options(args):
     return {name: getattr(args, name) for name in ("w", "w_bar", "max_iterations", "tol")}
 
 
+@functools.cache
 def build_parser():
+    """The `protoabs` parser, built once per process; parsing leaves it
+    unchanged."""
     parser = _Parser(prog="protoabs", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -173,13 +177,24 @@ def _summary(corpus, labels=None):
     return line
 
 
-def _load_labeled_corpus(args):
+def _load_labeled_corpus(args, k_values=None):
+    """The corpus and labels of a clustering command, checked against each
+    other and against the K of its runs before any run: `k_values`, or
+    else `--k` or the number of classes.  `k_values` may be a huge range,
+    so the check stops at its first K above the corpus size."""
     corpus = load_corpus(args.corpus)
     labels = load_labels(args.labels)
     if len(labels) != len(corpus):
         raise DataError(
             "labels %s has %d entries but corpus %s has %d messages"
             % (args.labels, len(labels), args.corpus, len(corpus))
+        )
+    if k_values is None:
+        k_values = [args.k or labels.n_classes]
+    too_big = next((k for k in k_values if k > len(corpus)), None)
+    if too_big is not None:
+        raise TooManyClusters(
+            "K=%d exceeds the %d messages of corpus %s" % (too_big, len(corpus), args.corpus)
         )
     return corpus, labels
 
@@ -289,13 +304,7 @@ def _write_sweep(out_dir, name, x_field, x_values, rows, means, **plot):
 
 
 def cmd_sweep_k(args):
-    corpus, labels = _load_labeled_corpus(args)
-    # --k may be a huge range: stop at its first K above the corpus size
-    too_big = next((k for k in args.k if k > len(corpus)), None)
-    if too_big is not None:
-        raise TooManyClusters(
-            "K=%d exceeds the %d messages of corpus %s" % (too_big, len(corpus), args.corpus)
-        )
+    corpus, labels = _load_labeled_corpus(args, args.k)
     k_values = list(args.k)
     rows, means, best_k = sweep_k(
         corpus, labels, k_values, args.seed,

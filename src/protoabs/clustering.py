@@ -24,7 +24,6 @@ the final objective uses a table built for the final assignments.  Without
 cannot-links no table is built.
 """
 
-import json
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -33,7 +32,7 @@ from . import metric as _metric
 from .constraints import ConstraintSet, close_constraints, neighborhoods
 from .errors import EmptyCluster, TooManyClusters
 from .metric import EPS_DENOM, EPS_WEIGHT, DiagonalMetric, MaxPair
-from .model import Message, json_ints
+from .model import Message, json_indented, json_ints
 
 
 @dataclass(frozen=True)
@@ -70,13 +69,13 @@ class ClusterModel:
             "seed": self.seed,
             "iterations": self.iterations,
             "objective": self.objective,
-            "assignments": [int(a) for a in self.assignments],
+            "assignments": self.assignments.tolist(),
             "centroids": [list(c.fields) for c in self.centroids],
             "metric_weights": [m.weights.tolist() for m in self.metrics],
         }
 
     def to_json(self):
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
+        return json_indented(self.to_dict())
 
     @classmethod
     def from_dict(cls, d):
@@ -183,9 +182,7 @@ class _State:
         self.w_bar = constraints.w_bar
         self.ctx = ctx                              # None without cannot-links
         self.must_pairs, self.cannot_pairs = constraints.pairs()
-        n = len(corpus)
-        self.ml_ptr, self.ml_nbr = _adjacency(self.must_pairs, n)
-        self.cl_ptr, self.cl_nbr = _adjacency(self.cannot_pairs, n)
+        (self.ml_ptr, self.ml_nbr), (self.cl_ptr, self.cl_nbr) = constraints.partners(len(corpus))
         self.constrained = np.flatnonzero(
             (np.diff(self.ml_ptr) > 0) | (np.diff(self.cl_ptr) > 0)
         )
@@ -262,17 +259,6 @@ class _State:
             d = np.einsum("pf,pf->p", m, self.weights[l])
             total += float((self.w_bar * np.maximum(0.0, self.ctx.maxd2[l] - d)).sum())
         return total
-
-
-def _adjacency(pairs, n):
-    """Partner lists of the (P, 2) `pairs` over n points: point i's
-    partners, ascending, are nbr[ptr[i]:ptr[i + 1]]."""
-    src = np.concatenate([pairs[:, 0], pairs[:, 1]])
-    nbr = np.concatenate([pairs[:, 1], pairs[:, 0]])
-    nbr = np.sort(src * n + nbr) % n          # by (src, nbr), one sort
-    ptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(src, minlength=n), out=ptr[1:])
-    return ptr, nbr
 
 
 def _state_from_model(corpus, model, constraints, ctx):

@@ -49,6 +49,11 @@ class ConstraintSet:
         """(must, cannot) as lexicographically sorted (P, 2) int64 arrays."""
         return _pair_array(self.must_links), _pair_array(self.cannot_links)
 
+    def partners(self, n):
+        """(must, cannot) partner lists over n points; see _adjacency."""
+        must, cannot = self.pairs()
+        return _adjacency(must, n), _adjacency(cannot, n)
+
 
 def _pair_array(pairs):
     return np.array(sorted(pairs), dtype=np.int64).reshape(-1, 2)
@@ -86,6 +91,18 @@ class ClosedConstraints:
         computed once."""
         return self._pairs
 
+    def partners(self, n):
+        """(must, cannot) partner lists over n points, computed once per n;
+        see _adjacency."""
+        if n not in self._partners:
+            must, cannot = self.pairs()
+            self._partners[n] = _adjacency(must, n), _adjacency(cannot, n)
+        return self._partners[n]
+
+    @cached_property
+    def _partners(self):
+        return {}
+
     @cached_property
     def _pairs(self):
         order = np.argsort(self.component, kind="stable")
@@ -112,6 +129,19 @@ class ClosedConstraints:
     @cached_property
     def cannot_links(self):
         return frozenset(map(tuple, self.pairs()[1].tolist()))
+
+
+def _adjacency(pairs, n):
+    """Read-only partner lists of the (P, 2) `pairs` over n points: point
+    i's partners, ascending, are nbr[ptr[i]:ptr[i + 1]]."""
+    src = np.concatenate([pairs[:, 0], pairs[:, 1]])
+    nbr = np.concatenate([pairs[:, 1], pairs[:, 0]])
+    nbr = np.sort(src * n + nbr) % n          # by (src, nbr), one sort
+    ptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=n), out=ptr[1:])
+    for a in (ptr, nbr):
+        a.setflags(write=False)
+    return ptr, nbr
 
 
 def _ragged_arange(counts):

@@ -31,7 +31,7 @@ from .errors import (
     SampleTooLarge,
     UnmatchedMessage,
 )
-from .model import ABSENT, Corpus, LabelVector, build_corpus
+from .model import ABSENT, Corpus, LabelVector, build_corpus, json_indented
 
 DEFAULT_DROP_KEYS = frozenset({"RANDOM", "SESSIONID"})
 
@@ -349,7 +349,7 @@ def load_corpus(path):
 
 
 def save_labels(labels, path):
-    write_atomic(path, json.dumps(labels.to_dict(), indent=2, sort_keys=True) + "\n")
+    write_atomic(path, json_indented(labels.to_dict()) + "\n")
 
 
 def load_labels(path):

@@ -3,13 +3,12 @@ purity and adjusted Rand index."""
 
 import csv
 import io
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NoLabels
-from .model import UNLABELED
+from .model import UNLABELED, json_indented
 
 
 @dataclass(frozen=True)
@@ -100,7 +99,7 @@ class EvalReport:
         }
 
     def to_json(self):
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
+        return json_indented(self.to_dict())
 
     def confusion_csv(self):
         """Confusion matrix grid: header row of class ids, one row per cluster."""

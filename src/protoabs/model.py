@@ -6,8 +6,10 @@ the right so that every message in a corpus has the same arity and
 positional Hamming comparison is well defined.
 """
 
+import json
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -23,10 +25,58 @@ DEFAULT_ARITY = 32
 def json_ints(values, what):
     """`values`, read from a JSON file, if each one is an integer: int() and
     numpy would truncate 1.5 and read true as 1."""
-    for v in values:
-        if type(v) is not int:
-            raise ValueError("%s: %r is not an integer" % (what, v))
+    if not set(map(type, values)) <= {int}:
+        bad = next(v for v in values if type(v) is not int)
+        raise ValueError("%s: %r is not an integer" % (what, bad))
     return values
+
+
+_SCALAR_TYPES = frozenset({str, int, float, bool, type(None)})
+
+
+def json_indented(obj):
+    """`json.dumps(obj, indent=2, sort_keys=True)`, byte for byte, for JSON
+    values whose dict keys are strings.
+
+    The stdlib takes its pure-Python encoder whenever `indent` is set.  Here
+    dicts and lists holding containers are walked in Python, and each list
+    of scalars is one call of the C encoder whose item separator carries the
+    newline and indent of its depth, so escapes, NaN, Infinity and float
+    reprs are the stdlib's own.
+    """
+    out = []
+    _write_indented(obj, 0, out)
+    return "".join(out)
+
+
+@cache
+def _scalar_list_encoder(depth):
+    """Encoder of a list of scalars whose items sit at `depth` + 1."""
+    return json.JSONEncoder(separators=(",\n" + "  " * (depth + 1), ": "), check_circular=False)
+
+
+def _write_indented(obj, depth, out):
+    inner = "\n" + "  " * (depth + 1)
+    close = "\n" + "  " * depth
+    if isinstance(obj, dict) and obj:
+        sep = "{" + inner
+        for key in sorted(obj):
+            out.append(sep + encode_basestring_ascii(key) + ": ")
+            _write_indented(obj[key], depth + 1, out)
+            sep = "," + inner
+        out.append(close + "}")
+    elif isinstance(obj, (list, tuple)) and obj:
+        if set(map(type, obj)) <= _SCALAR_TYPES:
+            out.append("[" + inner + _scalar_list_encoder(depth).encode(obj)[1:-1] + close + "]")
+            return
+        sep = "[" + inner
+        for value in obj:
+            out.append(sep)
+            _write_indented(value, depth + 1, out)
+            sep = "," + inner
+        out.append(close + "]")
+    else:
+        out.append(json.dumps(obj))     # a scalar or an empty container
 
 
 @dataclass(frozen=True)
@@ -64,13 +114,15 @@ class Corpus:
             raise ArityMismatch("rows of arity %s in a corpus of arity %d" % (other, arity))
         if row_ids.min() < 0 or row_ids.max() >= len(merged):
             raise ValueError("row_ids must lie in 0..%d" % (len(merged) - 1))
-        number = {}                     # rows in use, first occurrence first
-        self.row_ids = np.fromiter(
-            (number.setdefault(merged[i], len(number)) for i in row_ids.tolist()),
-            dtype=np.int64, count=row_ids.size,
-        )
+        message_keys = np.array(merged, dtype=np.int64)[row_ids]
+        # rows in use, in the order of their first occurrence
+        used, first = np.unique(message_keys, return_index=True)
+        used = used[np.argsort(first)]
+        number = np.empty(len(key_of), dtype=np.int64)
+        number[used] = np.arange(used.size)
+        self.row_ids = number[message_keys]
         keys = list(key_of)
-        self.rows = tuple(keys[m] for m in number)
+        self.rows = tuple(keys[m] for m in used.tolist())
         self.arity = arity
         # a symbol first occurs in the first occurrence of some distinct row,
         # so scanning distinct rows gives the per-message first-occurrence order
@@ -148,9 +200,13 @@ class LabelVector:
     n_classes: int
 
     def __post_init__(self):
-        for l in self.labels:
-            if l != UNLABELED and not (0 <= l < self.n_classes):
-                raise ValueError("label %r out of range 0..%d" % (l, self.n_classes - 1))
+        def bad(l):
+            return l != UNLABELED and not (0 <= l < self.n_classes)
+
+        # distinct values first; the labels are scanned only to name the first bad one
+        if any(map(bad, set(self.labels))):
+            l = next(filter(bad, self.labels))
+            raise ValueError("label %r out of range 0..%d" % (l, self.n_classes - 1))
 
     def __len__(self):
         return len(self.labels)

@@ -5,6 +5,7 @@ package computes with arrays, over distinct code rows where it can; they
 are slow and kept only as oracles.
 """
 
+import json
 from types import SimpleNamespace
 
 import numpy as np
@@ -73,6 +74,26 @@ def per_message_corpus(messages, arity):
         ),
         source_ids=tuple(m.source_id for m in messages),
     )
+
+
+def renumber_rows(rows, row_ids):
+    """Dict-based row renumbering: (rows, row_ids) with duplicate rows
+    merged, unused rows dropped and the rest numbered in the order in which
+    the messages first use them, one dictionary lookup per message."""
+    key_of = {}
+    merged = [key_of.setdefault(tuple(row), len(key_of)) for row in rows]
+    number = {}
+    new_ids = np.fromiter(
+        (number.setdefault(merged[i], len(number)) for i in row_ids),
+        dtype=np.int64, count=len(row_ids),
+    )
+    keys = list(key_of)
+    return tuple(keys[m] for m in number), new_ids
+
+
+def json_indented(obj):
+    """The stdlib's indented, key-sorted JSON."""
+    return json.dumps(obj, indent=2, sort_keys=True)
 
 
 def apply_rules(corpus, rules):

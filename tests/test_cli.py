@@ -65,6 +65,37 @@ def test_usage_error_exit_code():
     assert run(["no-such-command"]) == 1
 
 
+@pytest.mark.parametrize("argv", [["--help"], ["cluster", "--help"]], ids=" ".join)
+def test_help_prints_the_same_twice(capsys, argv):
+    outputs = []
+    for _ in range(2):
+        assert run(argv) == 0
+        outputs.append(capsys.readouterr())
+    assert outputs[0] == outputs[1]
+    assert outputs[0].out.startswith("usage: protoabs")
+
+
+def test_calls_in_one_process_share_no_options(workspace, tmp_path, capsys):
+    """The parser is built once per process; a call's options must not
+    reach the next call, which runs as it would alone."""
+    inputs = ["--corpus", str(workspace / "corpus.json"),
+              "--labels", str(workspace / "labels.json")]
+    runs = []
+    for name, options in [
+        ("plain", []),
+        ("options", ["--algorithm", "kmeans", "--k", "15", "--seed", "2", "--tol", "1e9",
+                     "--max-iters", "1", "--w", "0", "--mode", "unbalanced"]),
+        ("again", []),
+    ]:
+        assert run(["cluster"] + inputs + options + ["--out-dir", str(tmp_path / name)]) == 0
+        line = capsys.readouterr().out.split(" duration=")[0]
+        files = {p.name: p.read_bytes() for p in sorted((tmp_path / name).iterdir())}
+        runs.append((line, files))
+    assert runs[0] == runs[2]
+    assert runs[0][0].startswith("mpck k=21 seed=0 ")
+    assert runs[1][0].startswith("kmeans k=15 seed=2 ")
+
+
 BAD_ARGUMENTS = [
     ("cluster", ["--k", "0"]),
     ("cluster", ["--tol", "0"]),
@@ -147,6 +178,10 @@ BAD_DATA = [
     ("labels shorter than corpus", "sweep-k", {"--labels": "short"}),
     ("K range above the corpus size", "sweep-k --k 1..100000000000", {}),
     ("K list above the corpus size", "sweep-k --k 20,%d" % (N + 1), {}),
+    # the workspace corpus, copied so that the line must name the copy
+    ("cluster K above the corpus size", "cluster --k %d" % (N + 1), {"--corpus": lambda c: c}),
+    ("sweep-labels K above the corpus size", "sweep-labels --k %d" % (N + 1),
+     {"--corpus": lambda c: c}),
     ("model not JSON", "eval", {"--model": "not json"}),
     ("model without k", "eval", {"--model": {"assignments": [0]}}),
     ("model assignment 0.5", "eval",

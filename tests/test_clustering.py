@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from oracles import assign_point, distance_sq, f_cannot, f_must, unit_metric
+from protoabs import constraints as constraints_module
 from protoabs.clustering import (
     ClusterModel,
     MpckConfig,
@@ -277,6 +278,29 @@ class TestRunMpck:
         assert again.objective == model.objective
         assert np.array_equal(again.assignments, model.assignments)
 
+    @pytest.mark.parametrize("algorithm", ["mpck", "kmeans"])
+    def test_partner_lists_are_built_once_per_run(self, monkeypatch, algorithm):
+        """The final objective reuses the loop's partner lists: two
+        _adjacency calls per run, and the objective's bits equal those of a
+        fresh pair-form set of the same constraints."""
+        corpus = random_corpus(np.random.default_rng(0), 40, 4)
+        cs = constraints_from_labels([LabeledSample(i, i % 3) for i in range(9)])
+        calls = []
+        adjacency = constraints_module._adjacency
+
+        def counted(pairs, n):
+            calls.append(n)
+            return adjacency(pairs, n)
+
+        monkeypatch.setattr(constraints_module, "_adjacency", counted)
+        cfg = MpckConfig(k=3, seed=0)
+        model = run_mpck(corpus, cs, cfg) if algorithm == "mpck" else run_kmeans(corpus, cfg)
+        monkeypatch.undo()
+        assert calls == [len(corpus)] * 2
+        assert model.iterations > 1
+        fresh = ConstraintSet(cs.must_links, cs.cannot_links) if algorithm == "mpck" \
+            else ConstraintSet()
+        assert evaluate_objective(corpus, model, fresh).hex() == model.objective.hex()
 
     @pytest.mark.parametrize("case, max_iterations, iterations, builds", [
         ("synthetic", 0, 0, 1),         # no iteration ran

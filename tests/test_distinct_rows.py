@@ -5,7 +5,6 @@ one corpus load to equal corpora; rule labeling over rows equals the
 per-message pass; and the max-separated-pair table built on the rows
 agrees exactly with the brute-force one."""
 
-import json
 import os
 import tempfile
 
@@ -99,15 +98,27 @@ def test_corpus_encoding_matches_per_message_oracle(rows, data):
 def original_form(messages):
     """The corpus file as written before format 2: one indented object per
     message."""
-    return json.dumps({
+    return oracles.json_indented({
         "arity": len(messages[0].fields),
         "messages": [{"fields": list(m.fields), "source_id": m.source_id} for m in messages],
-    }, indent=2, sort_keys=True) + "\n"
+    }) + "\n"
 
 
 def read(path):
     with open(path, "r", encoding="utf-8") as fh:
         return fh.read()
+
+
+@FEWER_EXAMPLES
+@given(field_rows, st.data())
+def test_row_renumbering_matches_dict_oracle(rows, data):
+    """Rows listed any number of times, some used by no message: the corpus
+    keeps the used ones in the order the messages first use them."""
+    row_ids = data.draw(st.lists(st.integers(0, len(rows) - 1), min_size=1, max_size=40))
+    corpus = Corpus(rows, row_ids, len(rows[0]), ["m%d" % i for i in range(len(row_ids))])
+    want_rows, want_ids = oracles.renumber_rows(rows, row_ids)
+    assert corpus.rows == want_rows
+    assert corpus.row_ids.dtype == want_ids.dtype and np.array_equal(corpus.row_ids, want_ids)
 
 
 @FEWER_EXAMPLES

@@ -1,8 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from protoabs.errors import EmptyCorpus
-from protoabs.model import ABSENT, Corpus, LabelVector, Message, build_corpus
+from protoabs.model import (
+    ABSENT,
+    Corpus,
+    LabelVector,
+    Message,
+    build_corpus,
+    json_indented,
+    json_ints,
+)
 
 
 def test_padding_to_arity():
@@ -81,3 +92,50 @@ def test_label_vector_validation():
     lv = LabelVector(labels=(0, 2, -1), n_classes=3)
     assert len(lv) == 3
     assert LabelVector.from_dict(lv.to_dict()) == lv
+
+
+def test_label_vector_names_the_first_bad_label():
+    with pytest.raises(ValueError, match=r"label 7 out of range 0\.\.2"):
+        LabelVector(labels=(0, 7, -2, 7), n_classes=3)
+    with pytest.raises(ValueError, match=r"label nan out of range"):
+        LabelVector(labels=(1, float("nan")), n_classes=3)
+
+
+def test_json_ints_names_the_first_non_integer():
+    assert json_ints([0, -3, 2**70], "x") == [0, -3, 2**70]
+    with pytest.raises(ValueError, match=r"^x: True is not an integer$"):
+        json_ints([1, True, 1.5], "x")
+    with pytest.raises(ValueError, match=r"^x: 1\.5 is not an integer$"):
+        json_ints([1, 1.5, True], "x")
+
+
+# strings with quotes, backslashes, control characters, non-ASCII and
+# characters outside the BMP, which ASCII output escapes as surrogate pairs
+json_text = st.text(
+    st.one_of(st.characters(), st.sampled_from('"\\/\n\t\x00\x7fé\u2028😀')), max_size=8
+)
+json_scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(-2**70, 2**70), json_text,
+    st.floats(), st.sampled_from([-0.0, float("nan"), float("inf"), -float("inf"), 1e300]),
+)
+json_values = st.recursive(
+    json_scalars,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=6),
+        st.lists(inner, max_size=6).map(tuple),
+        st.dictionaries(json_text, inner, max_size=6),
+    ),
+    max_leaves=25,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(json_values)
+def test_json_indented_equals_the_stdlib(obj):
+    assert json_indented(obj) == oracles.json_indented(obj)
+
+
+def test_json_indented_rejects_non_json_values_and_non_str_keys():
+    for bad in ({1: "int key"}, [np.int64(1)], {"a": [object()]}):
+        with pytest.raises(TypeError):
+            json_indented(bad)

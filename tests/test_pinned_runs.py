@@ -18,6 +18,11 @@ A small CLI pipeline (synth, cluster, eval and both sweeps, then each run
 option away from its default) pins the sha256 of every file it writes and
 of its stdout without durations; the digests were computed before the
 experiment commands shared one declaration of their options.
+
+The N=5000 CLI pipeline (synth seed 0, then cluster and eval with their
+defaults) pins the sha256 of labels.json, model.json and eval.json, the
+indented JSON files; these digests were computed while they were still
+written by the stdlib's `json.dumps(indent=2)`.
 """
 
 import hashlib
@@ -212,3 +217,28 @@ def test_pinned_cli_artifacts(tmp_path, capsys):
     stdout = re.sub(r"duration=[0-9.]+s", "duration=", capsys.readouterr().out)
     digests["stdout"] = _sha256(stdout.encode())
     assert digests == PINNED_ARTIFACTS
+
+
+PINNED_5K_JSON = {
+    "data/labels.json": "272e8ed04108eb311e4e6ccc1465b56168454889049f95763a6702ec58c8661a",
+    "run/model.json": "158acc8b871107aeb013e4da0c0d47c00dfcf701152d61d2d98c21ab8328bbdf",
+    "run/eval.json": "875c5752d72042c425d419dc4c85e6833a00b4043cc4cda38e888bc36b761603",
+    "eval/eval.json": "875c5752d72042c425d419dc4c85e6833a00b4043cc4cda38e888bc36b761603",
+}
+
+
+def test_pinned_5k_json_artifacts(tmp_path):
+    def out(name):
+        return ["--out-dir", str(tmp_path / name)]
+
+    labels = str(tmp_path / "data" / "labels.json")
+    for argv in [
+        ["synth", "--n", "5000", "--seed", "0"] + out("data"),
+        ["cluster", "--corpus", str(tmp_path / "data" / "corpus.json"), "--labels", labels,
+         "--seed", "0"] + out("run"),
+        ["eval", "--model", str(tmp_path / "run" / "model.json"), "--labels", labels]
+        + out("eval"),
+    ]:
+        assert main(argv) == 0, argv
+    digests = {name: _sha256((tmp_path / name).read_bytes()) for name in PINNED_5K_JSON}
+    assert digests == PINNED_5K_JSON
