@@ -16,7 +16,12 @@ unconstrained points interact with nothing and take a vectorized argmin of
 costs computed once per distinct code row.  Centroids are per-field modes;
 metrics are closed-form per-cluster weight updates.  Both come from one
 (distinct rows, K) count matrix, and float sums over members gather
-per-row costs into member order.  The per-cluster max-separated-pair table
+per-row costs into member order.  Each assignment state is grouped into
+cluster members once, by a stable sort of the assignments as the
+narrowest unsigned type that holds K-1 (a radix sort up to K = 65 536).
+The (distinct rows, K) dispersion table is computed once per centroids
+and weights, and the K metric objects once per weight update.  The
+per-cluster max-separated-pair table
 read by the cannot-link penalty (built over each cluster's distinct rows)
 is refreshed whenever the metrics change, so with metric updates disabled
 it stays fixed during the loop, which keeps the objective non-increasing;
@@ -111,13 +116,41 @@ class PenaltyContext:
         return cls(maxpairs)
 
 
+# (keys, members) of the last grouping.  A run groups one assignment state
+# for the max-pair tables, the objective and the final objective, which
+# share no object but the assignments' values.  The entry is replaced
+# whole and the members are read-only, so a stale or concurrent reader
+# can only sort again, never read groups of other assignments.
+_last_grouping = None
+
+
 def _members_by_cluster(assignments, k):
-    """Ascending member indices of each of the k clusters, from one stable
-    sort of the assignments."""
-    assignments = np.asarray(assignments, dtype=np.int64)
-    order = np.argsort(assignments, kind="stable")
-    ends = np.cumsum(np.bincount(assignments, minlength=k))
-    return np.split(order, ends[:-1])
+    """Ascending member indices of each of the k clusters, read-only.
+
+    The assignments are cast to the narrowest unsigned dtype that holds
+    k-1, so up to 65 536 clusters numpy's stable sort is a radix sort; the
+    order equals that of a stable sort of the int64 assignments.  Grouping
+    the assignments of the previous call again returns its groups.
+    """
+    global _last_grouping
+    assignments = np.asarray(assignments)
+    if assignments.size and (assignments.min() < 0 or assignments.max() >= k):
+        raise ValueError("cluster ids must lie in [0, %d)" % k)
+    keys = assignments.astype(np.min_scalar_type(k - 1))
+    last = _last_grouping
+    if last is not None and len(last[1]) == k and np.array_equal(last[0], keys):
+        return last[1]
+    members = _sorted_members(keys, k)
+    _last_grouping = (keys, members)
+    return members
+
+
+def _sorted_members(keys, k):
+    """Member groups of the narrowed cluster ids `keys`; see _members_by_cluster."""
+    order = np.argsort(keys, kind="stable")
+    order.setflags(write=False)
+    ends = np.cumsum(np.bincount(keys, minlength=k)).tolist()
+    return [order[start:end] for start, end in zip([0] + ends[:-1], ends)]
 
 
 def _row_counts(corpus, row_ids, groups, g):
@@ -174,9 +207,8 @@ class _State:
         self.corpus = corpus
         self.codes = corpus.codes
         self.k = k
-        self.cent = cent_codes
+        self.cent = cent_codes                      # (K, F)
         self.weights = weights                      # (K, F)
-        self.logdets = np.log(weights).sum(axis=1)  # (K,)
         self.assignments = assignments
         self.w = constraints.w
         self.w_bar = constraints.w_bar
@@ -187,14 +219,45 @@ class _State:
             (np.diff(self.ml_ptr) > 0) | (np.diff(self.cl_ptr) > 0)
         )
 
+    # Centroids and weights are replaced, never changed in place, so that
+    # setting them drops what was derived from them.
+    @property
+    def cent(self):
+        return self._cent
+
+    @cent.setter
+    def cent(self, cent_codes):
+        self._cent = cent_codes
+        self._dispersion = None
+
+    @property
+    def weights(self):
+        return self._weights
+
+    @weights.setter
+    def weights(self, weights):
+        self._weights = weights
+        self.logdets = np.log(weights).sum(axis=1)  # (K,)
+        self._dispersion = None
+        self._metrics = None
+
+    def metrics(self):
+        """The K DiagonalMetrics of the current weights, built once per
+        weight update."""
+        if self._metrics is None:
+            self._metrics = tuple(DiagonalMetric(w.copy()) for w in self.weights)
+        return self._metrics
+
     def dispersion_costs(self):
         """(u, K) weighted mismatch of each distinct code row against each
-        centroid."""
-        rows = self.corpus.unique_codes
-        d = np.empty((rows.shape[0], self.k))
-        for h in range(self.k):
-            d[:, h] = (rows != self.cent[h][None, :]) @ self.weights[h]
-        return d
+        centroid, computed once per centroids and weights."""
+        if self._dispersion is None:
+            rows = self.corpus.unique_codes
+            d = np.empty((rows.shape[0], self.k))
+            for h in range(self.k):
+                d[:, h] = (rows != self.cent[h][None, :]) @ self.weights[h]
+            self._dispersion = d
+        return self._dispersion
 
     def base_costs(self):
         """(u, K) dispersion-plus-logdet costs of each distinct code row;
@@ -366,7 +429,6 @@ def run_mpck(corpus, constraints, config):
     if config.metric_update_enabled:
         _rebuild_penalties(state)
         state.weights = _update_weights(state)
-        state.logdets = np.log(state.weights).sum(axis=1)
     _rebuild_penalties(state)
 
     # unconstrained points interact with nothing: a vectorized argmin is
@@ -414,7 +476,6 @@ def run_mpck(corpus, constraints, config):
         state.cent = _centroid_codes(corpus, state.assignments, k)
         if config.metric_update_enabled:
             state.weights = _update_weights(state)
-            state.logdets = np.log(state.weights).sum(axis=1)
             _rebuild_penalties(state)
 
         j_end = state.objective()
@@ -434,7 +495,7 @@ def run_mpck(corpus, constraints, config):
     model = ClusterModel(
         k=k,
         centroids=centroids,
-        metrics=_metrics_of(state),
+        metrics=state.metrics(),
         assignments=state.assignments.copy(),
         objective=0.0,
         iterations=iterations,
@@ -454,15 +515,11 @@ def run_kmeans(corpus, config):
     return run_mpck(corpus, ConstraintSet(), cfg)
 
 
-def _metrics_of(state):
-    return tuple(DiagonalMetric(state.weights[h].copy()) for h in range(state.k))
-
-
 def _rebuild_penalties(state):
     """Max-pair table for the current assignments and metrics; only
     cannot-link terms read it, so without them none is built."""
     if state.cannot_pairs.size:
-        state.ctx = PenaltyContext.build(state.corpus, state.assignments, _metrics_of(state))
+        state.ctx = PenaltyContext.build(state.corpus, state.assignments, state.metrics())
 
 
 def _repair_empty_clusters(state):
@@ -481,4 +538,6 @@ def _repair_empty_clusters(state):
         sizes[state.assignments[pick]] -= 1
         state.assignments[pick] = h
         sizes[h] += 1
-        state.cent[h] = state.codes[pick].copy()
+        cent = state.cent.copy()
+        cent[h] = state.codes[pick]
+        state.cent = cent

@@ -53,14 +53,18 @@ def ari(assignments, labels):
     Degenerate denominator (e.g. one cluster and one class): 1.0 when the
     partitions are identical, else 0.0.
     """
-    cm = confusion(assignments, labels)
-    if cm.n < 2:
+    return _ari(confusion(assignments, labels).counts)
+
+
+def _ari(counts):
+    """Adjusted Rand index of a (K, J) contingency table; see ari."""
+    n = int(counts.sum())
+    if n < 2:
         raise ValueError("ARI needs at least 2 labeled points")
-    counts = cm.counts
     nij = _comb2(counts).sum()
     a = _comb2(counts.sum(axis=1)).sum()
     b = _comb2(counts.sum(axis=0)).sum()
-    total = _comb2(np.array([cm.n]))[0]
+    total = _comb2(np.array([n]))[0]
     expected = a * b / total
     max_index = (a + b) / 2.0
     if max_index == expected:
@@ -113,4 +117,4 @@ class EvalReport:
 
 def evaluate(assignments, labels):
     cm = confusion(assignments, labels)
-    return EvalReport(confusion=cm, purity=purity(cm), ari=ari(assignments, labels), n=cm.n)
+    return EvalReport(confusion=cm, purity=purity(cm), ari=_ari(cm.counts), n=cm.n)

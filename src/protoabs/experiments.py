@@ -36,9 +36,14 @@ def draw_labeled_samples(labels, per_class, seed, mode="balanced"):
         counts = rng.integers(1, per_class + 1, size=j)
         if counts.max() < per_class:
             counts[int(rng.integers(j))] = per_class
+    # one stable sort groups every class's members, ascending; shifted
+    # past UNLABELED (-1) and narrowed, the keys take a radix sort
+    keys = (lab + 1).astype(np.min_scalar_type(j))
+    order = np.argsort(keys, kind="stable")
+    ends = np.cumsum(np.bincount(keys, minlength=j + 1))
     samples = []
     for c in range(j):
-        members = np.flatnonzero(lab == c)
+        members = order[ends[c]:ends[c + 1]]
         if members.size < counts[c]:
             raise InsufficientLabels(
                 "class %d has %d members, need %d labels" % (c, members.size, counts[c])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from oracles import assign_point, distance_sq, f_cannot, f_must, unit_metric
+from protoabs import clustering
 from protoabs import constraints as constraints_module
 from protoabs.clustering import (
     ClusterModel,
@@ -301,6 +302,39 @@ class TestRunMpck:
         fresh = ConstraintSet(cs.must_links, cs.cannot_links) if algorithm == "mpck" \
             else ConstraintSet()
         assert evaluate_objective(corpus, model, fresh).hex() == model.objective.hex()
+
+    @pytest.mark.parametrize("algorithm", ["mpck", "kmeans"])
+    def test_each_assignment_state_is_sorted_once(self, monkeypatch, algorithm):
+        """A run that stops at a fixpoint sorts each assignment state it
+        groups once, and builds the K DiagonalMetrics once per weight state:
+        the initial unit weights and each update."""
+        corpus, labels = generate_synthetic(default_synth_spec(n_messages=5000, seed=0))
+        cs = constraints_from_labels(draw_labeled_samples(labels, 1, seed=0))
+        states, sorts, updates, metrics = [], [], [], []
+        group, sort = clustering._members_by_cluster, clustering._sorted_members
+        update, metric = clustering._update_weights, clustering.DiagonalMetric
+
+        def grouped(assignments, k):
+            states.append(np.asarray(assignments).tobytes())
+            return group(assignments, k)
+
+        def sorted_members(keys, k):
+            sorts.append(keys.tobytes())
+            return sort(keys, k)
+
+        monkeypatch.setattr(clustering, "_last_grouping", None)
+        monkeypatch.setattr(clustering, "_members_by_cluster", grouped)
+        monkeypatch.setattr(clustering, "_sorted_members", sorted_members)
+        monkeypatch.setattr(clustering, "_update_weights",
+                            lambda state: updates.append(1) or update(state))
+        monkeypatch.setattr(clustering, "DiagonalMetric",
+                            lambda weights: metrics.append(1) or metric(weights))
+        cfg = MpckConfig(k=21, seed=0)
+        model = run_mpck(corpus, cs, cfg) if algorithm == "mpck" else run_kmeans(corpus, cfg)
+        monkeypatch.undo()
+        assert model.converged_by == "fixpoint"
+        assert len(sorts) == len(set(sorts)) == len(set(states)) < len(states)
+        assert len(metrics) == cfg.k * (1 + len(updates))
 
     @pytest.mark.parametrize("case, max_iterations, iterations, builds", [
         ("synthetic", 0, 0, 1),         # no iteration ran

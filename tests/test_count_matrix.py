@@ -1,7 +1,8 @@
 """Per-cluster statistics computed from the (distinct rows, K) count matrix
 agree exactly with the per-member oracles on corpora with many duplicate
 rows and tied counts: modes, seeds, the metric-update dispersion and the
-empty-cluster repair pick.  The metric update as a whole is checked in
+empty-cluster repair pick.  The grouping of cluster members agrees with a
+per-cluster scan.  The metric update as a whole is checked in
 test_array_core.py."""
 
 import numpy as np
@@ -13,6 +14,7 @@ import oracles
 from protoabs.clustering import (
     _State,
     _dispersion,
+    _members_by_cluster,
     _repair_empty_clusters,
     _row_counts,
     _seed_centroids,
@@ -126,3 +128,24 @@ def test_repair_pick_matches_per_member_oracle(corpus, data):
     assert np.array_equal(state.assignments, want[0])
     assert np.array_equal(state.cent, want[1])
 
+
+# fewer examples: one grouping for 65 536 clusters takes about 30 ms
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([1, 2, 255, 256, 257, 65535, 65536, 65537]), st.data())
+def test_member_groups_match_per_cluster_scan(k, data):
+    """Ids narrowed to uint8, uint16 or uint32 on either side of each limit,
+    most clusters empty; grouping the same ids for k + 1 clusters regroups."""
+    ids = st.one_of(st.integers(0, k - 1), st.sampled_from([0, k // 2, k - 1]))
+    assignments = np.array(data.draw(st.lists(ids, max_size=12)), dtype=np.int64)
+    for kk in (k, k, k + 1):
+        members = _members_by_cluster(assignments, kk)
+        # every cluster's size, and the members of every non-empty one
+        assert [m.size for m in members] == np.bincount(assignments, minlength=kk).tolist()
+        for h in np.unique(assignments):
+            assert np.array_equal(members[h], np.flatnonzero(assignments == h))
+
+
+@pytest.mark.parametrize("assignments", [[0, 3], [-1, 0], [256]])
+def test_member_groups_reject_ids_outside_the_clusters(assignments):
+    with pytest.raises(ValueError):
+        _members_by_cluster(np.array(assignments), 3)

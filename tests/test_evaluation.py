@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from protoabs import evaluation
 from protoabs.errors import NoLabels
 from protoabs.evaluation import ari, confusion, evaluate, purity
 from protoabs.model import UNLABELED, LabelVector
@@ -143,3 +144,14 @@ def test_eval_report_serialization():
     assert d["ari"] == 1.0
     csv_text = report.confusion_csv()
     assert csv_text.splitlines()[0] == "cluster,class_0,class_1"
+
+
+def test_evaluate_counts_the_confusion_matrix_once(monkeypatch):
+    calls = []
+    counted = evaluation.confusion
+    monkeypatch.setattr(evaluation, "confusion", lambda *args: calls.append(1) or counted(*args))
+    rng = np.random.default_rng(0)
+    assignments, labels = rng.integers(0, 4, 60), lv(rng.integers(0, 3, 60).tolist(), 3)
+    report = evaluate(assignments, labels)
+    assert len(calls) == 1
+    assert report.ari == ari(assignments, labels)
