@@ -33,7 +33,7 @@ def main():
     samples = draw_labeled_samples(labels, per_class=5, seed=0)
     constraints = constraints_from_labels(samples)
     print("%d labeled messages -> %d must-links, %d cannot-links"
-          % (len(samples), len(constraints.must_links), len(constraints.cannot_links)))
+          % (len(samples), *constraints.pair_counts()))
 
     model = run_mpck(corpus, constraints, config)
     rep = evaluate(model.assignments, labels)

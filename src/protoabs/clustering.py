@@ -13,20 +13,16 @@ far the pair falls short of cluster l's maximally separated pair D_l.
 
 Constrained points are visited greedily in a seeded random permutation;
 unconstrained points interact with nothing and take a vectorized argmin of
-costs computed once per distinct code row.  Centroids are per-field modes;
-metrics are closed-form per-cluster weight updates.  Both come from one
-(distinct rows, K) count matrix, and float sums over members gather
-per-row costs into member order.  Each assignment state is grouped into
-cluster members once, by a stable sort of the assignments as the
-narrowest unsigned type that holds K-1 (a radix sort up to K = 65 536).
-The (distinct rows, K) dispersion table is computed once per centroids
-and weights, and the K metric objects once per weight update.  The
-per-cluster max-separated-pair table
-read by the cannot-link penalty (built over each cluster's distinct rows)
+costs computed once per distinct code row.  Constraints are never expanded
+into pairs: penalties and violation tallies are summed over the counts of
+constrained points per (component, distinct row) slot and cluster.
+Centroids (per-field modes) and the metric update's dispersion come from
+one (distinct rows, K) count matrix, and each assignment state is grouped
+into cluster members once, by a radix sort of the narrowed assignments.
+The per-cluster max-separated-pair table read by the cannot-link penalty
 is refreshed whenever the metrics change, so with metric updates disabled
 it stays fixed during the loop, which keeps the objective non-increasing;
-the final objective uses a table built for the final assignments.  Without
-cannot-links no table is built.
+the final objective uses a table built for the final assignments.
 """
 
 from dataclasses import dataclass, replace
@@ -145,6 +141,13 @@ def _members_by_cluster(assignments, k):
     return members
 
 
+def _expand(ptr, groups):
+    """(j, k) for each j and each k in ptr[groups[j]]:ptr[groups[j] + 1]."""
+    lengths = ptr[groups + 1] - ptr[groups]
+    at = np.arange(lengths.sum()) + np.repeat(ptr[groups] + lengths - np.cumsum(lengths), lengths)
+    return np.repeat(np.arange(groups.size), lengths), at
+
+
 def _sorted_members(keys, k):
     """Member groups of the narrowed cluster ids `keys`; see _members_by_cluster."""
     order = np.argsort(keys, kind="stable")
@@ -201,23 +204,46 @@ def _centroid_message(corpus, code_row, h):
 
 
 class _State:
-    """Array-level working state shared by the driver and the public ops."""
+    """Array-level working state shared by `run_mpck` and the public ops.
+
+    Constraint terms come from [must, cannot] tables over slots, the
+    (component, distinct row) pairs of the constrained points: entry [s, h]
+    sums what the partners of a point of slot s add in cluster h.
+    """
 
     def __init__(self, corpus, k, cent_codes, weights, assignments, constraints, ctx):
+        constraints = close_constraints(constraints)
         self.corpus = corpus
         self.codes = corpus.codes
         self.k = k
         self.cent = cent_codes                      # (K, F)
         self.weights = weights                      # (K, F)
         self.assignments = assignments
-        self.w = constraints.w
-        self.w_bar = constraints.w_bar
+        self.scales = (0.5 * constraints.w, constraints.w_bar)   # of the two tables
         self.ctx = ctx                              # None without cannot-links
-        self.must_pairs, self.cannot_pairs = constraints.pairs()
-        (self.ml_ptr, self.ml_nbr), (self.cl_ptr, self.cl_nbr) = constraints.partners(len(corpus))
-        self.constrained = np.flatnonzero(
-            (np.diff(self.ml_ptr) > 0) | (np.diff(self.cl_ptr) > 0)
-        )
+        self.constrained = constraints.points
+        sizes = np.bincount(constraints.component)
+        self.has_cannot = constraints.cannot_components.size > 0
+        self.kinds = [kind for kind, on in enumerate(((sizes > 1).any(), self.has_cannot)) if on]
+        u = corpus.unique_codes.shape[0]
+        slots, point_slots = np.unique(constraints.component * u
+                                       + corpus.row_ids[self.constrained], return_inverse=True)
+        self.slot_comp, rows = np.divmod(slots, u)
+        rows, self.slot_rows = np.unique(rows, return_inverse=True)     # R distinct rows
+        codes = corpus.unique_codes[rows]
+        self.fields = np.flatnonzero((codes != codes[:1]).any(axis=0))  # where they differ
+        v = codes[:, self.fields]
+        self.mismatch = (v[:, None, :] != v[None, :, :]).astype(float)   # (R, R, V)
+        self.point_cells = point_slots * k          # flat cell ids in cluster 0
+        self.slot = dict(zip(self.constrained.tolist(), point_slots.tolist()))
+        self._pairs = [(None, None)] * 2
+        # [must, cannot] targets (ptr, slots): component c's are slots[ptr[c]:ptr[c + 1]]
+        ptr = np.concatenate([[0], np.cumsum(np.bincount(self.slot_comp, minlength=sizes.size))])
+        ca, cb = constraints.cannot_components.T
+        src, nbr = np.concatenate([ca, cb]), np.concatenate([cb, ca])
+        linked = np.concatenate([[0], np.cumsum(np.bincount(src, np.diff(ptr)[nbr], sizes.size))])
+        self.targets = [(ptr, np.arange(slots.size)), (linked.astype(np.int64),
+                        _expand(ptr, nbr[np.argsort(src, kind="stable")])[1])]
 
     # Centroids and weights are replaced, never changed in place, so that
     # setting them drops what was derived from them.
@@ -240,6 +266,7 @@ class _State:
         self.logdets = np.log(weights).sum(axis=1)  # (K,)
         self._dispersion = None
         self._metrics = None
+        self.distances = self.tables = None
 
     def metrics(self):
         """The K DiagonalMetrics of the current weights, built once per
@@ -264,46 +291,82 @@ class _State:
         message i's costs are row `corpus.row_ids[i]`."""
         return self.dispersion_costs() - self.logdets
 
+    def cells(self):
+        """Slot, cluster and number of constrained points of each occupied
+        (slot, cluster) cell, in slot order, and the (slots, K) counts."""
+        counts = np.bincount(self.point_cells + self.assignments[self.constrained],
+                             minlength=self.slot_comp.size * self.k)
+        ids = np.flatnonzero(counts)
+        return (*np.divmod(ids, self.k), counts[ids], counts.reshape(-1, self.k))
+
+    def pairs(self, s, kind):
+        """(cell, target slot, its row, the cell's row) for each target of
+        each cell in slot s; kind 0 is must, 1 cannot.  The last pairs of
+        each kind are kept, since cells rarely change slots."""
+        if not np.array_equal(self._pairs[kind][0], s):
+            ptr, slots = self.targets[kind]
+            cell, at = _expand(ptr, self.slot_comp[s])
+            t = slots[at]
+            self._pairs[kind] = s, (cell, t, self.slot_rows[t], self.slot_rows[s[cell]])
+        return self._pairs[kind][1]
+
+    def partner_costs(self, kind, x, y, g):
+        """Unweighted cost a partner of row y in cluster g adds to a point of
+        row x: (n, K) for a must-link, d_h + d_g in each cluster h but g;
+        (n,) for a cannot-link, in g alone, the shortfall D_g - d_g."""
+        d = self.distances
+        if kind:
+            return np.maximum(0.0, self.ctx.maxd2[g] - d[x, y, g])
+        costs = d[x, y] + d[x, y, g][..., None]
+        costs[np.arange(costs.shape[0]), g] = 0.0
+        return costs
+
+    def build_tables(self, cells):
+        """[must, cannot] tables of the `cells`, zero for a kind of link the
+        constraints lack."""
+        s, g, n, _ = cells
+        k = self.k
+        if self.distances is None:      # (R, R, K) weighted mismatch of the rows
+            self.distances = np.tensordot(self.mismatch, self.weights[:, self.fields], (2, 1))
+        tables = [np.zeros((self.slot_comp.size, k)) for _ in range(2)]
+        for kind in self.kinds:
+            cell, t, x, y = self.pairs(s, kind)
+            costs = self.partner_costs(kind, x, y, g[cell])
+            at = t * k + g[cell] if kind else (t * k)[:, None] + np.arange(k)
+            costs *= n[cell] if kind else n[cell, None]
+            tables[kind] = np.bincount(at.ravel(), costs.ravel(), tables[kind].size).reshape(-1, k)
+        return tables
+
     def point_costs(self, i, base_row):
         """K-vector of assignment costs for point i, partners' assignments
         fixed; `base_row` is point i's row of base_costs()."""
         costs = base_row.copy()
-        ml = self.ml_nbr[self.ml_ptr[i]:self.ml_ptr[i + 1]]
-        if ml.size:
-            m = self.codes[ml] != self.codes[i][None, :]
-            d = m @ self.weights.T                      # (P, K)
-            lj = self.assignments[ml]
-            dj = d[np.arange(ml.size), lj]
-            pen = self.w * (0.5 * d + 0.5 * dj[:, None])
-            pen[np.arange(ml.size), lj] = 0.0
-            costs += pen.sum(axis=0)
-        cl = self.cl_nbr[self.cl_ptr[i]:self.cl_ptr[i + 1]]
-        if cl.size:
-            m = self.codes[cl] != self.codes[i][None, :]
-            lj = self.assignments[cl]
-            d_lj = np.einsum("pf,pf->p", m, self.weights[lj])
-            vals = self.w_bar * np.maximum(0.0, self.ctx.maxd2[lj] - d_lj)
-            np.add.at(costs, lj, vals)
+        s = self.slot.get(i)
+        if s is not None:
+            if self.tables is None:
+                self.tables = self.build_tables(self.cells())
+            for kind in self.kinds:
+                costs += self.scales[kind] * self.tables[kind][s]
         return costs
 
-    def violated_must(self):
-        """Violated must-links in sorted pair order: the two endpoints'
-        clusters and their (P, F) field-mismatch rows."""
-        ia, ib = self.must_pairs[:, 0], self.must_pairs[:, 1]
-        la, lb = self.assignments[ia], self.assignments[ib]
-        viol = la != lb
-        return la[viol], lb[viol], self.codes[ia[viol]] != self.codes[ib[viol]]
-
-    def violated_cannot(self):
-        """Violated cannot-links in sorted pair order: their shared cluster
-        and their (P, F) field-mismatch rows."""
-        ia, ib = self.cannot_pairs[:, 0], self.cannot_pairs[:, 1]
-        la = self.assignments[ia]
-        viol = la == self.assignments[ib]
-        return la[viol], self.codes[ia[viol]] != self.codes[ib[viol]]
+    def move(self, i, h):
+        """Assign point i to cluster h; the tables follow by the costs its
+        old and new cell add to their target slots."""
+        old, self.assignments[i] = self.assignments[i], h
+        s = self.slot.get(i)
+        if s is None or self.tables is None or old == h:
+            return
+        c, y = self.slot_comp[s], self.slot_rows[s]
+        for kind in self.kinds:
+            ptr, slots = self.targets[kind]
+            t = slots[ptr[c]:ptr[c + 1]]
+            for g, sign in ((old, -1.0), (h, 1.0)):
+                at = (t, g) if kind else t
+                self.tables[kind][at] += sign * self.partner_costs(kind, self.slot_rows[t], y, g)
 
     def objective(self):
-        """Objective recomputed from scratch against the current max-pair table."""
+        """Objective recomputed in full against the current max-pair
+        table; the must and cannot tables are rebuilt on the way."""
         total = 0.0
         disp = self.dispersion_costs()
         for h, members in enumerate(_members_by_cluster(self.assignments, self.k)):
@@ -312,16 +375,11 @@ class _State:
             # per-row costs gathered into member order keep the sum's order
             costs = disp[self.corpus.row_ids[members], h]
             total += float(costs.sum()) - members.size * self.logdets[h]
-        la, lb, m = self.violated_must()
-        if la.size:
-            da = np.einsum("pf,pf->p", m, self.weights[la])
-            db = np.einsum("pf,pf->p", m, self.weights[lb])
-            total += float((self.w * 0.5 * (da + db)).sum())
-        l, m = self.violated_cannot()
-        if l.size:
-            d = np.einsum("pf,pf->p", m, self.weights[l])
-            total += float((self.w_bar * np.maximum(0.0, self.ctx.maxd2[l] - d)).sum())
-        return total
+        cells = s, g, n, _ = self.cells()
+        self.tables = self.build_tables(cells)
+        for kind in self.kinds:     # each violated pair is charged to both points
+            total += 0.5 * self.scales[kind] * float(self.tables[kind][s, g] @ n)
+        return float(total)
 
 
 def _state_from_model(corpus, model, constraints, ctx):
@@ -334,7 +392,7 @@ def _state_from_model(corpus, model, constraints, ctx):
 def evaluate_objective(corpus, model, constraints, ctx=None):
     """Recompute the full objective from a model's stored state."""
     state = _state_from_model(corpus, model, constraints, ctx)
-    if ctx is None and state.cannot_pairs.size:
+    if ctx is None and state.has_cannot:
         state.ctx = PenaltyContext.build(corpus, model.assignments, model.metrics)
     return state.objective()
 
@@ -376,19 +434,27 @@ def _update_weights(state):
     """
     k, arity = state.k, state.codes.shape[1]
     tallies = np.zeros((k, arity))
-    la, lb, mism = state.violated_must()
-    # each pair adds to la, then lb, in pair order
-    np.add.at(tallies, np.column_stack([la, lb]).ravel(),
-              np.repeat(0.5 * state.w * mism, 2, axis=0))
-    l, near = state.violated_cannot()
-    if l.size:
-        far = np.zeros((k, arity))
-        for h, pair in enumerate(state.ctx.maxpairs):
-            if pair.first >= 0:
-                far[h] = state.codes[pair.first] != state.codes[pair.second]
-        cl_tallies = np.zeros((k, arity))
-        np.add.at(cl_tallies, l, state.w_bar * (far[l] - near))
-        tallies += np.maximum(0.0, cl_tallies)
+    s, g, n, counts = state.cells()
+    for kind in state.kinds:
+        cell, t, x, y = state.pairs(s, kind)
+        # a violated must-link has its partner outside the point's cluster,
+        # a violated cannot-link inside it
+        inside = counts[t, g[cell]]
+        partners = inside if kind else counts[t].sum(axis=1) - inside
+        nf = state.fields.size      # (K, V) mismatching fields of those pairs, by cluster
+        by_cluster = np.bincount((g[cell, None] * nf + np.arange(nf)).ravel(), (
+            (n[cell] * partners)[:, None] * state.mismatch[x, y]).ravel(), k * nf).reshape(k, nf)
+        if kind == 0:
+            # a violated must-link adds w/2 per mismatching field to both clusters
+            tallies[:, state.fields] += state.scales[0] * by_cluster
+            continue
+        # a violated cannot-link in cluster h adds wbar * (far - near) to h,
+        # counted here from both of its points
+        ends = np.array([(p.first, p.second) for p in state.ctx.maxpairs]).reshape(-1, 2)
+        far = (state.codes[ends[:, 0]] != state.codes[ends[:, 1]]) & (ends[:, :1] >= 0)
+        cl_tallies = np.bincount(g[cell], n[cell] * partners, k)[:, None] * far
+        cl_tallies[:, state.fields] -= by_cluster
+        tallies += np.maximum(0.0, 0.5 * state.scales[1] * cl_tallies)
     counts = _row_counts(state.corpus, state.corpus.row_ids, state.assignments, k)
     sizes = counts.sum(axis=0)
     empty = np.flatnonzero(sizes == 0)
@@ -462,7 +528,7 @@ def run_mpck(corpus, constraints, config):
             costs = state.point_costs(i, base[row_ids[i]])
             h = int(np.argmin(costs))
             tracked += float(costs[h] - costs[state.assignments[i]])
-            state.assignments[i] = h
+            state.move(i, h)
 
         recomputed = state.objective()
         max_gap = max(max_gap, abs(tracked - recomputed))
@@ -518,7 +584,7 @@ def run_kmeans(corpus, config):
 def _rebuild_penalties(state):
     """Max-pair table for the current assignments and metrics; only
     cannot-link terms read it, so without them none is built."""
-    if state.cannot_pairs.size:
+    if state.has_cannot:
         state.ctx = PenaltyContext.build(state.corpus, state.assignments, state.metrics())
 
 

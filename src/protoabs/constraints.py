@@ -5,7 +5,8 @@ A constraint set has two forms.  `ConstraintSet` holds arbitrary pairs.
 must-link components: the constrained points, a component for each, and
 the cannot-linked component pairs.  `constraints_from_labels` builds the
 closed form directly and `close_constraints` turns a pair set into it.
-Both forms hand the clustering loop their pairs through `pairs()`.
+The clustering loop reads the closed form's components, never its pairs;
+`must_links` and `cannot_links` expand them only when asked.
 """
 
 from dataclasses import dataclass
@@ -45,15 +46,6 @@ class ConstraintSet:
     def is_empty(self):
         return not self.must_links and not self.cannot_links
 
-    def pairs(self):
-        """(must, cannot) as lexicographically sorted (P, 2) int64 arrays."""
-        return _pair_array(self.must_links), _pair_array(self.cannot_links)
-
-    def partners(self, n):
-        """(must, cannot) partner lists over n points; see _adjacency."""
-        must, cannot = self.pairs()
-        return _adjacency(must, n), _adjacency(cannot, n)
-
 
 def _pair_array(pairs):
     return np.array(sorted(pairs), dtype=np.int64).reshape(-1, 2)
@@ -86,80 +78,25 @@ class ClosedConstraints:
         ca, cb = self.cannot_components.T
         return int((sizes * (sizes - 1) // 2).sum()), int((sizes[ca] * sizes[cb]).sum())
 
-    def pairs(self):
-        """(must, cannot) as lexicographically sorted (P, 2) int64 arrays,
-        computed once."""
-        return self._pairs
-
-    def partners(self, n):
-        """(must, cannot) partner lists over n points, computed once per n;
-        see _adjacency."""
-        if n not in self._partners:
-            must, cannot = self.pairs()
-            self._partners[n] = _adjacency(must, n), _adjacency(cannot, n)
-        return self._partners[n]
-
-    @cached_property
-    def _partners(self):
-        return {}
-
-    @cached_property
-    def _pairs(self):
-        order = np.argsort(self.component, kind="stable")
-        members = self.points[order]        # by component, ascending within
-        sizes = np.bincount(self.component)
-        starts = np.cumsum(sizes) - sizes
-        # each member with the later members of its component
-        later = np.repeat(starts + sizes, sizes) - np.arange(members.size) - 1
-        first = np.repeat(np.arange(members.size), later)
-        must = _sorted_pairs(members[first], members[first + 1 + _ragged_arange(later)])
-        # one block of members(a) x members(b) per cannot-linked pair (a, b)
-        ca, cb = self.cannot_components.T
-        block = sizes[ca] * sizes[cb]
-        local = _ragged_arange(block)
-        width = np.repeat(sizes[cb], block)
-        x = members[np.repeat(starts[ca], block) + local // width]
-        y = members[np.repeat(starts[cb], block) + local % width]
-        return must, _sorted_pairs(x, y)
-
     @cached_property
     def must_links(self):
-        return frozenset(map(tuple, self.pairs()[0].tolist()))
+        """The must-link pairs, built on first use."""
+        return frozenset((a, b) for m in _members(self.points, self.component)
+                         for i, a in enumerate(m) for b in m[i + 1:])
 
     @cached_property
     def cannot_links(self):
-        return frozenset(map(tuple, self.pairs()[1].tolist()))
+        """The cannot-link pairs, built on first use."""
+        m = _members(self.points, self.component)
+        return frozenset(_pair(a, b) for ca, cb in self.cannot_components.tolist()
+                         for a in m[ca] for b in m[cb])
 
 
-def _adjacency(pairs, n):
-    """Read-only partner lists of the (P, 2) `pairs` over n points: point
-    i's partners, ascending, are nbr[ptr[i]:ptr[i + 1]]."""
-    src = np.concatenate([pairs[:, 0], pairs[:, 1]])
-    nbr = np.concatenate([pairs[:, 1], pairs[:, 0]])
-    nbr = np.sort(src * n + nbr) % n          # by (src, nbr), one sort
-    ptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(src, minlength=n), out=ptr[1:])
-    for a in (ptr, nbr):
-        a.setflags(write=False)
-    return ptr, nbr
-
-
-def _ragged_arange(counts):
-    """arange(c) for each c in `counts`, concatenated."""
-    ends = np.cumsum(counts)
-    return np.arange(ends[-1] if ends.size else 0) - np.repeat(ends - counts, counts)
-
-
-def _sorted_pairs(a, b):
-    """Read-only (P, 2) array of the pairs (min, max) of `a` and `b`, in
-    lexicographic order."""
-    lo, hi = np.minimum(a, b), np.maximum(a, b)
-    # one sort of lo * m + hi orders by (lo, hi), and is much faster than a lexsort
-    m = int(hi.max()) + 1 if hi.size else 1
-    lo, hi = np.divmod(np.sort(lo * m + hi), m)
-    pairs = np.column_stack([lo, hi])
-    pairs.setflags(write=False)
-    return pairs
+def _members(points, component):
+    """Each component's points, ascending, as lists."""
+    members = points[np.argsort(component, kind="stable")].tolist()
+    bounds = [0] + np.cumsum(np.bincount(component)).tolist()
+    return [members[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
 def constraints_from_labels(samples, w=1.0, w_bar=1.0):
@@ -215,7 +152,7 @@ def close_constraints(cs):
     consistent, as components; a closed set is returned unchanged."""
     if isinstance(cs, ClosedConstraints):
         return cs
-    must, cannot = cs.pairs()
+    must, cannot = _pair_array(cs.must_links), _pair_array(cs.cannot_links)
     # a point linked only to itself is in no pair of the closure
     points, component = _components(must[must[:, 0] != must[:, 1]], cannot)
     linked = component[np.searchsorted(points, cannot)]
@@ -246,16 +183,12 @@ def neighborhoods(cs):
     if isinstance(cs, ClosedConstraints):
         points, component = cs.points, cs.component
     else:
-        points, component = _components(*cs.pairs())
-    members = points[np.argsort(component, kind="stable")].tolist()
-    sizes = np.bincount(component)
-    bounds = [0] + np.cumsum(sizes).tolist()
+        points, component = _components(_pair_array(cs.must_links), _pair_array(cs.cannot_links))
+    members = _members(points, component)
     # components are numbered by smallest member, so a stable sort on size
     # breaks ties by smallest member
-    return [
-        Neighborhood(tuple(members[bounds[c]:bounds[c + 1]]))
-        for c in np.argsort(-sizes, kind="stable").tolist()
-    ]
+    order = np.argsort(-np.bincount(component), kind="stable").tolist()
+    return [Neighborhood(tuple(members[c])) for c in order]
 
 
 def load_labeled_samples(path):

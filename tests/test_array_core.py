@@ -1,8 +1,10 @@
 """The array core of MPCK-means agrees with the scalar per-message oracles:
-the objective, the metric update and the per-point assignment."""
+the objective, the metric update and the per-point assignment, each over
+the closure of the constraints, as `run_mpck` scores them."""
 
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -15,6 +17,7 @@ from protoabs.clustering import (
     update_centroids,
 )
 from protoabs.constraints import ConstraintSet, LabeledSample, constraints_from_labels
+from protoabs.errors import EmptyCluster, InconsistentConstraints
 from protoabs.metric import DiagonalMetric, MaxPair
 from protoabs.model import build_corpus
 
@@ -33,7 +36,9 @@ def _assignments(draw, n, k):
 @st.composite
 def instances(draw):
     """A small corpus, a model over it with random metrics, and constraints
-    with random penalty weights: label-derived, or an unclosed pair set."""
+    with random penalty weights: label-derived, or a pair set whose closure
+    is consistent and may add pairs, link components only partly and hold
+    points linked by cannot-links alone."""
     arity = draw(st.integers(1, 4))
     n = draw(st.integers(2, 14))
     # messages drawn from a pool of rows over few symbols, so rows repeat,
@@ -59,11 +64,15 @@ def instances(draw):
     w = draw(st.floats(0.0, 3.0))
     w_bar = draw(st.floats(0.0, 3.0))
     if draw(st.booleans()):
-        # a pair set, scored as given: it need not be closed
         pairs = st.frozensets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
                               .filter(lambda p: p[0] != p[1]).map(sorted).map(tuple), max_size=n)
         must = draw(pairs)
-        return corpus, model, ConstraintSet(must, draw(pairs) - must, w=w, w_bar=w_bar)
+        cs = ConstraintSet(must, draw(pairs) - must, w=w, w_bar=w_bar)
+        try:
+            oracles.close_constraints(cs)
+        except InconsistentConstraints:
+            assume(False)
+        return corpus, model, cs
     labeled = draw(st.lists(st.integers(0, n - 1), max_size=n, unique=True))
     samples = [LabeledSample(i, draw(st.integers(0, 2))) for i in labeled]
     return corpus, model, constraints_from_labels(samples, w=w, w_bar=w_bar)
@@ -74,7 +83,8 @@ def instances(draw):
 def test_objective_matches_scalar_oracle(inst):
     corpus, model, cs = inst
     got = evaluate_objective(corpus, model, cs)
-    want = oracles.objective(corpus, model, cs)
+    want = oracles.objective(corpus, model, oracles.close_constraints(cs))
+    assert type(got) is float
     assert abs(got - want) <= 1e-9 * max(1.0, abs(want))
 
 
@@ -97,11 +107,18 @@ def test_update_weights_matches_oracle_update_metric(inst, data):
             oracles.max_separated_pair(members, corpus, m) if members.size
             else MaxPair(-1, -1, 0.0)
         )
-    tallies = oracles.violation_tallies(corpus, model.assignments, cs, maxpairs)
+    assert_weights_match_oracle(corpus, model, cs, maxpairs, got)
+
+
+def assert_weights_match_oracle(corpus, model, cs, maxpairs, got):
+    """`got` equals the oracle's metric update within 1e-9 relative: the
+    tallies are summed over counts, not pair by pair."""
+    closed = oracles.close_constraints(cs)
+    tallies = oracles.violation_tallies(corpus, model.assignments, closed, maxpairs)
     for h in range(model.k):
         members = np.flatnonzero(model.assignments == h)
         want = oracles.update_metric(corpus, members, model.centroids[h], violations=tallies[h])
-        assert np.array_equal(got[h], want.weights)
+        assert np.allclose(got[h], want.weights, rtol=1e-9, atol=0)
 
 
 @PROPERTY
@@ -111,13 +128,54 @@ def test_point_costs_argmin_matches_oracle_assign_point(inst):
     ctx = PenaltyContext.build(corpus, model.assignments, model.metrics)
     state = _state_from_model(corpus, model, cs, ctx)
     max_sq = oracles.max_pair_distances(corpus, model.assignments, model.metrics)
+    assert_point_costs_match_oracle(corpus, model, cs, state, max_sq)
+
+
+def assert_point_costs_match_oracle(corpus, model, cs, state, max_sq):
+    closed = oracles.close_constraints(cs)
     base = state.base_costs()
     for i in range(len(corpus)):
         costs = state.point_costs(i, base[corpus.row_ids[i]])
-        want = oracles.point_costs(i, corpus, model, cs, max_sq)
+        want = oracles.point_costs(i, corpus, model, closed, max_sq)
         assert np.allclose(costs, want, rtol=1e-9, atol=1e-9)
         got = int(np.argmin(costs))
-        best = oracles.assign_point(i, corpus, model, cs, max_sq)
+        best = oracles.assign_point(i, corpus, model, closed, max_sq)
         # the two sum penalties in different orders, so clusters whose
         # costs tie exactly may differ in the last bit
         assert got == best or abs(want[got] - want[best]) <= 1e-9 * max(1.0, abs(want[best]))
+
+
+def assert_tables_close(got, want):
+    for g, w in zip(got, want):
+        assert np.allclose(g, w, rtol=1e-12, atol=1e-12 * np.abs(w).max(initial=1.0))
+
+
+@PROPERTY
+@given(instances(), st.data())
+def test_moves_keep_the_tables_of_a_fresh_build(inst, data):
+    """After moves through `_State.move`, which update the must and cannot
+    tables cell by cell, the tables equal a fresh build, and the point
+    costs, objective and metric update equal the oracles over the moved
+    assignments; moves may empty clusters."""
+    corpus, model, cs = inst
+    n = len(corpus)
+    ctx = PenaltyContext.build(corpus, model.assignments, model.metrics)
+    state = _state_from_model(corpus, model, cs, ctx)
+    state.tables = state.build_tables(state.cells())
+    moves = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, model.k - 1)),
+                               max_size=3 * n))
+    for i, h in moves:
+        state.move(i, h)
+    assert_tables_close(state.tables, state.build_tables(state.cells()))
+
+    moved = ClusterModel(k=model.k, centroids=model.centroids, metrics=model.metrics,
+                         assignments=state.assignments.copy(), objective=0.0)
+    assert_point_costs_match_oracle(corpus, moved, cs, state, ctx.maxd2)
+    got = evaluate_objective(corpus, moved, cs)
+    want = oracles.objective(corpus, moved, oracles.close_constraints(cs))
+    assert abs(got - want) <= 1e-9 * max(1.0, abs(want))
+    if np.bincount(moved.assignments, minlength=model.k).min() == 0:
+        with pytest.raises(EmptyCluster):
+            _update_weights(state)
+        return
+    assert_weights_match_oracle(corpus, moved, cs, ctx.maxpairs, _update_weights(state))

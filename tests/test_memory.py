@@ -6,15 +6,28 @@ import sys
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
-BUDGET_MB = 256
-
 # N=20k k-means with K=2: one cluster holds ~19k members, whose member-pair
 # table alone would need ~2.9 GB.
-WORKLOAD = """
+KMEANS_BUDGET_MB = 256
+KMEANS = """
 import resource
 from protoabs import MpckConfig, default_synth_spec, generate_synthetic, run_kmeans
 corpus, _ = generate_synthetic(default_synth_spec(n_messages=20000))
 run_kmeans(corpus, MpckConfig(k=2, seed=0))
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+# N=50k mpck at 200 labels per class: 4 200 labelled messages, whose
+# 8.4 million cannot-link pairs alone would need over 130 MB as int64 pairs.
+DENSE_LABELS_BUDGET_MB = 150
+DENSE_LABELS = """
+import resource
+from protoabs import MpckConfig, default_synth_spec, generate_synthetic, run_mpck
+from protoabs.constraints import constraints_from_labels
+from protoabs.experiments import draw_labeled_samples
+corpus, labels = generate_synthetic(default_synth_spec(n_messages=50000))
+cs = constraints_from_labels(draw_labeled_samples(labels, 200, seed=0))
+run_mpck(corpus, cs, MpckConfig(k=21, seed=0))
 print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
 """
 
@@ -26,12 +39,19 @@ LAUNCHER = (
 )
 
 
-def test_kmeans_at_20k_stays_within_rss_budget():
+def peak_rss_mb(workload):
     env = dict(os.environ, PYTHONPATH=SRC)
     out = subprocess.run(
-        [sys.executable, "-c", LAUNCHER, WORKLOAD],
+        [sys.executable, "-c", LAUNCHER, workload],
         env=env, capture_output=True, text=True, timeout=300,
     )
     assert out.returncode == 0, out.stderr
-    peak_mb = int(out.stdout.split()[-1]) / 1024  # ru_maxrss is in KiB on Linux
-    assert peak_mb < BUDGET_MB
+    return int(out.stdout.split()[-1]) / 1024  # ru_maxrss is in KiB on Linux
+
+
+def test_kmeans_at_20k_stays_within_rss_budget():
+    assert peak_rss_mb(KMEANS) < KMEANS_BUDGET_MB
+
+
+def test_dense_labels_at_50k_stay_within_rss_budget():
+    assert peak_rss_mb(DENSE_LABELS) < DENSE_LABELS_BUDGET_MB
