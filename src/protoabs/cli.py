@@ -84,6 +84,7 @@ _positive_float = _bounded(float, lambda v: v > 0, "> 0")
 _non_negative_float = _bounded(float, lambda v: v >= 0, ">= 0")
 _non_negative_int = _bounded(int, lambda v: v >= 0, ">= 0")
 _count_list = _bounded(_int_list, lambda v: bool(v) and min(v) >= 0, "one or more counts >= 0")
+_seed_list = _bounded(_int_list, lambda v: bool(v) and min(v) >= 0, "one or more seeds >= 0")
 
 
 def _add_run_options(p):
@@ -115,17 +116,17 @@ def build_parser():
     p.add_argument("--out-dir", required=True)
     p.add_argument("--n", type=int, default=5000)
     p.add_argument("--noise-rate", type=float, default=0.05)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--arity", type=int, default=32)
+    p.add_argument("--seed", type=_non_negative_int, default=0)
+    p.add_argument("--arity", type=_positive_int, default=32)
 
     p = sub.add_parser("ingest", help="parse a decoded trace file into a corpus")
     p.set_defaults(run=cmd_ingest)
     p.add_argument("trace_file")
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--arity", type=int, default=32)
+    p.add_argument("--arity", type=_positive_int, default=32)
     p.add_argument("--drop-keys", default="RANDOM,SESSIONID")
-    p.add_argument("--sample-n", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--sample-n", type=_positive_int, default=None)
+    p.add_argument("--seed", type=_non_negative_int, default=0)
 
     p = sub.add_parser("label", help="apply abstraction rules to a corpus")
     p.set_defaults(run=cmd_label)
@@ -139,7 +140,7 @@ def build_parser():
     p.add_argument("--algorithm", choices=["kmeans", "mpck"], default="mpck")
     p.add_argument("--k", type=_positive_int, default=None)
     p.add_argument("--labels-per-class", type=_non_negative_int, default=5)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_non_negative_int, default=0)
     p.add_argument("--mode", choices=["balanced", "unbalanced"], default="balanced")
 
     p = sub.add_parser("eval", help="evaluate a stored model against labels")
@@ -154,7 +155,7 @@ def build_parser():
     p.add_argument("--k", type=_k_range, default="20..40",
                    help="range lo..hi or comma list")
     p.add_argument("--labels-per-class", type=_non_negative_int, default=1)
-    p.add_argument("--seed", type=_int_list, default="0", help="comma-separated seeds")
+    p.add_argument("--seed", type=_seed_list, default="0", help="comma-separated seeds")
 
     p = sub.add_parser("sweep-labels", help="sweep labels per class")
     p.set_defaults(run=cmd_sweep_labels)
@@ -162,7 +163,7 @@ def build_parser():
     p.add_argument("--counts", type=_count_list, default="1,2,3,4,5")
     p.add_argument("--mode", choices=["balanced", "unbalanced"], default="balanced")
     p.add_argument("--k", type=_positive_int, default=None)
-    p.add_argument("--seed", type=_int_list, default="0", help="comma-separated seeds")
+    p.add_argument("--seed", type=_seed_list, default="0", help="comma-separated seeds")
 
     return parser
 

@@ -16,8 +16,9 @@ unconstrained points interact with nothing and take a vectorized argmin of
 costs computed once per distinct code row.  Constraints are never expanded
 into pairs: penalties and violation tallies are summed over the counts of
 constrained points per (component, distinct row) slot and cluster.
-Centroids (per-field modes) and the metric update's dispersion come from
-one (distinct rows, K) count matrix, and each assignment state is grouped
+Centroids (per-field modes) come from one (distinct rows, K) count matrix,
+the costs and the metric update's dispersion from one mismatch of the
+distinct rows against the centroids, and each assignment state is grouped
 into cluster members once, by a radix sort of the narrowed assignments.
 The per-cluster max-separated-pair table read by the cannot-link penalty
 is refreshed whenever the metrics change, so with metric updates disabled
@@ -81,6 +82,11 @@ class ClusterModel:
     @classmethod
     def from_dict(cls, d):
         k, iterations, seed = json_ints([d["k"], d["iterations"], d["seed"]], "k, iterations, seed")
+        assignments = json_ints(d["assignments"], "assignments")
+        if any(not 0 <= a < k for a in assignments):
+            raise ValueError("assignments must lie in [0, %d)" % k)
+        if len(d["centroids"]) != k or len(d["metric_weights"]) != k:
+            raise ValueError("k=%d needs k centroids and k metric_weights" % k)
         return cls(
             k=k,
             centroids=tuple(
@@ -88,7 +94,7 @@ class ClusterModel:
                 for h, c in enumerate(d["centroids"])
             ),
             metrics=tuple(DiagonalMetric(np.array(w)) for w in d["metric_weights"]),
-            assignments=np.array(json_ints(d["assignments"], "assignments"), dtype=np.int64),
+            assignments=np.array(assignments, dtype=np.int64),
             objective=float(d["objective"]),
             iterations=iterations,
             seed=seed,
@@ -139,13 +145,6 @@ def _members_by_cluster(assignments, k):
     members = _sorted_members(keys, k)
     _last_grouping = (keys, members)
     return members
-
-
-def _expand(ptr, groups):
-    """(j, k) for each j and each k in ptr[groups[j]]:ptr[groups[j] + 1]."""
-    lengths = ptr[groups + 1] - ptr[groups]
-    at = np.arange(lengths.sum()) + np.repeat(ptr[groups] + lengths - np.cumsum(lengths), lengths)
-    return np.repeat(np.arange(groups.size), lengths), at
 
 
 def _sorted_members(keys, k):
@@ -208,7 +207,8 @@ class _State:
 
     Constraint terms come from [must, cannot] tables over slots, the
     (component, distinct row) pairs of the constrained points: entry [s, h]
-    sums what the partners of a point of slot s add in cluster h.
+    sums what the partners of a point of slot s add in cluster h.  Its
+    partners' slots are those marked in row s of the (S, S) `linked[kind]`.
     """
 
     def __init__(self, corpus, k, cent_codes, weights, assignments, constraints, ctx):
@@ -228,7 +228,7 @@ class _State:
         u = corpus.unique_codes.shape[0]
         slots, point_slots = np.unique(constraints.component * u
                                        + corpus.row_ids[self.constrained], return_inverse=True)
-        self.slot_comp, rows = np.divmod(slots, u)
+        comp, rows = np.divmod(slots, u)
         rows, self.slot_rows = np.unique(rows, return_inverse=True)     # R distinct rows
         codes = corpus.unique_codes[rows]
         self.fields = np.flatnonzero((codes != codes[:1]).any(axis=0))  # where they differ
@@ -236,14 +236,11 @@ class _State:
         self.mismatch = (v[:, None, :] != v[None, :, :]).astype(float)   # (R, R, V)
         self.point_cells = point_slots * k          # flat cell ids in cluster 0
         self.slot = dict(zip(self.constrained.tolist(), point_slots.tolist()))
-        self._pairs = [(None, None)] * 2
-        # [must, cannot] targets (ptr, slots): component c's are slots[ptr[c]:ptr[c + 1]]
-        ptr = np.concatenate([[0], np.cumsum(np.bincount(self.slot_comp, minlength=sizes.size))])
+        # [must, cannot]: same component, cannot-linked components
+        cannot = np.zeros((sizes.size, sizes.size), dtype=bool)
         ca, cb = constraints.cannot_components.T
-        src, nbr = np.concatenate([ca, cb]), np.concatenate([cb, ca])
-        linked = np.concatenate([[0], np.cumsum(np.bincount(src, np.diff(ptr)[nbr], sizes.size))])
-        self.targets = [(ptr, np.arange(slots.size)), (linked.astype(np.int64),
-                        _expand(ptr, nbr[np.argsort(src, kind="stable")])[1])]
+        cannot[ca, cb] = cannot[cb, ca] = True
+        self.linked = [comp[:, None] == comp, cannot[comp[:, None], comp]]
 
     # Centroids and weights are replaced, never changed in place, so that
     # setting them drops what was derived from them.
@@ -254,6 +251,8 @@ class _State:
     @cent.setter
     def cent(self, cent_codes):
         self._cent = cent_codes
+        # (K, u, F): where each distinct code row differs from each centroid
+        self.cent_mismatch = self.corpus.unique_codes[None] != cent_codes[:, None]
         self._dispersion = None
 
     @property
@@ -279,12 +278,13 @@ class _State:
         """(u, K) weighted mismatch of each distinct code row against each
         centroid, computed once per centroids and weights."""
         if self._dispersion is None:
-            rows = self.corpus.unique_codes
-            d = np.empty((rows.shape[0], self.k))
-            for h in range(self.k):
-                d[:, h] = (rows != self.cent[h][None, :]) @ self.weights[h]
-            self._dispersion = d
+            # one BLAS matrix-vector product per cluster; einsum sums in another order
+            self._dispersion = np.matmul(self.cent_mismatch, self.weights[:, :, None])[:, :, 0].T
         return self._dispersion
+
+    def dispersion(self, counts):
+        """(K, F) members mismatching their centroid, exact, from (u, K) counts."""
+        return np.einsum("uk,kuf->kf", counts, self.cent_mismatch)
 
     def base_costs(self):
         """(u, K) dispersion-plus-logdet costs of each distinct code row;
@@ -295,20 +295,16 @@ class _State:
         """Slot, cluster and number of constrained points of each occupied
         (slot, cluster) cell, in slot order, and the (slots, K) counts."""
         counts = np.bincount(self.point_cells + self.assignments[self.constrained],
-                             minlength=self.slot_comp.size * self.k)
+                             minlength=self.slot_rows.size * self.k)
         ids = np.flatnonzero(counts)
         return (*np.divmod(ids, self.k), counts[ids], counts.reshape(-1, self.k))
 
     def pairs(self, s, kind):
         """(cell, target slot, its row, the cell's row) for each target of
-        each cell in slot s; kind 0 is must, 1 cannot.  The last pairs of
-        each kind are kept, since cells rarely change slots."""
-        if not np.array_equal(self._pairs[kind][0], s):
-            ptr, slots = self.targets[kind]
-            cell, at = _expand(ptr, self.slot_comp[s])
-            t = slots[at]
-            self._pairs[kind] = s, (cell, t, self.slot_rows[t], self.slot_rows[s[cell]])
-        return self._pairs[kind][1]
+        each cell in slot s, cell by cell, so that a table entry sums its
+        terms in cell order; kind 0 is must, 1 cannot."""
+        cell, t = np.nonzero(self.linked[kind][s])
+        return cell, t, self.slot_rows[t], self.slot_rows[s[cell]]
 
     def partner_costs(self, kind, x, y, g):
         """Unweighted cost a partner of row y in cluster g adds to a point of
@@ -328,7 +324,7 @@ class _State:
         k = self.k
         if self.distances is None:      # (R, R, K) weighted mismatch of the rows
             self.distances = np.tensordot(self.mismatch, self.weights[:, self.fields], (2, 1))
-        tables = [np.zeros((self.slot_comp.size, k)) for _ in range(2)]
+        tables = [np.zeros((self.slot_rows.size, k)) for _ in range(2)]
         for kind in self.kinds:
             cell, t, x, y = self.pairs(s, kind)
             costs = self.partner_costs(kind, x, y, g[cell])
@@ -356,10 +352,9 @@ class _State:
         s = self.slot.get(i)
         if s is None or self.tables is None or old == h:
             return
-        c, y = self.slot_comp[s], self.slot_rows[s]
+        y = self.slot_rows[s]
         for kind in self.kinds:
-            ptr, slots = self.targets[kind]
-            t = slots[ptr[c]:ptr[c + 1]]
+            t = np.flatnonzero(self.linked[kind][s])
             for g, sign in ((old, -1.0), (h, 1.0)):
                 at = (t, g) if kind else t
                 self.tables[kind][at] += sign * self.partner_costs(kind, self.slot_rows[t], y, g)
@@ -407,21 +402,16 @@ def _seed_centroids(corpus, constraints, k, rng):
         groups = np.repeat(np.arange(len(hoods)), [len(h) for h in hoods])
         counts = _row_counts(corpus, corpus.row_ids[members], groups, len(hoods))
         cent = list(_mode_rows(corpus, counts))
-    rows = corpus.unique_codes
-    if len(cent) < k:
-        mindist = np.full(rows.shape[0], np.inf)
-        for row in cent:
-            mindist = np.minimum(mindist, (rows != row[None, :]).sum(axis=1))
-        if not cent:
-            first = int(rng.integers(len(corpus)))
-            cent.append(corpus.codes[first].copy())
-            mindist = np.minimum(mindist, (rows != cent[-1][None, :]).sum(axis=1))
-        while len(cent) < k:
+    if not cent:
+        cent.append(corpus.codes[int(rng.integers(len(corpus)))].copy())
+    rows, mindist, seen = corpus.unique_codes, np.inf, 0
+    while len(cent) < k:
+        mindist = np.minimum(mindist, (rows != cent[seen]).sum(axis=1))
+        seen += 1
+        if seen == len(cent):
             # rows are numbered in first-occurrence order, so the first
             # farthest row holds the first farthest message
-            pick = int(np.argmax(mindist))
-            cent.append(rows[pick].copy())
-            mindist = np.minimum(mindist, (rows != cent[-1][None, :]).sum(axis=1))
+            cent.append(rows[int(np.argmax(mindist))].copy())
     return np.stack(cent)
 
 
@@ -460,15 +450,8 @@ def _update_weights(state):
     empty = np.flatnonzero(sizes == 0)
     if empty.size:
         raise EmptyCluster("cluster %d empty at metric update" % empty[0])
-    d = np.maximum(EPS_DENOM, _dispersion(state.corpus, counts, state.cent) + tallies)
+    d = np.maximum(EPS_DENOM, state.dispersion(counts) + tallies)
     return np.clip(sizes[:, None] / d, EPS_WEIGHT, 1.0 / EPS_WEIGHT)
-
-
-def _dispersion(corpus, counts, cent):
-    """(K, F) number of members that mismatch their centroid at each field,
-    from the (u, K) count matrix; integer sums, so exact."""
-    rows = corpus.unique_codes
-    return np.stack([counts[:, h] @ (rows != cent[h][None, :]) for h in range(len(cent))])
 
 
 def run_mpck(corpus, constraints, config):
@@ -555,12 +538,9 @@ def run_mpck(corpus, constraints, config):
         # the loop's table belongs to the initial assignments; with metric
         # updates on it was built for the final assignments and metrics
         _rebuild_penalties(state)
-    centroids = tuple(
-        _centroid_message(corpus, state.cent[h], h) for h in range(k)
-    )
     model = ClusterModel(
         k=k,
-        centroids=centroids,
+        centroids=tuple(_centroid_message(corpus, c, h) for h, c in enumerate(state.cent)),
         metrics=state.metrics(),
         assignments=state.assignments.copy(),
         objective=0.0,

@@ -23,7 +23,8 @@ class ConfusionMatrix:
 
 
 def confusion(assignments, labels):
-    """counts[k][j] = number of labeled points in cluster k with class j."""
+    """counts[k][j] = number of labeled points in cluster k with class j;
+    a negative cluster id raises ValueError."""
     assignments = np.asarray(assignments, dtype=np.int64)
     lab = np.asarray(labels.labels, dtype=np.int64)
     if assignments.shape[0] != lab.shape[0]:
@@ -31,6 +32,8 @@ def confusion(assignments, labels):
     keep = lab != UNLABELED
     if not keep.any():
         raise NoLabels("every point is unlabeled")
+    if assignments.min() < 0:
+        raise ValueError("negative cluster id %d" % assignments.min())
     a, l = assignments[keep], lab[keep]
     k = int(a.max()) + 1
     j = labels.n_classes

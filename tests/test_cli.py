@@ -103,18 +103,34 @@ BAD_ARGUMENTS = [
     ("cluster", ["--w-bar", "-1"]),
     ("cluster", ["--labels-per-class", "-1"]),
     ("cluster", ["--max-iters", "-1"]),
+    ("cluster", ["--seed", "-1"]),
     ("sweep-k", ["--k", "5..3"]),
     ("sweep-k", ["--k", "0..100000000000"]),
     ("sweep-k", ["--k", "100000000000..1"]),
     ("sweep-k", ["--k", "20.."]),
     ("sweep-k", ["--k", "20,0"]),
     ("sweep-k", ["--seed", "a"]),
+    ("sweep-k", ["--seed", "-1"]),
+    ("sweep-k", ["--seed", ","]),
     ("sweep-k", ["--labels-per-class", "-1"]),
     ("sweep-labels", ["--counts", "-1"]),
     ("sweep-labels", ["--counts", "2,-1"]),
     ("sweep-labels", ["--counts", "x"]),
     ("sweep-labels", ["--seed", "0,b"]),
+    ("sweep-labels", ["--seed", "0,-1"]),
+    ("sweep-labels", ["--seed", ","]),
 ]
+
+
+def assert_one_usage_line(code, err, out_dir):
+    """Exit 1 with one `error: argument --` line last on stderr, nothing written."""
+    assert code == 1, err
+    assert "Traceback" not in err
+    errors = [line for line in err.splitlines() if line.startswith("error: ")]
+    assert len(errors) == 1 and errors[0].startswith("error: argument --"), err
+    assert err.strip().splitlines()[-1] == errors[0]
+    assert "_int_list" not in err and "_k_range" not in err, err
+    assert not any(out_dir.iterdir())
 
 
 @pytest.mark.parametrize(
@@ -126,14 +142,30 @@ def test_bad_numeric_argument_exits_1_without_traceback(
         command, "--corpus", str(workspace / "corpus.json"),
         "--labels", str(workspace / "labels.json"), "--out-dir", str(tmp_path),
     ] + bad)
-    err = capsys.readouterr().err
-    assert code == 1, err
-    assert "Traceback" not in err
-    errors = [line for line in err.splitlines() if line.startswith("error: ")]
-    assert len(errors) == 1 and errors[0].startswith("error: argument --"), err
-    assert err.strip().splitlines()[-1] == errors[0]
-    assert "_int_list" not in err and "_k_range" not in err, err
-    assert not any(tmp_path.iterdir())
+    assert_one_usage_line(code, capsys.readouterr().err, tmp_path)
+
+
+BAD_CORPUS_ARGUMENTS = [
+    ("synth", ["--seed", "-1"]),
+    ("synth", ["--arity", "0"]),
+    ("ingest", ["--seed", "-1"]),
+    ("ingest", ["--arity", "0"]),
+    ("ingest", ["--sample-n", "-1"]),
+    ("ingest", ["--sample-n", "0"]),
+]
+
+
+@pytest.mark.parametrize(
+    "command,bad", BAD_CORPUS_ARGUMENTS, ids=[" ".join([c] + b) for c, b in BAD_CORPUS_ARGUMENTS]
+)
+def test_bad_corpus_argument_exits_1_without_traceback(tmp_path, capsys, command, bad):
+    trace = tmp_path / "trace.txt"
+    trace.write_text("HANDSHAKE-IN CLIENTHELLO\nVERSION TLS_1_2\n--\n")
+    out = tmp_path / "out"
+    out.mkdir()
+    inputs = {"synth": ["--n", "50"], "ingest": [str(trace)]}[command]
+    code = run([command] + inputs + ["--out-dir", str(out)] + bad)
+    assert_one_usage_line(code, capsys.readouterr().err, out)
 
 
 def _write(path, obj):
@@ -148,6 +180,8 @@ def _first_row_ids(corpus, ids):
 
 SHORT_MODEL = {"k": 1, "seed": 0, "iterations": 0, "objective": 0.0,
                "assignments": [0] * 10, "centroids": [["A=1"]], "metric_weights": [[1.0]]}
+TWO_CLUSTERS = dict(SHORT_MODEL, k=2, assignments=[0, 1] * (N // 2),
+                    centroids=[["A=1"], ["A=2"]], metric_weights=[[1.0], [1.0]])
 
 # (case, command and its other arguments, {argument: file content, "short",
 # or a function of the workspace file's JSON}), each a data error: exit 2
@@ -187,6 +221,14 @@ BAD_DATA = [
     ("model assignment 0.5", "eval",
      {"--model": dict(SHORT_MODEL, assignments=[0] * (N - 1) + [0.5])}),
     ("model and labels of different lengths", "eval", {"--model": "short"}),
+    ("model assignment -1", "eval",
+     {"--model": dict(TWO_CLUSTERS, assignments=[-1] + TWO_CLUSTERS["assignments"][1:])}),
+    ("model assignment k", "eval",
+     {"--model": dict(TWO_CLUSTERS, assignments=[2] + TWO_CLUSTERS["assignments"][1:])}),
+    ("model with fewer centroids than k", "eval",
+     {"--model": dict(TWO_CLUSTERS, centroids=[["A=1"]])}),
+    ("model with more metrics than k", "eval",
+     {"--model": dict(TWO_CLUSTERS, metric_weights=[[1.0]] * 3)}),
 ]
 
 
@@ -218,6 +260,14 @@ def test_bad_data_exits_2_without_traceback(workspace, tmp_path, capsys, command
     assert len(lines) == 1 and lines[0].startswith("data error: "), err
     assert all(args[flag] in lines[0] for flag in files), err
     assert not (tmp_path / "out").exists()
+
+
+def test_eval_accepts_the_model_the_bad_models_derive_from(workspace, tmp_path, capsys):
+    model = _write(tmp_path / "model.json", TWO_CLUSTERS)
+    code = run(["eval", "--model", model, "--labels", str(workspace / "labels.json"),
+                "--out-dir", str(tmp_path / "out")])
+    assert code == 0, capsys.readouterr().err
+    assert json.loads((tmp_path / "out" / "eval.json").read_text())["n"] == N
 
 
 def run_subprocess(argv):

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 import oracles
 from protoabs.clustering import (
     _State,
-    _dispersion,
     _members_by_cluster,
     _repair_empty_clusters,
     _row_counts,
@@ -95,7 +94,8 @@ def test_dispersion_matches_per_member_oracle(corpus, data):
         st.integers(0, k - 1), min_size=n, max_size=n)), dtype=np.int64)
     cent = corpus.codes[np.array(data.draw(st.lists(
         st.integers(0, n - 1), min_size=k, max_size=k)))]
-    got = _dispersion(corpus, _row_counts(corpus, corpus.row_ids, assignments, k), cent)
+    state = _State(corpus, k, cent, np.ones((k, corpus.arity)), assignments, ConstraintSet(), None)
+    got = state.dispersion(_row_counts(corpus, corpus.row_ids, assignments, k))
     want = oracles.dispersion(corpus, assignments, cent)
     assert np.array_equal(got, want)
 

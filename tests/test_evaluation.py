@@ -54,6 +54,12 @@ class TestConfusion:
         with pytest.raises(NoLabels):
             confusion([0, 1], lv([UNLABELED, UNLABELED], j=2))
 
+    @pytest.mark.parametrize("assignments", [[0, -1, 1], [0, 1, -1]], ids=["labeled", "unlabeled"])
+    def test_negative_cluster_id_is_rejected(self, assignments):
+        # np.add.at would count -1 in the last cluster
+        with pytest.raises(ValueError, match="negative cluster id -1"):
+            confusion(assignments, lv([0, 1, UNLABELED], j=2))
+
 
 class TestPurity:
     def test_identical_partitions(self):
