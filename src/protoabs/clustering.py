@@ -396,14 +396,13 @@ def _seed_centroids(corpus, constraints, k, rng):
     """Initial centroid codes: modes of the largest constraint neighborhoods,
     then farthest-first under the unit Hamming metric, over distinct rows."""
     hoods = neighborhoods(constraints)[:k] if not constraints.is_empty() else []
-    cent = []
     if hoods:
         members = np.concatenate([h.member_indices for h in hoods]).astype(np.int64)
         groups = np.repeat(np.arange(len(hoods)), [len(h) for h in hoods])
         counts = _row_counts(corpus, corpus.row_ids[members], groups, len(hoods))
         cent = list(_mode_rows(corpus, counts))
-    if not cent:
-        cent.append(corpus.codes[int(rng.integers(len(corpus)))].copy())
+    else:
+        cent = [corpus.codes[int(rng.integers(len(corpus)))].copy()]
     rows, mindist, seen = corpus.unique_codes, np.inf, 0
     while len(cent) < k:
         mindist = np.minimum(mindist, (rows != cent[seen]).sum(axis=1))
