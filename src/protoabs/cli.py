@@ -83,6 +83,7 @@ _positive_int = _bounded(int, lambda v: v >= 1, ">= 1")
 _positive_float = _bounded(float, lambda v: v > 0, "> 0")
 _non_negative_float = _bounded(float, lambda v: v >= 0, ">= 0")
 _non_negative_int = _bounded(int, lambda v: v >= 0, ">= 0")
+_rate = _bounded(float, lambda v: 0 <= v < 1, "in [0, 1)")
 _count_list = _bounded(_int_list, lambda v: bool(v) and min(v) >= 0, "one or more counts >= 0")
 _seed_list = _bounded(_int_list, lambda v: bool(v) and min(v) >= 0, "one or more seeds >= 0")
 
@@ -114,8 +115,8 @@ def build_parser():
     p = sub.add_parser("synth", help="generate the synthetic labeled corpus")
     p.set_defaults(run=cmd_synth)
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--n", type=int, default=5000)
-    p.add_argument("--noise-rate", type=float, default=0.05)
+    p.add_argument("--n", type=_positive_int, default=5000)
+    p.add_argument("--noise-rate", type=_rate, default=0.05)
     p.add_argument("--seed", type=_non_negative_int, default=0)
     p.add_argument("--arity", type=_positive_int, default=32)
 

@@ -214,7 +214,6 @@ class _State:
     def __init__(self, corpus, k, cent_codes, weights, assignments, constraints, ctx):
         constraints = close_constraints(constraints)
         self.corpus = corpus
-        self.codes = corpus.codes
         self.k = k
         self.cent = cent_codes                      # (K, F)
         self.weights = weights                      # (K, F)
@@ -402,7 +401,7 @@ def _seed_centroids(corpus, constraints, k, rng):
         counts = _row_counts(corpus, corpus.row_ids[members], groups, len(hoods))
         cent = list(_mode_rows(corpus, counts))
     else:
-        cent = [corpus.codes[int(rng.integers(len(corpus)))].copy()]
+        cent = [corpus.unique_codes[corpus.row_ids[int(rng.integers(len(corpus)))]].copy()]
     rows, mindist, seen = corpus.unique_codes, np.inf, 0
     while len(cent) < k:
         mindist = np.minimum(mindist, (rows != cent[seen]).sum(axis=1))
@@ -421,8 +420,8 @@ def _update_weights(state):
     where D_f is the members' dispersion around the centroid plus the
     weighted must- and cannot-link violation tallies.
     """
-    k, arity = state.k, state.codes.shape[1]
-    tallies = np.zeros((k, arity))
+    k, corpus = state.k, state.corpus
+    tallies = np.zeros((k, corpus.arity))
     s, g, n, counts = state.cells()
     for kind in state.kinds:
         cell, t, x, y = state.pairs(s, kind)
@@ -440,11 +439,12 @@ def _update_weights(state):
         # a violated cannot-link in cluster h adds wbar * (far - near) to h,
         # counted here from both of its points
         ends = np.array([(p.first, p.second) for p in state.ctx.maxpairs]).reshape(-1, 2)
-        far = (state.codes[ends[:, 0]] != state.codes[ends[:, 1]]) & (ends[:, :1] >= 0)
+        far_rows = corpus.unique_codes[corpus.row_ids[ends]]       # (K, 2, F)
+        far = (far_rows[:, 0] != far_rows[:, 1]) & (ends[:, :1] >= 0)
         cl_tallies = np.bincount(g[cell], n[cell] * partners, k)[:, None] * far
         cl_tallies[:, state.fields] -= by_cluster
         tallies += np.maximum(0.0, 0.5 * state.scales[1] * cl_tallies)
-    counts = _row_counts(state.corpus, state.corpus.row_ids, state.assignments, k)
+    counts = _row_counts(corpus, corpus.row_ids, state.assignments, k)
     sizes = counts.sum(axis=0)
     empty = np.flatnonzero(sizes == 0)
     if empty.size:
@@ -498,7 +498,12 @@ def run_mpck(corpus, constraints, config):
         # nothing changes the state between the last objective and here
         tracked = j_end
         prev_assign = state.assignments.copy()
-        perm = rng.permutation(n)
+        # constrained points in a seeded random order; nothing reads the
+        # generator after seeding, so without them no order is drawn
+        visit = []
+        if state.constrained.size:
+            perm = rng.permutation(n)
+            visit = perm[~free[perm]].tolist()
 
         base = state.base_costs()
         if free_rows.size:
@@ -506,7 +511,7 @@ def run_mpck(corpus, constraints, config):
             old = state.assignments[free_rows]
             tracked += float(base[free_row_ids, new].sum() - base[free_row_ids, old].sum())
             state.assignments[free_rows] = new
-        for i in perm[~free[perm]].tolist():
+        for i in visit:
             costs = state.point_costs(i, base[row_ids[i]])
             h = int(np.argmin(costs))
             tracked += float(costs[h] - costs[state.assignments[i]])
@@ -584,5 +589,5 @@ def _repair_empty_clusters(state):
         state.assignments[pick] = h
         sizes[h] += 1
         cent = state.cent.copy()
-        cent[h] = state.codes[pick]
+        cent[h] = state.corpus.unique_codes[state.corpus.row_ids[pick]]
         state.cent = cent

@@ -31,7 +31,7 @@ from .errors import (
     SampleTooLarge,
     UnmatchedMessage,
 )
-from .model import ABSENT, Corpus, LabelVector, build_corpus, json_indented
+from .model import ABSENT, Corpus, LabelVector, build_corpus, json_indented, pad_rows
 
 DEFAULT_DROP_KEYS = frozenset({"RANDOM", "SESSIONID"})
 
@@ -293,19 +293,26 @@ def generate_synthetic(spec):
     else:
         probs = np.asarray(spec.class_weights, dtype=np.float64)
         probs = probs / probs.sum()
-    classes = rng.choice(j, size=spec.n_messages, p=probs)
-    raw = []
+    classes = rng.choice(j, size=spec.n_messages, p=probs).tolist()
+    # distinct rows: a class id keys its template's noise-free row, and only
+    # a noisy message builds a token list, keyed by its tokens
+    row_of = {}
+    row_ids = []
     ids = []
     for i, c in enumerate(classes):
         template = spec.class_templates[c]
-        tokens = list(template.tokens)
+        tokens = None
         for pos, alts in template.noise_fields:
             if rng.random() < spec.noise_rate:
+                if tokens is None:
+                    tokens = list(template.tokens)
                 tokens[pos] = alts[int(rng.integers(len(alts)))]
-        raw.append(tokens)
+        key = c if tokens is None else tuple(tokens)
+        row_ids.append(row_of.setdefault(key, len(row_of)))
         ids.append("synth:%s:%d" % (template.name, i))
-    corpus = build_corpus(raw, arity=spec.arity, source_ids=ids)
-    labels = LabelVector(labels=tuple(int(c) for c in classes), n_classes=j)
+    raw = [spec.class_templates[key].tokens if type(key) is int else key for key in row_of]
+    corpus = Corpus(pad_rows(raw, spec.arity), row_ids, spec.arity, ids)
+    labels = LabelVector(labels=tuple(classes), n_classes=j)
     return corpus, labels
 
 

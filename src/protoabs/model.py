@@ -95,9 +95,10 @@ class Corpus:
     Message i is `rows[row_ids[i]]`, read from `source_ids[i]`.  The
     constructor merges duplicate rows, drops unused ones and numbers the
     rest in first-occurrence order.  Per-position vocabularies list symbols
-    in first-occurrence order; `unique_codes` holds one code row per row and
-    `codes` is `unique_codes[row_ids]`.  `lex_rank[f]` ranks position f's
-    codes by their symbols and `lex_order[f]` lists the codes in that order.
+    in first-occurrence order; `unique_codes` holds one code row per row.
+    Per message only `row_ids` and `source_ids` are stored.  `lex_rank[f]`
+    ranks position f's codes by their symbols and `lex_order[f]` lists the
+    codes in that order.
     """
 
     def __init__(self, rows, row_ids, arity, source_ids):
@@ -136,8 +137,7 @@ class Corpus:
             [[self._index[f][tok] for f, tok in enumerate(row)] for row in self.rows],
             dtype=np.int32,
         )
-        self.codes = self.unique_codes[self.row_ids]
-        for a in (self.row_ids, self.unique_codes, self.codes):
+        for a in (self.row_ids, self.unique_codes):
             a.setflags(write=False)
         # lexicographic order and rank of the codes, per position (mode
         # tie-breaking)
@@ -149,6 +149,14 @@ class Corpus:
 
     def __len__(self):
         return self.row_ids.size
+
+    @property
+    def codes(self):
+        """(N, F) read-only code matrix, `unique_codes[row_ids]`, built anew
+        on each access; the package itself indexes `unique_codes`."""
+        codes = self.unique_codes[self.row_ids]
+        codes.setflags(write=False)
+        return codes
 
     @cached_property
     def messages(self):
@@ -220,21 +228,31 @@ class LabelVector:
         return cls(labels=tuple(json_ints(d["labels"], "labels")), n_classes=n_classes)
 
 
+def pad_rows(raw_rows, arity):
+    """Each raw token list truncated to `arity` and padded with ABSENT.
+
+    Tokens must not use the reserved ABSENT symbol themselves.  Callers pass
+    distinct rows, so each is checked and padded once.
+    """
+    if arity < 1:
+        raise ValueError("arity must be >= 1")
+    rows = [tuple(tokens)[:arity] for tokens in raw_rows]
+    if any(ABSENT in row for row in rows):
+        raise ValueError("the token %r is reserved for padding" % ABSENT)
+    return [row + (ABSENT,) * (arity - len(row)) for row in rows]
+
+
 def build_corpus(raw_messages, arity=DEFAULT_ARITY, source_ids=None):
     """Truncate each raw token list to `arity` and pad with ABSENT.
 
     `raw_messages` is a sequence of token lists; tokens must not use the
     reserved ABSENT symbol themselves.
     """
-    if arity < 1:
-        raise ValueError("arity must be >= 1")
     row_of = {}
     row_ids = [row_of.setdefault(tuple(tokens)[:arity], len(row_of)) for tokens in raw_messages]
+    rows = pad_rows(row_of, arity)
     if not row_ids:
         raise EmptyCorpus("no raw messages given")
-    if any(ABSENT in row for row in row_of):
-        raise ValueError("the token %r is reserved for padding" % ABSENT)
     if source_ids is None:
         source_ids = ["msg%d" % i for i in range(len(row_ids))]
-    rows = [row + (ABSENT,) * (arity - len(row)) for row in row_of]
     return Corpus(rows, row_ids, arity, source_ids)

@@ -298,8 +298,9 @@ def mode_row(corpus, members):
     """Per-field mode of the members' codes, one bincount per field; the
     lexicographically smallest token wins ties."""
     row = np.empty(corpus.arity, dtype=np.int32)
+    codes = corpus.codes[members]
     for f in range(corpus.arity):
-        cnt = np.bincount(corpus.codes[members, f], minlength=len(corpus.vocabulary[f]))
+        cnt = np.bincount(codes[:, f], minlength=len(corpus.vocabulary[f]))
         cands = np.flatnonzero(cnt == cnt.max())
         row[f] = cands[np.argmin(corpus.lex_rank[f][cands])]
     return row
@@ -321,9 +322,9 @@ def mode_rows(corpus, assignments, k):
 def dispersion(corpus, assignments, cent):
     """(K, F) per-field mismatch counts of each cluster's members against
     its centroid row."""
-    assignments = np.asarray(assignments)
+    assignments, codes = np.asarray(assignments), corpus.codes
     return np.stack([
-        (corpus.codes[assignments == h] != cent[h][None, :]).sum(axis=0)
+        (codes[assignments == h] != cent[h][None, :]).sum(axis=0)
         for h in range(len(cent))
     ])
 
@@ -336,19 +337,19 @@ def seed_centroids(corpus, constraints, k, rng):
     cent = []
     for hood in hoods[:k]:
         cent.append(mode_row(corpus, np.asarray(hood)))
-    n = len(corpus)
+    n, codes = len(corpus), corpus.codes
     if len(cent) < k:
         mindist = np.full(n, np.inf)
         for row in cent:
-            mindist = np.minimum(mindist, (corpus.codes != row[None, :]).sum(axis=1))
+            mindist = np.minimum(mindist, (codes != row[None, :]).sum(axis=1))
         if not cent:
             first = int(rng.integers(n))
-            cent.append(corpus.codes[first].copy())
-            mindist = np.minimum(mindist, (corpus.codes != cent[-1][None, :]).sum(axis=1))
+            cent.append(codes[first].copy())
+            mindist = np.minimum(mindist, (codes != cent[-1][None, :]).sum(axis=1))
         while len(cent) < k:
             pick = int(np.argmax(mindist))
-            cent.append(corpus.codes[pick].copy())
-            mindist = np.minimum(mindist, (corpus.codes != cent[-1][None, :]).sum(axis=1))
+            cent.append(codes[pick].copy())
+            mindist = np.minimum(mindist, (codes != cent[-1][None, :]).sum(axis=1))
     return np.stack(cent)
 
 
@@ -359,7 +360,7 @@ def repair_empty_clusters(corpus, assignments, cent, weights):
     Returns new (assignments, cent) arrays.
     """
     assignments, cent = np.array(assignments), np.array(cent)
-    k = len(cent)
+    k, codes = len(cent), corpus.codes
     sizes = np.bincount(assignments, minlength=k)
     for h in range(k):
         if sizes[h] > 0:
@@ -369,7 +370,7 @@ def repair_empty_clusters(corpus, assignments, cent, weights):
             members = np.flatnonzero(assignments == g)
             if members.size == 0:
                 continue
-            mism = corpus.codes[members] != cent[g][None, :]
+            mism = codes[members] != cent[g][None, :]
             disp[members] = mism @ weights[g]
         eligible = sizes[assignments] >= 2
         if not eligible.any():
@@ -379,7 +380,7 @@ def repair_empty_clusters(corpus, assignments, cent, weights):
         sizes[assignments[pick]] -= 1
         assignments[pick] = h
         sizes[h] += 1
-        cent[h] = corpus.codes[pick].copy()
+        cent[h] = codes[pick].copy()
     return assignments, cent
 
 

@@ -148,6 +148,10 @@ def test_bad_numeric_argument_exits_1_without_traceback(
 BAD_CORPUS_ARGUMENTS = [
     ("synth", ["--seed", "-1"]),
     ("synth", ["--arity", "0"]),
+    ("synth", ["--n", "0"]),
+    ("synth", ["--n", "-5"]),
+    ("synth", ["--noise-rate", "1.5"]),
+    ("synth", ["--noise-rate", "nan"]),
     ("ingest", ["--seed", "-1"]),
     ("ingest", ["--arity", "0"]),
     ("ingest", ["--sample-n", "-1"]),

@@ -28,11 +28,19 @@ The N=5000 CLI pipeline (synth seed 0, then cluster and eval with their
 defaults) pins the sha256 of labels.json, model.json and eval.json, the
 indented JSON files; these digests were computed while they were still
 written by the stdlib's `json.dumps(indent=2)`.
+
+The synthetic generator is pinned away from its defaults too: N=3000
+corpora at noise rates 0.4 and 0.9, with non-uniform class weights, and at
+arity 4, below the ClientHello template's length, so that noise fields
+truncated away still consume draws.  Each pins the sha256 of the corpus'
+`to_dict()` and of the labels' `to_dict()`; these digests were computed
+while synth still built one token list per message.
 """
 
 import hashlib
 import json
 import re
+from dataclasses import replace
 
 import pytest
 
@@ -247,3 +255,33 @@ def test_pinned_5k_json_artifacts(tmp_path):
         assert main(argv) == 0, argv
     digests = {name: _sha256((tmp_path / name).read_bytes()) for name in PINNED_5K_JSON}
     assert digests == PINNED_5K_JSON
+
+
+PINNED_SYNTH = {
+    "noise-0.4": ("c9fe7234633bc5d50b599d7d88e4cc00093d2bd153bb3d5745efb287d268fdad",
+                  "bcd68573f4a2fd4ed67a8f34bd2933654be86d33869969f3f8fd93f6a452d657"),
+    "noise-0.9": ("8858201ae18f6eb368620f15129693e65dbad2894442498e4cf6da446c8fd752",
+                  "68517981d1a4e2d0a256eb2c1fd12165103c043c76ab168e320b8d7c063f1840"),
+    "weights": ("8efd529d46741996b3567dcbe82e2c49175bedecbe81ac77807150e9f880398c",
+                "93c8076806d71bfba7d7747eb7db4aebb594025aa7dcb391104d67d70c933b07"),
+    "arity-4": ("8be4f4890b4db6d6fa69a99477af2c6b0b8cdcb17d400aeeaca14e3804ecc778",
+                "ba648f5359db146dd9be28d64a86e745874257f3b1ceb839bfefb100167f1d25"),
+}
+
+SYNTH_SPECS = {
+    "noise-0.4": default_synth_spec(n_messages=3000, noise_rate=0.4, seed=1),
+    "noise-0.9": default_synth_spec(n_messages=3000, noise_rate=0.9, seed=2),
+    "weights": replace(default_synth_spec(n_messages=3000, seed=3),
+                       class_weights=tuple(range(1, 22))),
+    "arity-4": default_synth_spec(n_messages=3000, noise_rate=0.5, seed=4, arity=4),
+}
+
+
+def _json_sha256(obj):
+    return _sha256(json.dumps(obj, sort_keys=True).encode())
+
+
+@pytest.mark.parametrize("case", list(PINNED_SYNTH))
+def test_pinned_synth(case):
+    corpus, labels = generate_synthetic(SYNTH_SPECS[case])
+    assert (_json_sha256(corpus.to_dict()), _json_sha256(labels.to_dict())) == PINNED_SYNTH[case]
