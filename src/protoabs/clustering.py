@@ -18,12 +18,14 @@ into pairs: penalties and violation tallies are summed over the counts of
 constrained points per (component, distinct row) slot and cluster.
 Centroids (per-field modes) come from one (distinct rows, K) count matrix,
 the costs and the metric update's dispersion from one mismatch of the
-distinct rows against the centroids, and each assignment state is grouped
-into cluster members once, by a radix sort of the narrowed assignments.
-The per-cluster max-separated-pair table read by the cannot-link penalty
-is refreshed whenever the metrics change, so with metric updates disabled
-it stays fixed during the loop, which keeps the objective non-increasing;
-the final objective uses a table built for the final assignments.
+distinct rows against the centroids.  No step groups messages by cluster:
+the objective sums each distinct row's cost times its count in each
+cluster, so it can differ from a per-message sum in its last bits, and
+the per-cluster max-separated-pair table is built over each cluster's
+distinct rows.  That table, read by the cannot-link penalty, is refreshed
+whenever the metrics change, so with metric updates disabled it stays
+fixed during the loop, which keeps the objective non-increasing; the
+final objective uses a table built for the final assignments.
 """
 
 from dataclasses import dataclass, replace
@@ -110,49 +112,20 @@ class PenaltyContext:
 
     @classmethod
     def build(cls, corpus, assignments, metrics):
-        maxpairs = [
-            _metric.max_separated_pair(members, corpus, m) if members.size
-            else MaxPair(-1, -1, 0.0)
-            for members, m in zip(_members_by_cluster(assignments, len(metrics)), metrics)
-        ]
+        """Each cluster's max pair over its distinct rows, each represented
+        by its smallest member in the cluster."""
+        k, n = len(metrics), len(corpus)
+        assignments = np.asarray(assignments)
+        if assignments.min() < 0 or assignments.max() >= k:
+            raise ValueError("cluster ids must lie in [0, %d)" % k)
+        first = np.full(corpus.unique_codes.shape[0] * k, n)
+        np.minimum.at(first, corpus.row_ids * k + assignments, np.arange(n))
+        maxpairs = []
+        for reps, m in zip(first.reshape(-1, k).T, metrics):
+            reps = reps[reps < n]
+            maxpairs.append(_metric.max_separated_pair(reps, corpus, m) if reps.size
+                            else MaxPair(-1, -1, 0.0))
         return cls(maxpairs)
-
-
-# (keys, members) of the last grouping.  A run groups one assignment state
-# for the max-pair tables, the objective and the final objective, which
-# share no object but the assignments' values.  The entry is replaced
-# whole and the members are read-only, so a stale or concurrent reader
-# can only sort again, never read groups of other assignments.
-_last_grouping = None
-
-
-def _members_by_cluster(assignments, k):
-    """Ascending member indices of each of the k clusters, read-only.
-
-    The assignments are cast to the narrowest unsigned dtype that holds
-    k-1, so up to 65 536 clusters numpy's stable sort is a radix sort; the
-    order equals that of a stable sort of the int64 assignments.  Grouping
-    the assignments of the previous call again returns its groups.
-    """
-    global _last_grouping
-    assignments = np.asarray(assignments)
-    if assignments.size and (assignments.min() < 0 or assignments.max() >= k):
-        raise ValueError("cluster ids must lie in [0, %d)" % k)
-    keys = assignments.astype(np.min_scalar_type(k - 1))
-    last = _last_grouping
-    if last is not None and len(last[1]) == k and np.array_equal(last[0], keys):
-        return last[1]
-    members = _sorted_members(keys, k)
-    _last_grouping = (keys, members)
-    return members
-
-
-def _sorted_members(keys, k):
-    """Member groups of the narrowed cluster ids `keys`; see _members_by_cluster."""
-    order = np.argsort(keys, kind="stable")
-    order.setflags(write=False)
-    ends = np.cumsum(np.bincount(keys, minlength=k)).tolist()
-    return [order[start:end] for start, end in zip([0] + ends[:-1], ends)]
 
 
 def _row_counts(corpus, row_ids, groups, g):
@@ -361,14 +334,10 @@ class _State:
     def objective(self):
         """Objective recomputed in full against the current max-pair
         table; the must and cannot tables are rebuilt on the way."""
-        total = 0.0
-        disp = self.dispersion_costs()
-        for h, members in enumerate(_members_by_cluster(self.assignments, self.k)):
-            if members.size == 0:
-                continue
-            # per-row costs gathered into member order keep the sum's order
-            costs = disp[self.corpus.row_ids[members], h]
-            total += float(costs.sum()) - members.size * self.logdets[h]
+        counts = _row_counts(self.corpus, self.corpus.row_ids, self.assignments, self.k)
+        # an empty cell adds nothing, even where its cost is infinite
+        costs = np.multiply(counts, self.base_costs(), out=np.zeros(counts.shape), where=counts > 0)
+        total = float(costs.sum())
         cells = s, g, n, _ = self.cells()
         self.tables = self.build_tables(cells)
         for kind in self.kinds:     # each violated pair is charged to both points

@@ -42,8 +42,7 @@ class DecodedTrace:
 
 
 def parse_trace_file(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_trace_lines(fh)
+    return read_text(path, parse_trace_lines, "trace")
 
 
 def parse_trace_lines(lines):
@@ -188,9 +187,12 @@ def parse_rule_lines(lines):
             sel, value = term.split("=", 1)
             if sel.startswith("@"):
                 try:
-                    terms.append((int(sel[1:]), value))
+                    pos = int(sel[1:])
                 except ValueError:
                     raise ParseError("bad position selector %r" % sel, line_no)
+                if pos < 0:
+                    raise ParseError("position selector %r must be >= 0" % sel, line_no)
+                terms.append((pos, value))
             else:
                 terms.append((sel, value))
         rules.append(AbstractionRule(class_id, priority, tuple(terms)))
@@ -200,8 +202,7 @@ def parse_rule_lines(lines):
 
 
 def load_rules(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_rule_lines(fh)
+    return read_text(path, parse_rule_lines, "rules")
 
 
 def apply_rules(corpus, rules):
@@ -336,19 +337,31 @@ def save_corpus(corpus, path):
     write_atomic(path, json.dumps(corpus.to_dict(), sort_keys=True) + "\n")
 
 
+def read_text(path, parse, what):
+    """`parse(fh)` of the UTF-8 text file at `path`; bytes that are not
+    UTF-8 and data errors of `parse` raise DataError naming `what` and
+    `path` (a DataError keeps its class)."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return parse(fh)
+        except DataError as e:
+            raise type(e)("%s %s: %s" % (what, path, e)) from e
+        except UnicodeDecodeError as e:
+            raise DataError("%s %s: %s" % (what, path, e)) from e
+
+
 def read_json(path, build, what):
     """`build(obj)` of the JSON object in the file at `path`; malformed JSON,
     missing or ill-typed fields and data errors of `build` raise DataError
-    naming `what` and `path` (a DataError keeps its class)."""
-    with open(path, "r", encoding="utf-8") as fh:
+    naming `what` and `path`, as in read_text."""
+    def parse(fh):
         try:
             return build(json.load(fh))
-        except DataError as e:
-            raise type(e)("%s %s: %s" % (what, path, e)) from e
         except KeyError as e:
-            raise DataError("%s %s: missing field %s" % (what, path, e)) from e
+            raise DataError("missing field %s" % e) from e
         except (ValueError, TypeError) as e:
-            raise DataError("%s %s: %s" % (what, path, e)) from e
+            raise DataError(str(e)) from e
+    return read_text(path, parse, what)
 
 
 def load_corpus(path):

@@ -208,6 +208,9 @@ class LabelVector:
     n_classes: int
 
     def __post_init__(self):
+        if self.n_classes < 1:
+            raise ValueError("n_classes must be >= 1, got %d" % self.n_classes)
+
         def bad(l):
             return l != UNLABELED and not (0 <= l < self.n_classes)
 

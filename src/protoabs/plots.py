@@ -78,15 +78,15 @@ def svg_heatmap(counts, row_ids, col_ids, title=""):
     return "\n".join(parts) + "\n"
 
 
-def svg_lineplot(xs, series, title="", x_label="", y_range=(0.0, 1.05)):
+def svg_lineplot(xs, series, title="", x_label=""):
     """series: ordered dict-like of name -> list of y values (same length as xs)."""
     width, height = 520, 340
     left, right, top, bottom = 60, 20, 40, 50
     plot_w, plot_h = width - left - right, height - top - bottom
     x_lo, x_hi = min(xs), max(xs)
-    y_lo, y_hi = y_range
+    y_lo, y_hi = 0.0, 1.05             # every series is a purity or an ARI
     span_x = (x_hi - x_lo) or 1
-    span_y = (y_hi - y_lo) or 1
+    span_y = y_hi - y_lo
 
     def px(x):
         return left + plot_w * (x - x_lo) / span_x

@@ -173,7 +173,10 @@ def test_bad_corpus_argument_exits_1_without_traceback(tmp_path, capsys, command
 
 
 def _write(path, obj):
-    path.write_text(obj if isinstance(obj, str) else json.dumps(obj))
+    if isinstance(obj, bytes):
+        path.write_bytes(obj)
+    else:
+        path.write_text(obj if isinstance(obj, str) else json.dumps(obj))
     return str(path)
 
 
@@ -182,15 +185,29 @@ def _first_row_ids(corpus, ids):
     return dict(corpus, row_ids=ids + corpus["row_ids"][len(ids):])
 
 
+def _no_classes(labels):
+    """The labels with n_classes 0 and every message unlabelled."""
+    return dict(labels, n_classes=0, labels=[-1] * len(labels["labels"]))
+
+
 SHORT_MODEL = {"k": 1, "seed": 0, "iterations": 0, "objective": 0.0,
                "assignments": [0] * 10, "centroids": [["A=1"]], "metric_weights": [[1.0]]}
 TWO_CLUSTERS = dict(SHORT_MODEL, k=2, assignments=[0, 1] * (N // 2),
                     centroids=[["A=1"], ["A=2"]], metric_weights=[[1.0], [1.0]])
 
+# a trace file in UTF-16, byte-order mark first; not UTF-8 from its first byte
+UTF16_FILE = b"\xff\xfe" + "HANDSHAKE-IN CLIENTHELLO\n--\n".encode("utf-16-le")
+
 # (case, command and its other arguments, {argument: file content, "short",
 # or a function of the workspace file's JSON}), each a data error: exit 2
-# with one line on stderr, naming the file
+# with one line on stderr, naming the file; "trace" is ingest's positional
+# argument
 BAD_DATA = [
+    ("trace not UTF-8", "ingest", {"trace": UTF16_FILE}),
+    ("trace key with '='", "ingest", {"trace": "A=B 1\n--\n"}),
+    ("trace without messages", "ingest", {"trace": "# nothing\n"}),
+    ("rules not UTF-8", "label", {"--rules": UTF16_FILE}),
+    ("rules with a negative position", "label", {"--rules": "0 1 @-1=ABSENT\n"}),
     ("corpus not JSON", "cluster", {"--corpus": "not json"}),
     ("corpus without arity", "cluster",
      {"--corpus": {"messages": [{"fields": ["A=1"], "source_id": "m0"}]}}),
@@ -213,6 +230,8 @@ BAD_DATA = [
     ("labels out of range", "cluster", {"--labels": {"n_classes": 2, "labels": [0, 5]}}),
     ("labels 1.5", "cluster", {"--labels": lambda l: dict(l, labels=[1.5] + l["labels"][1:])}),
     ("labels true", "cluster", {"--labels": lambda l: dict(l, labels=[True] + l["labels"][1:])}),
+    ("labels of 0 classes", "cluster", {"--labels": _no_classes}),
+    ("sweep-labels labels of 0 classes", "sweep-labels", {"--labels": _no_classes}),
     ("labels shorter than corpus", "sweep-k", {"--labels": "short"}),
     ("K range above the corpus size", "sweep-k --k 1..100000000000", {}),
     ("K list above the corpus size", "sweep-k --k 20,%d" % (N + 1), {}),
@@ -242,20 +261,17 @@ BAD_DATA = [
 def test_bad_data_exits_2_without_traceback(workspace, tmp_path, capsys, command, files):
     labels = json.loads((workspace / "labels.json").read_text())
     shorts = {"--labels": dict(labels, labels=labels["labels"][:10]), "--model": SHORT_MODEL}
-    args = {
-        "--corpus": str(workspace / "corpus.json"),
-        "--labels": str(workspace / "labels.json"),
-    }
+    inputs = {"eval": ["--labels"], "ingest": [], "label": ["--corpus"]}.get(
+        command.split()[0], ["--corpus", "--labels"])
+    args = {flag: str(workspace / ("%s.json" % flag.strip("-"))) for flag in inputs}
     for flag, content in files.items():
         if callable(content):
             content = content(json.loads(Path(args[flag]).read_text()))
         content = shorts[flag] if content == "short" else content
         args[flag] = _write(tmp_path / ("%s.json" % flag.strip("-")), content)
-    if command == "eval":
-        del args["--corpus"]
     argv = command.split() + ["--out-dir", str(tmp_path / "out")]
     for flag, path in args.items():
-        argv += [flag, path]
+        argv += [flag, path] if flag.startswith("--") else [path]
     code = run(argv)
     err = capsys.readouterr().err
     assert code == 2, err

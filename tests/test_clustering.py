@@ -294,27 +294,27 @@ class TestRunMpck:
         assert evaluate_objective(corpus, model, fresh).hex() == model.objective.hex()
 
     @pytest.mark.parametrize("algorithm", ["mpck", "kmeans"])
-    def test_each_assignment_state_is_sorted_once(self, monkeypatch, algorithm):
-        """A run that stops at a fixpoint sorts each assignment state it
-        groups once, and builds the K DiagonalMetrics once per weight state:
-        the initial unit weights and each update."""
+    def test_max_pairs_see_one_member_per_distinct_row(self, monkeypatch, algorithm):
+        """Each max-pair table build passes `max_separated_pair`, for each
+        non-empty cluster, the smallest member of each distinct row in it,
+        and a run builds the K DiagonalMetrics once per weight state: the
+        initial unit weights and each update."""
         corpus, labels = generate_synthetic(default_synth_spec(n_messages=5000, seed=0))
         cs = constraints_from_labels(draw_labeled_samples(labels, 1, seed=0))
-        states, sorts, updates, metrics = [], [], [], []
-        group, sort = clustering._members_by_cluster, clustering._sorted_members
+        builds, updates, metrics = [], [], []   # builds: (assignments, indices passed)
+        build, pair = PenaltyContext.build.__func__, clustering._metric.max_separated_pair
         update, metric = clustering._update_weights, clustering.DiagonalMetric
 
-        def grouped(assignments, k):
-            states.append(np.asarray(assignments).tobytes())
-            return group(assignments, k)
+        def built(cls, corpus, assignments, metrics):
+            builds.append((assignments.copy(), []))
+            return build(cls, corpus, assignments, metrics)
 
-        def sorted_members(keys, k):
-            sorts.append(keys.tobytes())
-            return sort(keys, k)
+        def paired(indices, *args):
+            builds[-1][1].append(sorted(indices.tolist()))
+            return pair(indices, *args)
 
-        monkeypatch.setattr(clustering, "_last_grouping", None)
-        monkeypatch.setattr(clustering, "_members_by_cluster", grouped)
-        monkeypatch.setattr(clustering, "_sorted_members", sorted_members)
+        monkeypatch.setattr(PenaltyContext, "build", classmethod(built))
+        monkeypatch.setattr(clustering._metric, "max_separated_pair", paired)
         monkeypatch.setattr(clustering, "_update_weights",
                             lambda state: updates.append(1) or update(state))
         monkeypatch.setattr(clustering, "DiagonalMetric",
@@ -322,9 +322,17 @@ class TestRunMpck:
         cfg = MpckConfig(k=21, seed=0)
         model = run_mpck(corpus, cs, cfg) if algorithm == "mpck" else run_kmeans(corpus, cfg)
         monkeypatch.undo()
-        assert model.converged_by == "fixpoint"
-        assert len(sorts) == len(set(sorts)) == len(set(states)) < len(states)
+        assert bool(builds) == (algorithm == "mpck")
+        for assignments, calls in builds:
+            want = []
+            for h in range(cfg.k):
+                members = np.flatnonzero(assignments == h)
+                if members.size:
+                    _, first = np.unique(corpus.row_ids[members], return_index=True)
+                    want.append(sorted(members[first].tolist()))
+            assert calls == want
         assert len(metrics) == cfg.k * (1 + len(updates))
+        assert model.converged_by == "fixpoint"
 
     @pytest.mark.parametrize("case, max_iterations, iterations, builds", [
         ("synthetic", 0, 0, 1),         # no iteration ran

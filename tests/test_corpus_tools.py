@@ -165,6 +165,12 @@ class TestRules:
         with pytest.raises(UnmatchedMessage):
             apply_rules(corpus, rules)
 
+    @pytest.mark.parametrize("term", ["@-1=ABSENT", "@-32=HEAD=ONLY"])
+    def test_negative_position_is_rejected(self, term):
+        """A position below 0 would index fields from the end."""
+        with pytest.raises(ParseError, match="line 2: position selector"):
+            parse_rule_lines(["1 0 HEAD=*", "0 1 " + term])
+
     def test_table_one_style_message(self):
         corpus = build_corpus(
             [[

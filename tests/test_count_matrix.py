@@ -1,9 +1,9 @@
 """Per-cluster statistics computed from the (distinct rows, K) count matrix
 agree exactly with the per-member oracles on corpora with many duplicate
-rows and tied counts: modes, seeds, the metric-update dispersion and the
-empty-cluster repair pick.  The grouping of cluster members agrees with a
-per-cluster scan.  The metric update as a whole is checked in
-test_array_core.py."""
+rows and tied counts: modes, seeds, the metric-update dispersion, the
+empty-cluster repair pick and the max-separated-pair table, which sees one
+member per distinct row of each cluster.  The metric update as a whole is
+checked in test_array_core.py."""
 
 import numpy as np
 import pytest
@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 
 import oracles
 from protoabs.clustering import (
+    PenaltyContext,
     _State,
-    _members_by_cluster,
     _repair_empty_clusters,
     _row_counts,
     _seed_centroids,
@@ -21,6 +21,7 @@ from protoabs.clustering import (
 )
 from protoabs.constraints import ConstraintSet, LabeledSample, constraints_from_labels
 from protoabs.errors import EmptyCluster
+from protoabs.metric import DiagonalMetric, MaxPair
 from protoabs.model import build_corpus
 
 PROPERTY = settings(max_examples=200, deadline=None)
@@ -129,23 +130,51 @@ def test_repair_pick_matches_per_member_oracle(corpus, data):
     assert np.array_equal(state.cent, want[1])
 
 
-# fewer examples: one grouping for 65 536 clusters takes about 30 ms
-@settings(max_examples=60, deadline=None)
-@given(st.sampled_from([1, 2, 255, 256, 257, 65535, 65536, 65537]), st.data())
-def test_member_groups_match_per_cluster_scan(k, data):
-    """Ids narrowed to uint8, uint16 or uint32 on either side of each limit,
-    most clusters empty; grouping the same ids for k + 1 clusters regroups."""
-    ids = st.one_of(st.integers(0, k - 1), st.sampled_from([0, k // 2, k - 1]))
-    assignments = np.array(data.draw(st.lists(ids, max_size=12)), dtype=np.int64)
-    for kk in (k, k, k + 1):
-        members = _members_by_cluster(assignments, kk)
-        # every cluster's size, and the members of every non-empty one
-        assert [m.size for m in members] == np.bincount(assignments, minlength=kk).tolist()
-        for h in np.unique(assignments):
-            assert np.array_equal(members[h], np.flatnonzero(assignments == h))
+def assert_max_pairs_match_oracle(corpus, assignments, metrics):
+    """The table's squared distances, and the fields on which each cluster's
+    pair mismatches, equal those of the brute force over all members."""
+    ctx = PenaltyContext.build(corpus, assignments, metrics)
+    codes = corpus.codes
+    want = []
+    for h, m in enumerate(metrics):
+        members = np.flatnonzero(assignments == h)
+        want.append(oracles.max_separated_pair(members, corpus, m) if members.size
+                    else MaxPair(-1, -1, 0.0))
+    assert ctx.maxd2.tolist() == [p.sq_distance for p in want]
+    for got, pair in zip(ctx.maxpairs, want):
+        if pair.first < 0:
+            assert got == pair
+        else:
+            assert np.array_equal(codes[got.first] != codes[got.second],
+                                  codes[pair.first] != codes[pair.second])
+
+
+@PROPERTY
+@given(corpora(), st.data())
+def test_max_pairs_match_the_oracle_over_all_members(corpus, data):
+    """Positive weights, as in a run; clusters may be empty, hold one row,
+    or share a row with another cluster."""
+    n = len(corpus)
+    k = data.draw(st.integers(1, 5))
+    assignments = np.array(data.draw(st.lists(
+        st.integers(0, k - 1), min_size=n, max_size=n)), dtype=np.int64)
+    metrics = tuple(DiagonalMetric(w) for w in random_weights(data.draw, k, corpus.arity))
+    assert_max_pairs_match_oracle(corpus, assignments, metrics)
+
+
+def test_max_pairs_of_empty_single_row_and_split_row_clusters():
+    """Cluster 0 is empty, cluster 1 holds one row three times, and row
+    "a b" is split between clusters 2 and 3; cluster 2 holds row "a a" twice."""
+    raw = [["b", "b"], ["a", "b"], ["b", "b"], ["a", "a"], ["b", "b"], ["a", "b"], ["b", "a"],
+           ["a", "a"]]
+    corpus = build_corpus(raw, arity=2)
+    assignments = np.array([1, 2, 1, 2, 1, 3, 3, 2])
+    assert_max_pairs_match_oracle(corpus, assignments, [DiagonalMetric(np.ones(2))] * 4)
 
 
 @pytest.mark.parametrize("assignments", [[0, 3], [-1, 0], [256]])
 def test_member_groups_reject_ids_outside_the_clusters(assignments):
+    """A negative id would wrap in np.minimum.at rather than fail."""
+    corpus = build_corpus([["a"]] * len(assignments), arity=1)
     with pytest.raises(ValueError):
-        _members_by_cluster(np.array(assignments), 3)
+        PenaltyContext.build(corpus, np.array(assignments), [DiagonalMetric(np.ones(1))] * 3)
