@@ -25,7 +25,7 @@ from .corpus_tools import (
     save_labels,
     write_atomic,
 )
-from .errors import DataError, ProtoabsError, TooManyClusters
+from .errors import DataError, ProtoabsError, TooManyClusters, UnmatchedMessage
 from .evaluation import evaluate
 from .experiments import (
     run_experiment,
@@ -227,8 +227,13 @@ def cmd_ingest(args):
 
 def cmd_label(args):
     corpus = load_corpus(args.corpus)
-    rules = load_rules(args.rules) if args.rules else default_rules()
-    labels = apply_rules(corpus, rules)
+    if not args.rules:
+        labels = apply_rules(corpus, default_rules())
+    else:
+        try:
+            labels = apply_rules(corpus, load_rules(args.rules))
+        except UnmatchedMessage as e:
+            raise UnmatchedMessage("rules %s: %s" % (args.rules, e)) from e
     os.makedirs(args.out_dir, exist_ok=True)
     save_labels(labels, os.path.join(args.out_dir, "labels.json"))
     print(_summary(corpus, labels))

@@ -38,6 +38,8 @@ from .errors import EmptyCluster, TooManyClusters
 from .metric import EPS_DENOM, EPS_WEIGHT, DiagonalMetric, MaxPair
 from .model import Message, json_indented, json_ints
 
+DISPERSION_BLOCK = 2**20    # float entries cast at a time by _State.dispersion_costs
+
 
 @dataclass(frozen=True)
 class MpckConfig:
@@ -250,8 +252,16 @@ class _State:
         """(u, K) weighted mismatch of each distinct code row against each
         centroid, computed once per centroids and weights."""
         if self._dispersion is None:
-            # one BLAS matrix-vector product per cluster; einsum sums in another order
-            self._dispersion = np.matmul(self.cent_mismatch, self.weights[:, :, None])[:, :, 0].T
+            # one BLAS matrix-vector product per cluster (einsum sums in
+            # another order), over whole clusters whose float copy of the
+            # mismatch holds at most DISPERSION_BLOCK entries
+            k, u, f = self.cent_mismatch.shape
+            step = max(1, DISPERSION_BLOCK // (u * f))
+            out = np.empty((k, u))
+            for a in range(0, k, step):
+                block = self.cent_mismatch[a:a + step].astype(float)
+                out[a:a + step] = np.matmul(block, self.weights[a:a + step, :, None])[:, :, 0]
+            self._dispersion = out.T
         return self._dispersion
 
     def dispersion(self, counts):

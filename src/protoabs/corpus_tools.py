@@ -31,7 +31,7 @@ from .errors import (
     SampleTooLarge,
     UnmatchedMessage,
 )
-from .model import ABSENT, Corpus, LabelVector, build_corpus, json_indented, pad_rows
+from .model import ABSENT, Corpus, IdRule, LabelVector, build_corpus, json_indented, pad_rows
 
 DEFAULT_DROP_KEYS = frozenset({"RANDOM", "SESSIONID"})
 
@@ -123,12 +123,7 @@ def preprocess(
     messages (without replacement); sample_n=None keeps everything, still
     permuted.
     """
-    flat = []
-    ids = []
-    for t, trace in enumerate(traces):
-        for m, rows in enumerate(trace.messages):
-            flat.append(flatten_message(rows, drop_keys))
-            ids.append("trace%d:msg%d" % (t, m))
+    flat = [flatten_message(rows, drop_keys) for trace in traces for rows in trace.messages]
     if sample_n is None:
         sample_n = len(flat)
     if sample_n > len(flat):
@@ -137,9 +132,12 @@ def preprocess(
         )
     rng = np.random.default_rng(seed)
     order = rng.permutation(len(flat))[:sample_n]
-    return build_corpus(
-        [flat[i] for i in order], arity=arity, source_ids=[ids[i] for i in order]
-    )
+    # message m of trace t is named "trace<t>:msg<m>"
+    lengths = [len(trace.messages) for trace in traces]
+    trace_of = np.repeat(np.arange(len(traces)), lengths)
+    number = np.arange(len(flat)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    ids = IdRule(["trace%d:msg" % t for t in range(len(traces))], trace_of[order], number[order])
+    return build_corpus([flat[i] for i in order], arity=arity, source_ids=ids)
 
 
 @dataclass(frozen=True)
@@ -198,7 +196,17 @@ def parse_rule_lines(lines):
         rules.append(AbstractionRule(class_id, priority, tuple(terms)))
     if not rules:
         raise ParseError("rule file contains no rules")
+    _rule_classes(rules)
     return rules
+
+
+def _rule_classes(rules):
+    """Number of classes the rules assign; their class ids must be
+    contiguous from 0."""
+    class_ids = sorted({r.rule_id for r in rules})
+    if class_ids != list(range(len(class_ids))):
+        raise ParseError("rule class ids must be contiguous from 0, got %r" % class_ids)
+    return len(class_ids)
 
 
 def load_rules(path):
@@ -210,10 +218,7 @@ def apply_rules(corpus, rules):
 
     Ties go to the smallest class id.  Class ids must be contiguous from 0.
     """
-    class_ids = sorted({r.rule_id for r in rules})
-    j = len(class_ids)
-    if class_ids != list(range(j)):
-        raise ParseError("rule class ids must be contiguous from 0, got %r" % class_ids)
+    j = _rule_classes(rules)
     ordered = sorted(rules, key=lambda r: (-r.priority, r.rule_id))
     row_labels = []
     for r, fields in enumerate(corpus.rows):
@@ -222,7 +227,7 @@ def apply_rules(corpus, rules):
             i = int(np.argmax(corpus.row_ids == r))  # the row's first message
             raise UnmatchedMessage(
                 "message %d (%s) matched no rule: %r"
-                % (i, corpus.source_ids[i], [t for t in fields if t != ABSENT])
+                % (i, corpus.source_id(i), [t for t in fields if t != ABSENT])
             )
         row_labels.append(label)
     return LabelVector(labels=tuple(np.array(row_labels)[corpus.row_ids].tolist()), n_classes=j)
@@ -294,13 +299,13 @@ def generate_synthetic(spec):
     else:
         probs = np.asarray(spec.class_weights, dtype=np.float64)
         probs = probs / probs.sum()
-    classes = rng.choice(j, size=spec.n_messages, p=probs).tolist()
+    drawn = rng.choice(j, size=spec.n_messages, p=probs)
+    classes = drawn.tolist()
     # distinct rows: a class id keys its template's noise-free row, and only
     # a noisy message builds a token list, keyed by its tokens
     row_of = {}
     row_ids = []
-    ids = []
-    for i, c in enumerate(classes):
+    for c in classes:
         template = spec.class_templates[c]
         tokens = None
         for pos, alts in template.noise_fields:
@@ -310,8 +315,10 @@ def generate_synthetic(spec):
                 tokens[pos] = alts[int(rng.integers(len(alts)))]
         key = c if tokens is None else tuple(tokens)
         row_ids.append(row_of.setdefault(key, len(row_of)))
-        ids.append("synth:%s:%d" % (template.name, i))
     raw = [spec.class_templates[key].tokens if type(key) is int else key for key in row_of]
+    # message i of class c is named "synth:<name of c>:<i>"
+    ids = IdRule(["synth:%s:" % t.name for t in spec.class_templates], drawn,
+                 np.arange(spec.n_messages))
     corpus = Corpus(pad_rows(raw, spec.arity), row_ids, spec.arity, ids)
     labels = LabelVector(labels=tuple(classes), n_classes=j)
     return corpus, labels

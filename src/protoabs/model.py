@@ -79,6 +79,39 @@ def _write_indented(obj, depth, out):
         out.append(json.dumps(obj))     # a scalar or an empty container
 
 
+class IdRule:
+    """Message ids named by rule: id i is `prefixes[group[i]] + str(number[i])`.
+
+    A producer that names its messages by rule keeps a few prefixes and two
+    small integer arrays in place of one string per message.
+    """
+
+    def __init__(self, prefixes, group, number):
+        self.prefixes = tuple(prefixes)
+        self.group = _compact(group)
+        self.number = _compact(number)
+
+    def __len__(self):
+        return self.group.size
+
+    def __getitem__(self, i):
+        return self.prefixes[self.group[i]] + str(self.number[i])
+
+    def __iter__(self):
+        prefixes = self.prefixes
+        return iter([prefixes[g] + str(n)
+                     for g, n in zip(self.group.tolist(), self.number.tolist())])
+
+
+def _compact(values):
+    """`values` as a read-only integer array of the smallest type that holds them."""
+    a = np.asarray(values, dtype=np.int64)
+    if a.size:
+        a = a.astype(np.result_type(np.min_scalar_type(a.min()), np.min_scalar_type(a.max())))
+    a.setflags(write=False)
+    return a
+
+
 @dataclass(frozen=True)
 class Message:
     fields: tuple
@@ -92,22 +125,23 @@ class Message:
 class Corpus:
     """Immutable collection of equal-arity messages, stored as distinct rows.
 
-    Message i is `rows[row_ids[i]]`, read from `source_ids[i]`.  The
+    Message i is `rows[row_ids[i]]`, read from `source_id(i)`.  The
     constructor merges duplicate rows, drops unused ones and numbers the
     rest in first-occurrence order.  Per-position vocabularies list symbols
     in first-occurrence order; `unique_codes` holds one code row per row.
-    Per message only `row_ids` and `source_ids` are stored.  `lex_rank[f]`
+    Per message only `row_ids` and the source ids are stored: the ids as
+    given, or the `IdRule` that names them.  `lex_rank[f]`
     ranks position f's codes by their symbols and `lex_order[f]` lists the
     codes in that order.
     """
 
     def __init__(self, rows, row_ids, arity, source_ids):
         row_ids = np.asarray(row_ids)
-        self.source_ids = tuple(source_ids)
+        self._ids = source_ids if isinstance(source_ids, IdRule) else tuple(source_ids)
         if row_ids.size == 0:
             raise EmptyCorpus("corpus must contain at least one message")
-        if len(self.source_ids) != row_ids.size:
-            raise ValueError("%d source_ids for %d row_ids" % (len(self.source_ids), row_ids.size))
+        if len(self._ids) != row_ids.size:
+            raise ValueError("%d source_ids for %d row_ids" % (len(self._ids), row_ids.size))
         key_of = {}
         merged = [key_of.setdefault(tuple(row), len(key_of)) for row in rows]
         other = sorted({len(row) for row in key_of} - {arity})
@@ -158,11 +192,21 @@ class Corpus:
         codes.setflags(write=False)
         return codes
 
+    @property
+    def source_ids(self):
+        """Tuple of the N source ids; a corpus named by rule builds it anew
+        on each access."""
+        return tuple(self._ids)
+
+    def source_id(self, i):
+        """Source id of message i."""
+        return self._ids[i]
+
     @cached_property
     def messages(self):
         """One Message per message, built on first use."""
         rows = self.rows
-        return tuple(Message(rows[r], s) for r, s in zip(self.row_ids.tolist(), self.source_ids))
+        return tuple(Message(rows[r], s) for r, s in zip(self.row_ids.tolist(), self._ids))
 
     def encode(self, message):
         """Code row for a message over this corpus' vocabulary.
@@ -183,7 +227,7 @@ class Corpus:
             "arity": self.arity,
             "rows": [list(row) for row in self.rows],
             "row_ids": self.row_ids.tolist(),
-            "source_ids": list(self.source_ids),
+            "source_ids": list(self._ids),
         }
 
     @classmethod
@@ -249,7 +293,8 @@ def build_corpus(raw_messages, arity=DEFAULT_ARITY, source_ids=None):
     """Truncate each raw token list to `arity` and pad with ABSENT.
 
     `raw_messages` is a sequence of token lists; tokens must not use the
-    reserved ABSENT symbol themselves.
+    reserved ABSENT symbol themselves.  `source_ids` is a sequence of
+    strings or an `IdRule`; by default message i is named "msg<i>".
     """
     row_of = {}
     row_ids = [row_of.setdefault(tuple(tokens)[:arity], len(row_of)) for tokens in raw_messages]
@@ -257,5 +302,6 @@ def build_corpus(raw_messages, arity=DEFAULT_ARITY, source_ids=None):
     if not row_ids:
         raise EmptyCorpus("no raw messages given")
     if source_ids is None:
-        source_ids = ["msg%d" % i for i in range(len(row_ids))]
+        source_ids = IdRule(("msg",), np.zeros(len(row_ids), dtype=np.uint8),
+                            np.arange(len(row_ids)))
     return Corpus(rows, row_ids, arity, source_ids)

@@ -208,6 +208,8 @@ BAD_DATA = [
     ("trace without messages", "ingest", {"trace": "# nothing\n"}),
     ("rules not UTF-8", "label", {"--rules": UTF16_FILE}),
     ("rules with a negative position", "label", {"--rules": "0 1 @-1=ABSENT\n"}),
+    ("rules with class ids not from 0", "label", {"--rules": "1 0 HEAD=*\n"}),
+    ("rules that match no message", "label", {"--rules": "0 1 NO-SUCH-KEY=*\n"}),
     ("corpus not JSON", "cluster", {"--corpus": "not json"}),
     ("corpus without arity", "cluster",
      {"--corpus": {"messages": [{"fields": ["A=1"], "source_id": "m0"}]}}),

@@ -385,3 +385,18 @@ class TestRunKmeans:
         km = run_kmeans(corpus, MpckConfig(k=21, seed=0))
         km_report = evaluate(km.assignments, labels)
         assert km_report.purity < 1.0
+
+
+@pytest.mark.parametrize("per_block", [1, 3, 7])
+def test_dispersion_costs_in_blocks_equal_one_stacked_matmul(monkeypatch, per_block):
+    rng = np.random.default_rng(0)
+    corpus = random_corpus(rng, 400, 32)
+    k = 7
+    cent = corpus.unique_codes[:k]
+    weights = rng.uniform(0.05, 5.0, size=(k, corpus.arity))
+    state = clustering._State(corpus, k, cent, weights, np.zeros(len(corpus), dtype=np.int64),
+                              ConstraintSet(), None)
+    _, u, f = state.cent_mismatch.shape
+    monkeypatch.setattr(clustering, "DISPERSION_BLOCK", per_block * u * f)
+    want = np.matmul(state.cent_mismatch, weights[:, :, None])[:, :, 0].T
+    assert np.array_equal(state.dispersion_costs(), want)

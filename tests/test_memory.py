@@ -5,8 +5,16 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
-from protoabs import default_synth_spec, generate_synthetic
+from protoabs import (
+    ABSENT,
+    DecodedTrace,
+    build_corpus,
+    default_synth_spec,
+    generate_synthetic,
+    preprocess,
+)
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -36,10 +44,11 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
 """
 
 # N=200k synth, then one mpck run (5 labels per class) and one k-means run.
-# Per-message memory is the row ids and the source ids: an (N, F) int32
-# code matrix alone would be 25.6 MB, and one token list per message in
-# synth about as much again (the run peaked at 120 MB while both were held).
-LARGE_CORPUS_BUDGET_MB = 100
+# Per message, memory holds the row ids and synth's naming rule (a class
+# index and a number): one "synth:<class>:<i>" string per message would add
+# 16 MB (the run peaked at 77 MB with them), an (N, F) int32 code matrix
+# 25.6 MB, and one token list per message in synth about as much again.
+LARGE_CORPUS_BUDGET_MB = 70
 LARGE_CORPUS = """
 import resource
 from protoabs import MpckConfig, default_synth_spec, generate_synthetic, run_kmeans, run_mpck
@@ -49,6 +58,23 @@ corpus, labels = generate_synthetic(default_synth_spec(n_messages=200000))
 cfg = MpckConfig(k=21, seed=0)
 run_mpck(corpus, constraints_from_labels(draw_labeled_samples(labels, 5, seed=0)), cfg)
 run_kmeans(corpus, cfg)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+# N=20k k-means at K=21 on a corpus whose rows are almost all distinct, drawn
+# over a shared vocabulary of 4 tokens per field, so the corpus stays small.
+# One float64 copy of the (K, u, F) centroid mismatch would be 107 MB (the
+# run peaked at 195 MB with it); the dispersion is cast in blocks of 8 MB.
+DISTINCT_KMEANS_BUDGET_MB = 140
+DISTINCT_KMEANS = """
+import resource
+import numpy as np
+from protoabs import MpckConfig, build_corpus, run_kmeans
+vocab = [["F%d=%d" % (f, v) for v in range(4)] for f in range(32)]
+draws = np.random.default_rng(0).integers(0, 4, size=(20000, 32)).tolist()
+corpus = build_corpus(([vocab[f][v] for f, v in enumerate(row)] for row in draws), arity=32)
+del draws
+run_kmeans(corpus, MpckConfig(k=21, seed=0))
 print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
 """
 
@@ -82,6 +108,10 @@ def test_synth_to_learning_at_200k_stays_within_rss_budget():
     assert peak_rss_mb(LARGE_CORPUS) < LARGE_CORPUS_BUDGET_MB
 
 
+def test_distinct_rows_kmeans_at_20k_stays_within_rss_budget():
+    assert peak_rss_mb(DISTINCT_KMEANS) < DISTINCT_KMEANS_BUDGET_MB
+
+
 def test_corpus_holds_no_per_message_code_matrix():
     corpus, _ = generate_synthetic(default_synth_spec(n_messages=50000))
     n_by_f = len(corpus) * corpus.arity
@@ -93,3 +123,38 @@ def test_corpus_holds_no_per_message_code_matrix():
     # the (N, F) matrix is built on access, and not kept
     assert corpus.codes.shape == (len(corpus), corpus.arity)
     assert "codes" not in vars(corpus)
+
+
+def _strings_per_message(obj, n):
+    """Attributes of `obj`, or of an object it holds, that are a tuple or
+    list of n strings."""
+    found = []
+    for name, value in vars(obj).items():
+        if isinstance(value, (tuple, list)):
+            if len(value) == n and all(isinstance(v, str) for v in value):
+                found.append(name)
+        elif hasattr(value, "__dict__"):
+            found += ["%s.%s" % (name, sub) for sub in _strings_per_message(value, n)]
+    return found
+
+
+def _ingested_corpus():
+    """6 000 messages in 2 000 traces, 4 000 of them sampled."""
+    corpus, _ = generate_synthetic(default_synth_spec(n_messages=6000, seed=1))
+    messages = [tuple((t.split("=", 1)[0], (t.split("=", 1)[1],)) for t in m.fields if t != ABSENT)
+                for m in corpus.messages]
+    traces = [DecodedTrace(tuple(messages[i:i + 3])) for i in range(0, len(messages), 3)]
+    return preprocess(traces, sample_n=4000, seed=2)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: generate_synthetic(default_synth_spec(n_messages=50000))[0],
+    _ingested_corpus,
+    lambda: build_corpus([["A=%d" % (i % 7), "B=%d" % (i % 5)] for i in range(50000)], arity=4),
+], ids=["synthetic", "preprocess", "build_corpus"])
+def test_corpus_named_by_rule_holds_no_per_message_strings(make):
+    corpus = make()
+    assert _strings_per_message(corpus, len(corpus)) == []
+    # the strings are built on access, and not kept
+    assert len(corpus.source_ids) == len(corpus)
+    assert _strings_per_message(corpus, len(corpus)) == []

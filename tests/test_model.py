@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from protoabs.corpus_tools import DecodedTrace, generate_synthetic, preprocess
 from protoabs.errors import EmptyCorpus
 from protoabs.model import (
     ABSENT,
@@ -14,6 +15,7 @@ from protoabs.model import (
     json_indented,
     json_ints,
 )
+from protoabs.tls_default import default_synth_spec
 
 
 def test_padding_to_arity():
@@ -84,6 +86,41 @@ def test_corpus_roundtrip():
     assert again.vocabulary == corpus.vocabulary
     assert [m.fields for m in again.messages] == [m.fields for m in corpus.messages]
     assert [m.source_id for m in again.messages] == [m.source_id for m in corpus.messages]
+
+
+def _synthetic():
+    spec = default_synth_spec(n_messages=50000)
+    corpus, labels = generate_synthetic(spec)
+    names = [t.name for t in spec.class_templates]
+    return corpus, ["synth:%s:%d" % (names[c], i) for i, c in enumerate(labels.labels)]
+
+
+def _ingested():
+    """Traces of 0 to 3 messages, 40 of their 60 messages sampled."""
+    traces = [DecodedTrace(tuple((("K", ("t%d" % t,)), ("M", ("m%d" % m,)))
+                                 for m in range(t % 4)))
+              for t in range(40)]
+    ids = ["trace%d:msg%d" % (t, m) for t, trace in enumerate(traces)
+           for m in range(len(trace.messages))]
+    order = np.random.default_rng(5).permutation(len(ids))[:40]
+    return preprocess(traces, arity=3, sample_n=40, seed=5), [ids[i] for i in order]
+
+
+def _built():
+    raw = [["a", "b"], ["c"], ["a", "b"]] * 100
+    return build_corpus(raw, arity=3), ["msg%d" % i for i in range(len(raw))]
+
+
+@pytest.mark.parametrize("make", [_synthetic, _ingested, _built],
+                         ids=["synthetic", "preprocess", "build_corpus"])
+def test_ids_named_by_rule_read_as_the_strings(make):
+    corpus, ids = make()
+    want = Corpus(corpus.rows, corpus.row_ids, corpus.arity, ids)
+    assert corpus.source_ids == want.source_ids == tuple(ids)
+    for i in (0, 1, np.int64(len(ids) // 2), len(ids) - 1, -1):
+        assert corpus.source_id(i) == want.source_id(i) == ids[i]
+    assert corpus.messages == want.messages
+    assert corpus.to_dict() == want.to_dict()
 
 
 def test_label_vector_validation():
