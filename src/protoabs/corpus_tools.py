@@ -17,6 +17,7 @@ where a term is KEY=VALUE, KEY=* (key present with any value) or
 """
 
 import json
+import numbers
 import os
 from contextlib import suppress
 from dataclasses import dataclass
@@ -233,6 +234,11 @@ def apply_rules(corpus, rules):
     return LabelVector(labels=tuple(np.array(row_labels)[corpus.row_ids].tolist()), n_classes=j)
 
 
+# numpy draws an integer below n from one 32-bit half of a PCG64 word when
+# n <= 2^32 (the path `_replay_noise` replays) and from a 64-bit path above
+MAX_ALTERNATIVES = 2**32
+
+
 @dataclass(frozen=True)
 class ClassTemplate:
     name: str
@@ -241,12 +247,16 @@ class ClassTemplate:
 
     def __post_init__(self):
         for pos, alts in self.noise_fields:
+            if not isinstance(pos, numbers.Integral) or pos < 0:
+                raise BadSpec("noise position %r is not an integer >= 0" % (pos,))
             if pos == 0:
                 raise BadSpec("field 0 is the class discriminator and cannot be noisy")
             if pos >= len(self.tokens):
                 raise BadSpec("noise position %d beyond template length" % pos)
             if not alts:
                 raise BadSpec("noise field %d has no alternative values" % pos)
+            if len(alts) > MAX_ALTERNATIVES:
+                raise BadSpec("noise field %d has more than 2^32 alternative values" % pos)
 
 
 @dataclass(frozen=True)
@@ -263,7 +273,25 @@ class SynthSpec:
             raise BadSpec("noise_rate must be in [0, 1)")
         if self.n_messages < 1:
             raise BadSpec("n_messages must be >= 1")
+        if self.class_weights is not None:
+            _check_weights(self.class_weights, len(self.class_templates))
         _check_distinguishable(self.class_templates, self.arity)
+
+
+def _check_weights(weights, j):
+    try:
+        w = np.asarray(weights, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise BadSpec("class_weights must be numbers, got %r" % (weights,))
+    if w.shape != (j,):
+        raise BadSpec("class_weights needs one weight per template (%d), got %r"
+                      % (j, weights))
+    if not (np.isfinite(w).all() and (w >= 0).all()):
+        raise BadSpec("class_weights must be finite and >= 0, got %r" % (weights,))
+    with np.errstate(over="ignore"):
+        total = w.sum()
+    if not (np.isfinite(total) and total > 0):
+        raise BadSpec("class_weights must have a finite positive sum, got %r" % (weights,))
 
 
 def _check_distinguishable(templates, arity):
@@ -291,37 +319,102 @@ def generate_synthetic(spec):
     Each message copies its class template; every noise field is replaced
     by a random alternative value with probability noise_rate.  Labels are
     ground truth by construction.
+
+    The generator reads the same PCG64 words in the same order as one
+    `rng.random()` per noise field of each message and one
+    `rng.integers(len(alts))` per noisy field (`tests/oracles.py`), so a
+    spec and seed always give the same corpus.
     """
     rng = np.random.default_rng(spec.seed)
-    j = len(spec.class_templates)
+    templates = spec.class_templates
+    j = len(templates)
     if spec.class_weights is None:
         probs = np.full(j, 1.0 / j)
     else:
         probs = np.asarray(spec.class_weights, dtype=np.float64)
         probs = probs / probs.sum()
     drawn = rng.choice(j, size=spec.n_messages, p=probs)
-    classes = drawn.tolist()
-    # distinct rows: a class id keys its template's noise-free row, and only
-    # a noisy message builds a token list, keyed by its tokens
-    row_of = {}
-    row_ids = []
-    for c in classes:
-        template = spec.class_templates[c]
-        tokens = None
-        for pos, alts in template.noise_fields:
-            if rng.random() < spec.noise_rate:
-                if tokens is None:
-                    tokens = list(template.tokens)
-                tokens[pos] = alts[int(rng.integers(len(alts)))]
-        key = c if tokens is None else tuple(tokens)
-        row_ids.append(row_of.setdefault(key, len(row_of)))
-    raw = [spec.class_templates[key].tokens if type(key) is int else key for key in row_of]
+    # a noise-free message keeps its class's row; noisy rows follow them
+    present = np.flatnonzero(np.bincount(drawn, minlength=j))
+    row_of_class = np.zeros(j, dtype=np.int64)
+    row_of_class[present] = np.arange(present.size)
+    row_ids = row_of_class[drawn]
+    noisy = _replay_noise(rng, spec, drawn, row_ids, present.size)
+    raw = [templates[c].tokens for c in present.tolist()] + noisy
     # message i of class c is named "synth:<name of c>:<i>"
-    ids = IdRule(["synth:%s:" % t.name for t in spec.class_templates], drawn,
+    ids = IdRule(["synth:%s:" % t.name for t in templates], drawn,
                  np.arange(spec.n_messages))
     corpus = Corpus(pad_rows(raw, spec.arity), row_ids, spec.arity, ids)
-    labels = LabelVector(labels=tuple(classes), n_classes=j)
+    labels = LabelVector(labels=tuple(drawn.tolist()), n_classes=j)
     return corpus, labels
+
+
+NOISE_BLOCK = 4096  # PCG64 words read at a time
+
+
+def _replay_noise(rng, spec, drawn, row_ids, first_row):
+    """Replay the noise draws of `drawn`'s messages from raw PCG64 words.
+
+    Draw d is the d-th `rng.random()`, one per noise field of each message
+    in order, a hit when it falls below `noise_rate`.  A double is
+    `(w >> 11) * 2**-53` of the next word w, so a block of words is tested
+    at once; only hits are walked.  A hit at a field with n > 1
+    alternatives then draws numpy's 32-bit Lemire integer below n: from
+    the buffered upper half of the last word split, if one is held, else
+    from the low half of the next word, whose upper half it buffers.  The
+    noisy rows are returned in order of first use, and each noisy
+    message's `row_ids` entry is set to `first_row` plus its row's index.
+    Nothing reads the generator afterwards, so the words a block draws
+    past the last noise draw are harmless.
+    """
+    templates = spec.class_templates
+    fields = [tuple((pos, alts, len(alts), (2**32 - len(alts)) % len(alts))
+                    for pos, alts in t.noise_fields) for t in templates]
+    per_class = np.array([len(f) for f in fields], dtype=np.int64)
+    ends = np.cumsum(per_class[drawn])  # message i's draws end before ends[i]
+    total = int(ends[-1])
+    bitgen = rng.bit_generator
+    state = bitgen.state
+    upper = state["uinteger"] if state["has_uint32"] else None
+    rows = {}
+    message = -1  # the noisy message whose tokens are being built
+    tokens = None
+    d = 0  # index of the next draw
+    while d < total:
+        words = bitgen.random_raw(min(NOISE_BLOCK, total - d))
+        size = words.size
+        at = 0  # the next unread word of the block
+        for h in np.flatnonzero((words >> 11) * 2.0**-53 < spec.noise_rate).tolist():
+            if h < at:
+                continue  # the word went to an alternative's draw
+            d += h - at
+            at = h + 1
+            i = int(ends.searchsorted(d, "right"))
+            c = int(drawn[i])
+            pos, alts, n, threshold = fields[c][d - int(ends[i]) + len(fields[c])]
+            d += 1
+            k = 0
+            if n > 1:
+                while True:
+                    if upper is None:
+                        w = int(words[at]) if at < size else int(bitgen.random_raw())
+                        at += 1
+                        x, upper = w & 0xFFFFFFFF, w >> 32
+                    else:
+                        x, upper = upper, None
+                    m = x * n
+                    if m & 0xFFFFFFFF >= threshold:
+                        break
+                k = m >> 32
+            if i != message:
+                if tokens is not None:
+                    row_ids[message] = rows.setdefault(tuple(tokens), first_row + len(rows))
+                message, tokens = i, list(templates[c].tokens)
+            tokens[pos] = alts[k]
+        d += max(size - at, 0)
+    if tokens is not None:
+        row_ids[message] = rows.setdefault(tuple(tokens), first_row + len(rows))
+    return list(rows)
 
 
 def write_atomic(path, text):

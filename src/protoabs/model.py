@@ -149,7 +149,8 @@ class Corpus:
             raise ArityMismatch("rows of arity %s in a corpus of arity %d" % (other, arity))
         if row_ids.min() < 0 or row_ids.max() >= len(merged):
             raise ValueError("row_ids must lie in 0..%d" % (len(merged) - 1))
-        message_keys = np.array(merged, dtype=np.int64)[row_ids]
+        # the narrowest key type makes np.unique's stable sort a radix sort
+        message_keys = np.array(merged, dtype=np.min_scalar_type(len(key_of) - 1))[row_ids]
         # rows in use, in the order of their first occurrence
         used, first = np.unique(message_keys, return_index=True)
         used = used[np.argsort(first)]

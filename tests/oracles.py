@@ -18,7 +18,7 @@ from protoabs.errors import (
     UnmatchedMessage,
 )
 from protoabs.metric import EPS_DENOM, EPS_WEIGHT, DiagonalMetric, MaxPair
-from protoabs.model import ABSENT, LabelVector
+from protoabs.model import ABSENT, Corpus, IdRule, LabelVector, pad_rows
 
 
 def encode_messages(messages, arity):
@@ -113,6 +113,41 @@ def apply_rules(corpus, rules):
                 % (i, msg.source_id, [t for t in msg.fields if t != ABSENT])
             )
     return LabelVector(labels=tuple(labels), n_classes=len({r.rule_id for r in rules}))
+
+
+def generate_synthetic(spec):
+    """Scalar synthetic generator: one `rng.random()` per noise field of
+    each message, and one `rng.integers(len(alts))` per noisy field."""
+    rng = np.random.default_rng(spec.seed)
+    j = len(spec.class_templates)
+    if spec.class_weights is None:
+        probs = np.full(j, 1.0 / j)
+    else:
+        probs = np.asarray(spec.class_weights, dtype=np.float64)
+        probs = probs / probs.sum()
+    drawn = rng.choice(j, size=spec.n_messages, p=probs)
+    classes = drawn.tolist()
+    # distinct rows: a class id keys its template's noise-free row, and only
+    # a noisy message builds a token list, keyed by its tokens
+    row_of = {}
+    row_ids = []
+    for c in classes:
+        template = spec.class_templates[c]
+        tokens = None
+        for pos, alts in template.noise_fields:
+            if rng.random() < spec.noise_rate:
+                if tokens is None:
+                    tokens = list(template.tokens)
+                tokens[pos] = alts[int(rng.integers(len(alts)))]
+        key = c if tokens is None else tuple(tokens)
+        row_ids.append(row_of.setdefault(key, len(row_of)))
+    raw = [spec.class_templates[key].tokens if type(key) is int else key for key in row_of]
+    # message i of class c is named "synth:<name of c>:<i>"
+    ids = IdRule(["synth:%s:" % t.name for t in spec.class_templates], drawn,
+                 np.arange(spec.n_messages))
+    corpus = Corpus(pad_rows(raw, spec.arity), row_ids, spec.arity, ids)
+    labels = LabelVector(labels=tuple(classes), n_classes=j)
+    return corpus, labels
 
 
 def max_separated_pair(indices, corpus, m):

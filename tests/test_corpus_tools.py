@@ -2,7 +2,10 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from protoabs.corpus_tools import (
     ClassTemplate,
     SynthSpec,
@@ -232,6 +235,101 @@ class TestSynthetic:
     def test_default_rules_total_and_match_ground_truth(self):
         corpus, labels = generate_synthetic(default_synth_spec(n_messages=600, seed=5))
         assert apply_rules(corpus, default_rules()) == labels
+
+    @pytest.mark.parametrize("pos", [-2, 1.5, "1"])
+    def test_noise_position_must_be_an_integer_at_least_0(self, pos):
+        """A position of -2 on a 2-token template would rewrite the head."""
+        with pytest.raises(BadSpec, match="integer >= 0"):
+            ClassTemplate("a", ("H=a", "X=0"), ((pos, ("H=b",)),))
+
+    def test_more_than_2_32_alternatives_rejected(self):
+        with pytest.raises(BadSpec, match="more than 2\\^32"):
+            ClassTemplate("a", ("H=a", "X=0"), ((1, LazyAlternatives(2**32 + 1)),))
+
+    @pytest.mark.parametrize("weights", [
+        (1.0,), (1.0, 2.0, 3.0), 1.0, (1.0, -1.0), (1.0, float("nan")),
+        (float("inf"), 1.0), (0.0, 0.0), (1e308, 1e308), ("a", 1.0),
+    ], ids=["too-few", "too-many", "scalar", "negative", "nan", "inf", "all-zero",
+            "sum-overflows", "not-a-number"])
+    def test_bad_class_weights_rejected(self, weights):
+        templates = (ClassTemplate("x", ("H=X",)), ClassTemplate("y", ("H=Y",)))
+        with pytest.raises(BadSpec, match="class_weights"):
+            SynthSpec(class_templates=templates, n_messages=4, arity=1,
+                      class_weights=weights)
+
+
+class LazyAlternatives:
+    """n alternative values, each made when it is read."""
+
+    def __init__(self, n):
+        self.n = n
+
+    def __len__(self):
+        return self.n
+
+    def __getitem__(self, k):
+        if not 0 <= k < self.n:
+            raise IndexError(k)
+        return "X=%d" % k
+
+
+def synth_outcome(generate, spec):
+    """The corpus and labels `generate` draws for `spec`, as dicts, or the
+    type and text of the exception it raises."""
+    try:
+        corpus, labels = generate(spec)
+    except Exception as e:
+        return type(e), str(e)
+    return corpus.to_dict(), labels.to_dict()
+
+
+@st.composite
+def synth_specs(draw):
+    """Up to 4 classes of up to 6 tokens, up to 6 noise fields each (a
+    position may repeat, a field may have one alternative, and an
+    alternative may be the reserved ABSENT symbol), arity 1 to 8, and N
+    large enough that the draws often cross the generator's word blocks."""
+    j = draw(st.integers(1, 4))
+    values = st.sampled_from(["V=%d" % v for v in range(7)] + [ABSENT])
+    templates = []
+    for c in range(j):
+        length = draw(st.integers(1, 6))
+        tokens = ("H=%d" % c,) + tuple("F%d=0" % p for p in range(1, length))
+        noise = []
+        if length > 1:
+            noise = draw(st.lists(
+                st.tuples(st.integers(1, length - 1),
+                          st.lists(values, min_size=1, max_size=4).map(tuple)),
+                max_size=6))
+        templates.append(ClassTemplate("c%d" % c, tokens, tuple(noise)))
+    weights = draw(st.one_of(
+        st.none(),
+        st.lists(st.integers(0, 3), min_size=j, max_size=j).filter(any).map(tuple)))
+    return SynthSpec(
+        class_templates=tuple(templates),
+        n_messages=draw(st.one_of(st.integers(1, 50), st.integers(1000, 3000))),
+        noise_rate=draw(st.floats(0.0, 0.999)),
+        seed=draw(st.integers(0, 2**32 - 1)),
+        arity=draw(st.integers(1, 8)),
+        class_weights=weights,
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(synth_specs())
+def test_generator_equals_scalar_draws(spec):
+    assert synth_outcome(generate_synthetic, spec) == synth_outcome(oracles.generate_synthetic, spec)
+
+
+@pytest.mark.parametrize("n", [2**31 + 1, 2**32], ids=["rejection", "full-range"])
+def test_generator_equals_scalar_draws_for_huge_fields(n):
+    """2^31 + 1 alternatives reject about half of the 32-bit draws; 2^32 use
+    every draw whole."""
+    templates = (ClassTemplate("a", ("H=a", "X=0"), ((1, LazyAlternatives(n)),)),
+                 ClassTemplate("b", ("H=b", "X=0")))
+    spec = SynthSpec(class_templates=templates, n_messages=2000, noise_rate=0.5,
+                     seed=11, arity=2)
+    assert synth_outcome(generate_synthetic, spec) == synth_outcome(oracles.generate_synthetic, spec)
 
 
 def test_corpus_and_labels_file_roundtrip(tmp_path):

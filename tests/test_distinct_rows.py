@@ -121,6 +121,19 @@ def test_row_renumbering_matches_dict_oracle(rows, data):
     assert corpus.row_ids.dtype == want_ids.dtype and np.array_equal(corpus.row_ids, want_ids)
 
 
+@pytest.mark.parametrize("n_rows", [256, 257, 65537])
+def test_row_renumbering_across_key_widths(n_rows):
+    """Row keys are sorted in the narrowest integer type that holds them:
+    8 bits up to 256 rows, then 16 and 32."""
+    rows = [("r%d" % r,) for r in range(n_rows)]
+    row_ids = np.random.default_rng(n_rows).integers(0, n_rows, size=2 * n_rows)
+    row_ids[-1] = n_rows - 1
+    corpus = Corpus(rows, row_ids, 1, ["m%d" % i for i in range(row_ids.size)])
+    want_rows, want_ids = oracles.renumber_rows(rows, row_ids)
+    assert corpus.rows == want_rows
+    assert corpus.row_ids.dtype == want_ids.dtype and np.array_equal(corpus.row_ids, want_ids)
+
+
 @FEWER_EXAMPLES
 @given(field_rows)
 def test_original_and_format_2_files_load_equal(rows):

@@ -41,9 +41,11 @@ line moved by one ulp).
 The synthetic generator is pinned away from its defaults too: N=3000
 corpora at noise rates 0.4 and 0.9, with non-uniform class weights, and at
 arity 4, below the ClientHello template's length, so that noise fields
-truncated away still consume draws.  Each pins the sha256 of the corpus'
-`to_dict()` and of the labels' `to_dict()`; these digests were computed
-while synth still built one token list per message.
+truncated away still consume draws; and at its defaults too, at N=20k
+(the benchmark's large corpus) and at N=120k with noise 0.5.  Each pins the
+sha256 of the corpus' `to_dict()` and of the labels' `to_dict()`; these
+digests were computed while synth still made one scalar draw per noise
+field.
 """
 
 import hashlib
@@ -276,6 +278,10 @@ PINNED_SYNTH = {
                 "93c8076806d71bfba7d7747eb7db4aebb594025aa7dcb391104d67d70c933b07"),
     "arity-4": ("8be4f4890b4db6d6fa69a99477af2c6b0b8cdcb17d400aeeaca14e3804ecc778",
                 "ba648f5359db146dd9be28d64a86e745874257f3b1ceb839bfefb100167f1d25"),
+    "default-20k": ("bc6c40a2fe35658fbb0edf6f8a19169102057bdbbea5a7ad5a3aecea9e77561f",
+                    "5fd782422aaaca7a0241f3d15d36d88a04a75cc07faad5985d1a1b4128175d30"),
+    "noise-0.5-120k": ("e3b009ef1dfbbec98cdd87fa4b376347b83c0d1b37764ed80ab2617590a22f59",
+                       "d1c1d7cd69fab82ba4925c4448b7ffcaac623278e8dd211e2f94545bd5175bb3"),
 }
 
 SYNTH_SPECS = {
@@ -284,6 +290,8 @@ SYNTH_SPECS = {
     "weights": replace(default_synth_spec(n_messages=3000, seed=3),
                        class_weights=tuple(range(1, 22))),
     "arity-4": default_synth_spec(n_messages=3000, noise_rate=0.5, seed=4, arity=4),
+    "default-20k": default_synth_spec(n_messages=20000),
+    "noise-0.5-120k": default_synth_spec(n_messages=120000, noise_rate=0.5),
 }
 
 
