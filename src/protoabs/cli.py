@@ -13,6 +13,7 @@ import numpy as np
 
 from .clustering import ClusterModel
 from .corpus_tools import (
+    DEFAULT_DROP_KEYS,
     apply_rules,
     generate_synthetic,
     load_corpus,
@@ -33,7 +34,7 @@ from .experiments import (
     sweep_k,
     sweep_labels,
 )
-from .model import UNLABELED
+from .model import DEFAULT_ARITY, UNLABELED
 from .plots import svg_heatmap, svg_lineplot
 from .tls_default import default_rules, default_synth_spec
 
@@ -118,14 +119,14 @@ def build_parser():
     p.add_argument("--n", type=_positive_int, default=5000)
     p.add_argument("--noise-rate", type=_rate, default=0.05)
     p.add_argument("--seed", type=_non_negative_int, default=0)
-    p.add_argument("--arity", type=_positive_int, default=32)
+    p.add_argument("--arity", type=_positive_int, default=DEFAULT_ARITY)
 
     p = sub.add_parser("ingest", help="parse a decoded trace file into a corpus")
     p.set_defaults(run=cmd_ingest)
     p.add_argument("trace_file")
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--arity", type=_positive_int, default=32)
-    p.add_argument("--drop-keys", default="RANDOM,SESSIONID")
+    p.add_argument("--arity", type=_positive_int, default=DEFAULT_ARITY)
+    p.add_argument("--drop-keys", default=",".join(sorted(DEFAULT_DROP_KEYS)))
     p.add_argument("--sample-n", type=_positive_int, default=None)
     p.add_argument("--seed", type=_non_negative_int, default=0)
 

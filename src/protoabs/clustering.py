@@ -158,15 +158,14 @@ def _mode_rows(corpus, counts):
         raise EmptyCluster("cluster %d has no members" % empty[0])
     cent_codes = np.zeros((g, corpus.arity), dtype=np.int32)
     weights = counts.ravel()
-    for f, order in enumerate(corpus.lex_order):
-        if order.size == 1:
+    for f, vocab in enumerate(corpus.vocabulary):
+        if len(vocab) == 1:
             continue                    # one symbol: the mode is code 0
-        # token counts per group, tokens in lexicographic order, so the
-        # first maximum is the smallest tied token
-        ranks = corpus.lex_rank[f][corpus.unique_codes[:, f]]
-        flat = (ranks[:, None] * g + np.arange(g)).ravel()
-        tokens = np.bincount(flat, weights=weights, minlength=order.size * g)
-        cent_codes[:, f] = order[tokens.reshape(order.size, g).argmax(axis=0)]
+        # token counts per group; codes follow token order, so the first
+        # maximum is the smallest tied token
+        flat = (corpus.unique_codes[:, f, None].astype(np.int64) * g + np.arange(g)).ravel()
+        tokens = np.bincount(flat, weights=weights, minlength=len(vocab) * g)
+        cent_codes[:, f] = tokens.reshape(len(vocab), g).argmax(axis=0)
     return cent_codes
 
 
@@ -365,8 +364,8 @@ def _state_from_model(corpus, model, constraints, ctx):
 def evaluate_objective(corpus, model, constraints, ctx=None):
     """Recompute the full objective from a model's stored state."""
     state = _state_from_model(corpus, model, constraints, ctx)
-    if ctx is None and state.has_cannot:
-        state.ctx = PenaltyContext.build(corpus, model.assignments, model.metrics)
+    if ctx is None:
+        _rebuild_penalties(state)
     return state.objective()
 
 
@@ -533,7 +532,10 @@ def run_mpck(corpus, constraints, config):
         accounting_gap=max_gap,
         converged_by=converged_by,
     )
-    model.objective = evaluate_objective(corpus, model, constraints, ctx=state.ctx)
+    # the final objective builds its own state: free the loop's first
+    ctx = state.ctx
+    del state
+    model.objective = evaluate_objective(corpus, model, constraints, ctx=ctx)
     return model
 
 

@@ -21,6 +21,7 @@ import numbers
 import os
 from contextlib import suppress
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -32,7 +33,16 @@ from .errors import (
     SampleTooLarge,
     UnmatchedMessage,
 )
-from .model import ABSENT, Corpus, IdRule, LabelVector, build_corpus, json_indented, pad_rows
+from .model import (
+    ABSENT,
+    DEFAULT_ARITY,
+    Corpus,
+    IdRule,
+    LabelVector,
+    build_corpus,
+    json_indented,
+    pad_rows,
+)
 
 DEFAULT_DROP_KEYS = frozenset({"RANDOM", "SESSIONID"})
 
@@ -113,7 +123,7 @@ def flatten_message(rows, drop_keys=DEFAULT_DROP_KEYS):
 
 def preprocess(
     traces,
-    arity=32,
+    arity=DEFAULT_ARITY,
     drop_keys=DEFAULT_DROP_KEYS,
     sample_n=None,
     seed=0,
@@ -246,6 +256,9 @@ class ClassTemplate:
     noise_fields: tuple = ()       # (position, alternative-values tuple) pairs
 
     def __post_init__(self):
+        if ABSENT in self.tokens:
+            raise BadSpec("tokens of template %r use %r, which is reserved for padding"
+                          % (self.name, ABSENT))
         for pos, alts in self.noise_fields:
             if not isinstance(pos, numbers.Integral) or pos < 0:
                 raise BadSpec("noise position %r is not an integer >= 0" % (pos,))
@@ -265,14 +278,18 @@ class SynthSpec:
     n_messages: int = 5000
     noise_rate: float = 0.05
     seed: int = 0
-    arity: int = 32
+    arity: int = DEFAULT_ARITY
     class_weights: tuple = None  # None: uniform
 
     def __post_init__(self):
+        for name, least in (("n_messages", 1), ("seed", 0), ("arity", 1)):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                raise BadSpec("%s must be an integer, got %r" % (name, value))
+            if value < least:
+                raise BadSpec("%s must be >= %d, got %r" % (name, least, value))
         if not (0 <= self.noise_rate < 1):
             raise BadSpec("noise_rate must be in [0, 1)")
-        if self.n_messages < 1:
-            raise BadSpec("n_messages must be >= 1")
         if self.class_weights is not None:
             _check_weights(self.class_weights, len(self.class_templates))
         _check_distinguishable(self.class_templates, self.arity)
@@ -295,22 +312,12 @@ def _check_weights(weights, j):
 
 
 def _check_distinguishable(templates, arity):
-    padded = []
-    for t in templates:
-        toks = list(t.tokens[:arity]) + [ABSENT] * (arity - len(t.tokens))
-        noisy = {pos for pos, _ in t.noise_fields}
-        padded.append((toks, noisy))
-    for i in range(len(padded)):
-        for k in range(i + 1, len(padded)):
-            ta, na = padded[i]
-            tb, nb = padded[k]
-            if not any(
-                ta[f] != tb[f] and f not in na and f not in nb for f in range(arity)
-            ):
-                raise BadSpec(
-                    "templates %r and %r are indistinguishable outside noise fields"
-                    % (templates[i].name, templates[k].name)
-                )
+    rows = pad_rows([t.tokens for t in templates], arity)
+    noisy = [{pos for pos, _ in t.noise_fields} for t in templates]
+    for (a, ra, na), (b, rb, nb) in combinations(zip(templates, rows, noisy), 2):
+        if not any(x != y and f not in na | nb for f, (x, y) in enumerate(zip(ra, rb))):
+            raise BadSpec("templates %r and %r are indistinguishable outside noise fields"
+                          % (a.name, b.name))
 
 
 def generate_synthetic(spec):
@@ -334,13 +341,11 @@ def generate_synthetic(spec):
         probs = np.asarray(spec.class_weights, dtype=np.float64)
         probs = probs / probs.sum()
     drawn = rng.choice(j, size=spec.n_messages, p=probs)
-    # a noise-free message keeps its class's row; noisy rows follow them
-    present = np.flatnonzero(np.bincount(drawn, minlength=j))
-    row_of_class = np.zeros(j, dtype=np.int64)
-    row_of_class[present] = np.arange(present.size)
-    row_ids = row_of_class[drawn]
-    noisy = _replay_noise(rng, spec, drawn, row_ids, present.size)
-    raw = [templates[c].tokens for c in present.tolist()] + noisy
+    # row c is class c's template, which a noise-free message keeps; noisy
+    # rows follow them, and `Corpus` drops the unused ones
+    row_ids = drawn.copy()
+    noisy = _replay_noise(rng, spec, drawn, row_ids, j)
+    raw = [t.tokens for t in templates] + noisy
     # message i of class c is named "synth:<name of c>:<i>"
     ids = IdRule(["synth:%s:" % t.name for t in templates], drawn,
                  np.arange(spec.n_messages))
@@ -363,7 +368,8 @@ def _replay_noise(rng, spec, drawn, row_ids, first_row):
     the buffered upper half of the last word split, if one is held, else
     from the low half of the next word, whose upper half it buffers.  The
     noisy rows are returned in order of first use, and each noisy
-    message's `row_ids` entry is set to `first_row` plus its row's index.
+    message's `row_ids` entry is set to `first_row` (the number of
+    templates, J) plus its row's index.
     Nothing reads the generator afterwards, so the words a block draws
     past the last noise draw are harmless.
     """

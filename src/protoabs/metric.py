@@ -43,11 +43,11 @@ class MaxPair:
 def max_separated_pair(indices, corpus, m):
     """Argmax of the squared distance under `m` over unordered index pairs.
 
-    Members with identical code rows are interchangeable, so the table is
-    built over the cluster's distinct rows (time and memory grow with their
-    number, not with the member count), each represented by its smallest
-    member index.  Deterministic: among ties the smallest (first, second)
-    pair wins.  A singleton domain yields (i, i, 0.0).
+    Time and memory are quadratic in `len(indices)`, so callers pass one
+    index per distinct row (members with identical code rows are
+    interchangeable), as `PenaltyContext.build` does with each row's
+    smallest member.  Deterministic: among ties the smallest (first,
+    second) pair wins.  A singleton domain yields (i, i, 0.0).
     """
     idx = np.sort(np.asarray(indices, dtype=np.int64))
     if idx.size == 0:
@@ -55,24 +55,19 @@ def max_separated_pair(indices, corpus, m):
     if idx.size == 1:
         i = int(idx[0])
         return MaxPair(i, i, 0.0)
-    rows = corpus.row_ids[idx]
-    # idx is sorted, so each row's first position holds its smallest member
-    first = np.sort(np.unique(rows, return_index=True)[1])
-    reps = idx[first]
-    x = corpus.unique_codes[rows[first]]
+    x = corpus.unique_codes[corpus.row_ids[idx]]
     w = np.asarray(m.weights, dtype=np.float64)
-    # (u, u) pairwise weighted mismatch totals, accumulated per field in the
+    # (n, n) pairwise weighted mismatch totals, accumulated per field in the
     # same order for every pair; a field on which all rows agree would add
     # +0.0 to every total, so it is skipped
-    d = np.zeros((reps.size, reps.size))
+    d = np.zeros((idx.size, idx.size))
     for f in np.flatnonzero((x != x[0]).any(axis=0)):
         d += w[f] * (x[:, None, f] != x[None, :, f])
     # d is symmetric with a zero diagonal, so its first maximum in row-major
-    # order is the smallest (i, j) with i < j
-    i, j = divmod(int(np.argmax(d)), reps.size)
+    # order is the smallest (i, j) with i < j, and a pair of each row's
+    # smallest index, as a smaller index of the same row would give an
+    # earlier pair at the same distance; every pair ties at 0 if it is 0
+    i, j = divmod(int(np.argmax(d)), idx.size)
     if d[i, j] == 0.0:
-        # every pair ties at 0: the smallest member pair, as over all members
         return MaxPair(int(idx[0]), int(idx[1]), 0.0)
-    # a maximal pair of members is made of representatives, since a smaller
-    # member of the same row would give an earlier pair at the same distance
-    return MaxPair(int(reps[i]), int(reps[j]), float(d[i, j]))
+    return MaxPair(int(idx[i]), int(idx[j]), float(d[i, j]))

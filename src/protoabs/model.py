@@ -128,11 +128,9 @@ class Corpus:
     Message i is `rows[row_ids[i]]`, read from `source_id(i)`.  The
     constructor merges duplicate rows, drops unused ones and numbers the
     rest in first-occurrence order.  Per-position vocabularies list symbols
-    in first-occurrence order; `unique_codes` holds one code row per row.
-    Per message only `row_ids` and the source ids are stored: the ids as
-    given, or the `IdRule` that names them.  `lex_rank[f]`
-    ranks position f's codes by their symbols and `lex_order[f]` lists the
-    codes in that order.
+    in sorted order, so a smaller code is a smaller token; `unique_codes`
+    holds one code row per row.  Per message only `row_ids` and the source
+    ids are stored: the ids as given, or the `IdRule` that names them.
     """
 
     def __init__(self, rows, row_ids, arity, source_ids):
@@ -160,10 +158,8 @@ class Corpus:
         keys = list(key_of)
         self.rows = tuple(keys[m] for m in used.tolist())
         self.arity = arity
-        # a symbol first occurs in the first occurrence of some distinct row,
-        # so scanning distinct rows gives the per-message first-occurrence order
         self.vocabulary = tuple(
-            tuple(dict.fromkeys(row[f] for row in self.rows)) for f in range(arity)
+            tuple(sorted({row[f] for row in self.rows})) for f in range(arity)
         )
         self._index = [
             {tok: c for c, tok in enumerate(vocab)} for vocab in self.vocabulary
@@ -174,13 +170,6 @@ class Corpus:
         )
         for a in (self.row_ids, self.unique_codes):
             a.setflags(write=False)
-        # lexicographic order and rank of the codes, per position (mode
-        # tie-breaking)
-        self.lex_order = tuple(
-            np.array(sorted(range(len(vocab)), key=vocab.__getitem__), dtype=np.int64)
-            for vocab in self.vocabulary
-        )
-        self.lex_rank = tuple(np.argsort(order) for order in self.lex_order)
 
     def __len__(self):
         return self.row_ids.size

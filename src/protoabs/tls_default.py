@@ -9,6 +9,7 @@ which is what the unsupervised baseline trips over.
 """
 
 from .corpus_tools import ClassTemplate, SynthSpec, parse_rule_lines
+from .model import DEFAULT_ARITY
 
 _VERSIONS = ["TLS_1_2", "TLS_1_1", "TLS_1_0"]
 _CIPHERS = [
@@ -138,7 +139,7 @@ def default_templates():
     return tuple(templates)
 
 
-def default_synth_spec(n_messages=5000, noise_rate=0.05, seed=0, arity=32):
+def default_synth_spec(n_messages=5000, noise_rate=0.05, seed=0, arity=DEFAULT_ARITY):
     return SynthSpec(
         class_templates=default_templates(),
         n_messages=n_messages,

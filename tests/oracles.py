@@ -22,29 +22,18 @@ from protoabs.model import ABSENT, Corpus, IdRule, LabelVector, pad_rows
 
 
 def encode_messages(messages, arity):
-    """Per-message corpus encoding: (vocabulary, codes, lex_rank).
+    """Per-message corpus encoding: (vocabulary, codes).
 
-    Vocabularies list symbols in first-occurrence order over the messages;
-    codes are filled by one dictionary lookup per message and field.
+    Vocabularies list the symbols met at each position over the messages,
+    sorted; codes are filled by one dictionary lookup per message and field.
     """
-    vocabulary = []
-    for f in range(arity):
-        seen = {}
-        for m in messages:
-            seen.setdefault(m.fields[f], None)
-        vocabulary.append(tuple(seen))
+    vocabulary = [tuple(sorted({m.fields[f] for m in messages})) for f in range(arity)]
     index = [{tok: c for c, tok in enumerate(vocab)} for vocab in vocabulary]
     codes = np.empty((len(messages), arity), dtype=np.int32)
     for i, m in enumerate(messages):
         for f, tok in enumerate(m.fields):
             codes[i, f] = index[f][tok]
-    lex_rank = []
-    for vocab in vocabulary:
-        ranks = np.empty(len(vocab), dtype=np.int64)
-        for rank, c in enumerate(sorted(range(len(vocab)), key=lambda c: vocab[c])):
-            ranks[c] = rank
-        lex_rank.append(ranks)
-    return tuple(vocabulary), codes, tuple(lex_rank)
+    return tuple(vocabulary), codes
 
 
 def per_message_corpus(messages, arity):
@@ -53,14 +42,14 @@ def per_message_corpus(messages, arity):
 
     Hashes every message's field tuple; rows are numbered in
     first-occurrence order over the messages, and vocabularies list
-    symbols in first-occurrence order.
+    symbols in sorted order.
     """
     row_of = {}
     row_ids = np.fromiter(
         (row_of.setdefault(m.fields, len(row_of)) for m in messages),
         dtype=np.int64, count=len(messages),
     )
-    vocabulary, codes, _ = encode_messages(messages, arity)
+    vocabulary, codes = encode_messages(messages, arity)
     first = [int(np.flatnonzero(row_ids == r)[0]) for r in range(len(row_of))]
     return SimpleNamespace(
         rows=tuple(row_of),
@@ -68,10 +57,6 @@ def per_message_corpus(messages, arity):
         vocabulary=vocabulary,
         unique_codes=codes[first],
         codes=codes,
-        lex_order=tuple(
-            np.array(sorted(range(len(vocab)), key=vocab.__getitem__), dtype=np.int64)
-            for vocab in vocabulary
-        ),
         source_ids=tuple(m.source_id for m in messages),
     )
 
@@ -337,7 +322,7 @@ def mode_row(corpus, members):
     for f in range(corpus.arity):
         cnt = np.bincount(codes[:, f], minlength=len(corpus.vocabulary[f]))
         cands = np.flatnonzero(cnt == cnt.max())
-        row[f] = cands[np.argmin(corpus.lex_rank[f][cands])]
+        row[f] = min(cands, key=corpus.vocabulary[f].__getitem__)
     return row
 
 

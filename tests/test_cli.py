@@ -7,9 +7,10 @@ from pathlib import Path
 
 import pytest
 
-from protoabs.cli import main
-from protoabs.corpus_tools import load_labels
+from protoabs.cli import build_parser, main
+from protoabs.corpus_tools import DEFAULT_DROP_KEYS, load_labels
 from protoabs.experiments import draw_labeled_samples
+from protoabs.model import DEFAULT_ARITY
 
 
 def run(argv):
@@ -58,6 +59,14 @@ def test_label_with_non_total_rules_exits_2(tmp_path, workspace):
         "label", "--corpus", str(workspace / "corpus.json"),
         "--rules", str(rules), "--out-dir", str(tmp_path),
     ]) == 2
+
+
+def test_parser_defaults_are_the_package_defaults():
+    parser = build_parser()
+    synth = parser.parse_args(["synth", "--out-dir", "out"])
+    ingest = parser.parse_args(["ingest", "trace.txt", "--out-dir", "out"])
+    assert synth.arity == ingest.arity == DEFAULT_ARITY
+    assert ingest.drop_keys == ",".join(sorted(DEFAULT_DROP_KEYS))
 
 
 def test_usage_error_exit_code():

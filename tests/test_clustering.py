@@ -1,3 +1,4 @@
+import gc
 from dataclasses import replace
 
 import numpy as np
@@ -333,6 +334,24 @@ class TestRunMpck:
             assert calls == want
         assert len(metrics) == cfg.k * (1 + len(updates))
         assert model.converged_by == "fixpoint"
+
+    @pytest.mark.parametrize("algorithm", ["mpck", "kmeans"])
+    def test_loop_state_is_freed_before_the_final_objective(self, monkeypatch, algorithm):
+        """The final objective builds a `_State` of its own, so the loop's
+        must be gone by then rather than held alongside it."""
+        corpus = random_corpus(np.random.default_rng(0), 40, 4)
+        cs = constraints_from_labels([LabeledSample(i, i % 3) for i in range(9)])
+        alive, evaluate = [], clustering.evaluate_objective
+
+        def counted(*args, **kwargs):
+            gc.collect()
+            alive.append(sum(isinstance(o, clustering._State) for o in gc.get_objects()))
+            return evaluate(*args, **kwargs)
+
+        monkeypatch.setattr(clustering, "evaluate_objective", counted)
+        cfg = MpckConfig(k=3, seed=0)
+        run_mpck(corpus, cs, cfg) if algorithm == "mpck" else run_kmeans(corpus, cfg)
+        assert alive == [0]
 
     @pytest.mark.parametrize("case, max_iterations, iterations, builds", [
         ("synthetic", 0, 0, 1),         # no iteration ran

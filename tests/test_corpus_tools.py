@@ -246,6 +246,23 @@ class TestSynthetic:
         with pytest.raises(BadSpec, match="more than 2\\^32"):
             ClassTemplate("a", ("H=a", "X=0"), ((1, LazyAlternatives(2**32 + 1)),))
 
+    @pytest.mark.parametrize("field, value", [
+        ("n_messages", 2.5), ("n_messages", True), ("seed", 1.5), ("seed", -1), ("seed", True),
+        ("arity", 2.5), ("arity", 0), ("arity", False), ("tokens", ("H=X", ABSENT)),
+    ])
+    def test_bad_spec_field_rejected(self, field, value):
+        """Each is one BadSpec line naming the field, raised with the spec,
+        not a numpy or slicing error at generation or a misleading
+        indistinguishable-templates error."""
+        tokens = value if field == "tokens" else ("H=X",)
+        fields = {"n_messages": 4, "arity": 1}
+        if field != "tokens":
+            fields[field] = value
+        with pytest.raises(BadSpec, match=field) as info:
+            SynthSpec(class_templates=(ClassTemplate("x", tokens), ClassTemplate("y", ("H=Y",))),
+                      **fields)
+        assert "\n" not in str(info.value)
+
     @pytest.mark.parametrize("weights", [
         (1.0,), (1.0, 2.0, 3.0), 1.0, (1.0, -1.0), (1.0, float("nan")),
         (float("inf"), 1.0), (0.0, 0.0), (1e308, 1e308), ("a", 1.0),

@@ -50,9 +50,6 @@ def assert_equals_oracle(corpus, messages):
     for name in ("unique_codes", "row_ids", "codes"):
         got, expected = getattr(corpus, name), getattr(want, name)
         assert got.dtype == expected.dtype and np.array_equal(got, expected), name
-    assert len(corpus.lex_order) == len(want.lex_order)
-    for got, expected in zip(corpus.lex_order, want.lex_order):
-        assert got.dtype == expected.dtype and np.array_equal(got, expected)
     assert corpus.source_ids == want.source_ids
     assert corpus.messages == tuple(messages)
 
@@ -82,12 +79,10 @@ def test_corpus_encoding_matches_per_message_oracle(rows, data):
     assert_equals_oracle(corpus, messages)
     built = build_corpus(rows, arity=len(rows[0]), source_ids=[m.source_id for m in messages])
     assert_equals_oracle(built, messages)
-    vocabulary, codes, lex_rank = oracles.encode_messages(corpus.messages, corpus.arity)
+    vocabulary, codes = oracles.encode_messages(corpus.messages, corpus.arity)
     assert corpus.vocabulary == vocabulary
     assert corpus.codes.dtype == codes.dtype
     assert np.array_equal(corpus.codes, codes)
-    assert len(corpus.lex_rank) == len(lex_rank)
-    assert all(np.array_equal(a, b) for a, b in zip(corpus.lex_rank, lex_rank))
     assert np.array_equal(corpus.codes, corpus.unique_codes[corpus.row_ids])
     # one row id per distinct tuple, numbered in first-occurrence order
     _, first = np.unique(corpus.row_ids, return_index=True)

@@ -42,10 +42,13 @@ The synthetic generator is pinned away from its defaults too: N=3000
 corpora at noise rates 0.4 and 0.9, with non-uniform class weights, and at
 arity 4, below the ClientHello template's length, so that noise fields
 truncated away still consume draws; and at its defaults too, at N=20k
-(the benchmark's large corpus) and at N=120k with noise 0.5.  Each pins the
-sha256 of the corpus' `to_dict()` and of the labels' `to_dict()`; these
-digests were computed while synth still made one scalar draw per noise
-field.
+(the benchmark's large corpus) and at N=120k with noise 0.5; and at N=3000
+with 7 of the 21 classes weighted 0, so that templates no message draws
+are left out of the corpus.  Each pins the sha256 of the corpus'
+`to_dict()` and of the labels' `to_dict()`; these digests were computed
+while synth still made one scalar draw per noise field, except that of
+the undrawn classes, computed while synth still numbered only the drawn
+classes' template rows.
 """
 
 import hashlib
@@ -282,6 +285,8 @@ PINNED_SYNTH = {
                     "5fd782422aaaca7a0241f3d15d36d88a04a75cc07faad5985d1a1b4128175d30"),
     "noise-0.5-120k": ("e3b009ef1dfbbec98cdd87fa4b376347b83c0d1b37764ed80ab2617590a22f59",
                        "d1c1d7cd69fab82ba4925c4448b7ffcaac623278e8dd211e2f94545bd5175bb3"),
+    "undrawn-classes": ("3ef1be4b02f3d57f22d6bc15015e793711e0207c1e0ba1600f7e19897d0a0447",
+                        "02c8250f73236cb0382a3d281c326522ab8e7a466f1b8ff3c81256becbbdfd9b"),
 }
 
 SYNTH_SPECS = {
@@ -292,6 +297,8 @@ SYNTH_SPECS = {
     "arity-4": default_synth_spec(n_messages=3000, noise_rate=0.5, seed=4, arity=4),
     "default-20k": default_synth_spec(n_messages=20000),
     "noise-0.5-120k": default_synth_spec(n_messages=120000, noise_rate=0.5),
+    "undrawn-classes": replace(default_synth_spec(n_messages=3000, seed=5),
+                               class_weights=tuple(c % 3 for c in range(21))),
 }
 
 
