@@ -22,10 +22,11 @@ distinct rows against the centroids.  No step groups messages by cluster:
 the objective sums each distinct row's cost times its count in each
 cluster, so it can differ from a per-message sum in its last bits, and
 the per-cluster max-separated-pair table is built over each cluster's
-distinct rows.  That table, read by the cannot-link penalty, is refreshed
-whenever the metrics change, so with metric updates disabled it stays
-fixed during the loop, which keeps the objective non-increasing; the
-final objective uses a table built for the final assignments.
+distinct rows.  That table, read by the cannot-link penalty alone, is
+built on first read for the assignments and metrics of that moment and
+dropped with the weights, so with metric updates disabled it stays fixed
+through the loop, which keeps the objective non-increasing; if any point
+moved, the final objective builds one for the final assignments.
 """
 
 from dataclasses import dataclass, replace
@@ -183,9 +184,13 @@ class _State:
     (component, distinct row) pairs of the constrained points: entry [s, h]
     sums what the partners of a point of slot s add in cluster h.  Its
     partners' slots are those marked in row s of the (S, S) `linked[kind]`.
+
+    The max-pair table `ctx` is built on first read, for the assignments
+    and metrics of that moment, and dropped when the weights are set; moves
+    keep it.  A table passed to the constructor is used as given.
     """
 
-    def __init__(self, corpus, k, cent_codes, weights, assignments, constraints, ctx):
+    def __init__(self, corpus, k, cent_codes, weights, assignments, constraints, ctx=None):
         constraints = close_constraints(constraints)
         self.corpus = corpus
         self.k = k
@@ -193,11 +198,11 @@ class _State:
         self.weights = weights                      # (K, F)
         self.assignments = assignments
         self.scales = (0.5 * constraints.w, constraints.w_bar)   # of the two tables
-        self.ctx = ctx                              # None without cannot-links
+        self._ctx = ctx
         self.constrained = constraints.points
         sizes = np.bincount(constraints.component)
-        self.has_cannot = constraints.cannot_components.size > 0
-        self.kinds = [kind for kind, on in enumerate(((sizes > 1).any(), self.has_cannot)) if on]
+        has_cannot = constraints.cannot_components.size > 0
+        self.kinds = [kind for kind, on in enumerate(((sizes > 1).any(), has_cannot)) if on]
         u = corpus.unique_codes.shape[0]
         slots, point_slots = np.unique(constraints.component * u
                                        + corpus.row_ids[self.constrained], return_inverse=True)
@@ -237,7 +242,7 @@ class _State:
         self._weights = weights
         self.logdets = np.log(weights).sum(axis=1)  # (K,)
         self._dispersion = None
-        self._metrics = None
+        self._metrics = self._ctx = None
         self.distances = self.tables = None
 
     def metrics(self):
@@ -246,6 +251,14 @@ class _State:
         if self._metrics is None:
             self._metrics = tuple(DiagonalMetric(w.copy()) for w in self.weights)
         return self._metrics
+
+    @property
+    def ctx(self):
+        """The max-pair table, built on first read; only cannot-link terms
+        read it, so without them none is built."""
+        if self._ctx is None:
+            self._ctx = PenaltyContext.build(self.corpus, self.assignments, self.metrics())
+        return self._ctx
 
     def dispersion_costs(self):
         """(u, K) weighted mismatch of each distinct code row against each
@@ -363,10 +376,7 @@ def _state_from_model(corpus, model, constraints, ctx):
 
 def evaluate_objective(corpus, model, constraints, ctx=None):
     """Recompute the full objective from a model's stored state."""
-    state = _state_from_model(corpus, model, constraints, ctx)
-    if ctx is None:
-        _rebuild_penalties(state)
-    return state.objective()
+    return _state_from_model(corpus, model, constraints, ctx).objective()
 
 
 def _seed_centroids(corpus, constraints, k, rng):
@@ -445,17 +455,12 @@ def run_mpck(corpus, constraints, config):
     cent = _seed_centroids(corpus, constraints, k, rng)
     weights = np.ones((k, corpus.arity))
     assignments = np.full(n, -1, dtype=np.int64)
-    state = _State(corpus, k, cent, weights, assignments, constraints, None)
+    state = _State(corpus, k, cent, weights, assignments, constraints)
     row_ids = corpus.row_ids
 
     # initial pass: plain nearest-centroid under the seeded centroids
     state.assignments[:] = np.argmin(state.base_costs(), axis=1)[row_ids]
-    _repair_empty_clusters(state)
-    state.cent = _centroid_codes(corpus, state.assignments, k)
-    if config.metric_update_enabled:
-        _rebuild_penalties(state)
-        state.weights = _update_weights(state)
-    _rebuild_penalties(state)
+    _m_step(state, config.metric_update_enabled)
 
     # unconstrained points interact with nothing: a vectorized argmin is
     # order-equivalent to the sequential visit
@@ -467,10 +472,8 @@ def run_mpck(corpus, constraints, config):
     history = []
     max_gap = 0.0
     j_end = state.objective()
-    prev_j_end = None
     converged_by = "max_iterations"
     iterations = 0
-    moved = False
     for t in range(1, config.max_iterations + 1):
         iterations = t
         # nothing changes the state between the last objective and here
@@ -501,25 +504,14 @@ def run_mpck(corpus, constraints, config):
         if np.array_equal(prev_assign, state.assignments):
             converged_by = "fixpoint"
             break
-        moved = True
 
-        _repair_empty_clusters(state)
-        state.cent = _centroid_codes(corpus, state.assignments, k)
-        if config.metric_update_enabled:
-            state.weights = _update_weights(state)
-            _rebuild_penalties(state)
-
+        _m_step(state, config.metric_update_enabled)
         j_end = state.objective()
         history.append(j_end)
-        if prev_j_end is not None and abs(j_end - prev_j_end) < config.tol:
+        if len(history) > 1 and abs(j_end - history[-2]) < config.tol:
             converged_by = "tolerance"
             break
-        prev_j_end = j_end
 
-    if moved and not config.metric_update_enabled:
-        # the loop's table belongs to the initial assignments; with metric
-        # updates on it was built for the final assignments and metrics
-        _rebuild_penalties(state)
     model = ClusterModel(
         k=k,
         centroids=tuple(_centroid_message(corpus, c, h) for h, c in enumerate(state.cent)),
@@ -532,8 +524,10 @@ def run_mpck(corpus, constraints, config):
         accounting_gap=max_gap,
         converged_by=converged_by,
     )
-    # the final objective builds its own state: free the loop's first
-    ctx = state.ctx
+    # the final objective builds a state of its own: free the loop's first.
+    # With frozen metrics the loop kept the initial assignments' table, so
+    # after a move that state builds a new one.
+    ctx = state._ctx if config.metric_update_enabled or not history else None
     del state
     model.objective = evaluate_objective(corpus, model, constraints, ctx=ctx)
     return model
@@ -546,11 +540,13 @@ def run_kmeans(corpus, config):
     return run_mpck(corpus, ConstraintSet(), cfg)
 
 
-def _rebuild_penalties(state):
-    """Max-pair table for the current assignments and metrics; only
-    cannot-link terms read it, so without them none is built."""
-    if state.has_cannot:
-        state.ctx = PenaltyContext.build(state.corpus, state.assignments, state.metrics())
+def _m_step(state, metric_update_enabled):
+    """Repair empty clusters, then update the centroids and, if enabled,
+    the metrics."""
+    _repair_empty_clusters(state)
+    state.cent = _centroid_codes(state.corpus, state.assignments, state.k)
+    if metric_update_enabled:
+        state.weights = _update_weights(state)
 
 
 def _repair_empty_clusters(state):

@@ -9,6 +9,7 @@ positional Hamming comparison is well defined.
 import json
 from dataclasses import dataclass
 from functools import cache, cached_property
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -25,9 +26,15 @@ DEFAULT_ARITY = 32
 def json_ints(values, what):
     """`values`, read from a JSON file, if each one is an integer: int() and
     numpy would truncate 1.5 and read true as 1."""
-    if not set(map(type, values)) <= {int}:
-        bad = next(v for v in values if type(v) is not int)
-        raise ValueError("%s: %r is not an integer" % (what, bad))
+    return _json_typed(values, int, what, "an integer")
+
+
+def _json_typed(values, kind, what, name):
+    """`values`, a list read from a JSON file, if each one is exactly of
+    type `kind`; one type pass, and a scan only to name the first bad one."""
+    if not set(map(type, values)) <= {kind}:
+        bad = next(v for v in values if type(v) is not kind)
+        raise ValueError("%s: %r is not %s" % (what, bad, name))
     return values
 
 
@@ -223,17 +230,24 @@ class Corpus:
     @classmethod
     def from_dict(cls, d):
         """Inverse of to_dict; also reads the original form, a "messages"
-        list of {"fields", "source_id"} objects."""
+        list of {"fields", "source_id"} objects.  Rows are lists of string
+        tokens, source ids are strings and the arity is at least 1."""
         (arity,) = json_ints([d["arity"]], "arity")
+        if arity < 1:
+            raise ValueError("arity must be >= 1, got %d" % arity)
         if "format" not in d:
             msgs = d["messages"]
-            return cls(
-                [m["fields"] for m in msgs], range(len(msgs)), arity,
-                [m.get("source_id", "") for m in msgs],
-            )
-        if type(d["format"]) is not int or d["format"] != 2:
+            rows, row_ids = [m["fields"] for m in msgs], range(len(msgs))
+            source_ids = [m.get("source_id", "") for m in msgs]
+        elif type(d["format"]) is not int or d["format"] != 2:
             raise ValueError("unknown corpus format %r" % (d["format"],))
-        return cls(d["rows"], json_ints(d["row_ids"], "row_ids"), arity, d["source_ids"])
+        else:
+            rows, source_ids = d["rows"], d["source_ids"]
+            row_ids = json_ints(d["row_ids"], "row_ids")
+        _json_typed(rows, list, "rows", "a list")
+        _json_typed(list(chain.from_iterable(rows)), str, "tokens", "a string")
+        _json_typed(source_ids, str, "source_ids", "a string")
+        return cls(rows, row_ids, arity, source_ids)
 
 
 @dataclass(frozen=True)

@@ -2,18 +2,23 @@
 the objective, the metric update and the per-point assignment, each over
 the closure of the constraints, as `run_mpck` scores them."""
 
+from unittest.mock import patch
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from protoabs import clustering
 from protoabs.clustering import (
     ClusterModel,
+    MpckConfig,
     PenaltyContext,
     _state_from_model,
     _update_weights,
     evaluate_objective,
+    run_mpck,
     update_centroids,
 )
 from protoabs.constraints import ConstraintSet, LabeledSample, constraints_from_labels
@@ -179,3 +184,36 @@ def test_moves_keep_the_tables_of_a_fresh_build(inst, data):
             _update_weights(state)
         return
     assert_weights_match_oracle(corpus, moved, cs, ctx.maxpairs, _update_weights(state))
+
+
+@PROPERTY
+@given(instances(), st.booleans(), st.integers(0, 3))
+def test_a_run_stores_the_objective_of_a_fresh_table(inst, metric_updates, seed):
+    """A run's stored objective is the one a table built for its final
+    assignments and metrics gives, its tracked objective follows the
+    recomputed one, and with frozen metrics, whose loop keeps one table,
+    the objective never rises across an M-step that reseeds no empty
+    cluster.  A reseed moves a point to a new centroid whatever it costs,
+    so it may raise the objective."""
+    corpus, model, cs = inst
+    cfg = MpckConfig(k=model.k, seed=seed, metric_update_enabled=metric_updates)
+    reseeded = []                       # one entry per M-step, the initial one first
+    repair = clustering._repair_empty_clusters
+
+    def recording_repair(state):
+        before = state.assignments.copy()
+        repair(state)
+        reseeded.append(not np.array_equal(before, state.assignments))
+
+    with patch.object(clustering, "_repair_empty_clusters", recording_repair):
+        try:
+            run = run_mpck(corpus, cs, cfg)
+        except EmptyCluster:
+            assume(False)
+    assert evaluate_objective(corpus, run, cs).hex() == run.objective.hex()
+    assert run.accounting_gap <= 1e-9
+    if not metric_updates:
+        history = run.objective_history
+        assert len(reseeded) == 1 + len(history)
+        steps = zip(history, history[1:], reseeded[2:])
+        assert all(b <= a + 1e-9 for a, b, reseed in steps if not reseed)

@@ -194,6 +194,12 @@ def _first_row_ids(corpus, ids):
     return dict(corpus, row_ids=ids + corpus["row_ids"][len(ids):])
 
 
+def _int_tokens(corpus):
+    """The format-2 corpus with each row's first token replaced by the
+    row's number, so that no position mixes numbers and strings."""
+    return dict(corpus, rows=[[i] + r[1:] for i, r in enumerate(corpus["rows"])])
+
+
 def _no_classes(labels):
     """The labels with n_classes 0 and every message unlabelled."""
     return dict(labels, n_classes=0, labels=[-1] * len(labels["labels"]))
@@ -237,6 +243,14 @@ BAD_DATA = [
     ("corpus of unknown format", "cluster", {"--corpus": lambda c: dict(c, format=3)}),
     ("corpus arity true", "cluster",
      {"--corpus": lambda c: dict(c, arity=True, rows=[r[:1] for r in c["rows"]])}),
+    ("corpus arity 0", "cluster",
+     {"--corpus": lambda c: dict(c, arity=0, rows=[[]] * len(c["rows"]))}),
+    ("corpus token not a string", "cluster", {"--corpus": _int_tokens}),
+    ("label corpus token not a string", "label", {"--corpus": _int_tokens}),
+    ("corpus row a string", "cluster",
+     {"--corpus": lambda c: dict(c, rows=["a" * c["arity"]] + c["rows"][1:])}),
+    ("corpus source id not a string", "cluster",
+     {"--corpus": lambda c: dict(c, source_ids=[None] + c["source_ids"][1:])}),
     ("labels not JSON", "cluster", {"--labels": "{"}),
     ("labels out of range", "cluster", {"--labels": {"n_classes": 2, "labels": [0, 5]}}),
     ("labels 1.5", "cluster", {"--labels": lambda l: dict(l, labels=[1.5] + l["labels"][1:])}),

@@ -298,8 +298,9 @@ class TestRunMpck:
     def test_max_pairs_see_one_member_per_distinct_row(self, monkeypatch, algorithm):
         """Each max-pair table build passes `max_separated_pair`, for each
         non-empty cluster, the smallest member of each distinct row in it,
-        and a run builds the K DiagonalMetrics once per weight state: the
-        initial unit weights and each update."""
+        and a run builds the K DiagonalMetrics, and with cannot-links one
+        table, once per weight state: the initial unit weights and each
+        update."""
         corpus, labels = generate_synthetic(default_synth_spec(n_messages=5000, seed=0))
         cs = constraints_from_labels(draw_labeled_samples(labels, 1, seed=0))
         builds, updates, metrics = [], [], []   # builds: (assignments, indices passed)
@@ -323,7 +324,9 @@ class TestRunMpck:
         cfg = MpckConfig(k=21, seed=0)
         model = run_mpck(corpus, cs, cfg) if algorithm == "mpck" else run_kmeans(corpus, cfg)
         monkeypatch.undo()
-        assert bool(builds) == (algorithm == "mpck")
+        # one table for the unit metric and one per metric update; k-means
+        # has no cannot-links, so it builds none
+        assert len(builds) == (1 + len(updates) if algorithm == "mpck" else 0)
         for assignments, calls in builds:
             want = []
             for h in range(cfg.k):
