@@ -82,7 +82,7 @@ def _bounded(convert, ok, rule):
 
 _positive_int = _bounded(int, lambda v: v >= 1, ">= 1")
 _positive_float = _bounded(float, lambda v: v > 0, "> 0")
-_non_negative_float = _bounded(float, lambda v: v >= 0, ">= 0")
+_penalty_weight = _bounded(float, lambda v: 0 <= v < float("inf"), "finite and >= 0")
 _non_negative_int = _bounded(int, lambda v: v >= 0, ">= 0")
 _rate = _bounded(float, lambda v: 0 <= v < 1, "in [0, 1)")
 _count_list = _bounded(_int_list, lambda v: bool(v) and min(v) >= 0, "one or more counts >= 0")
@@ -93,8 +93,8 @@ def _add_run_options(p):
     """The options of every command that clusters; see _run_options."""
     p.add_argument("--corpus", required=True)
     p.add_argument("--labels", required=True)
-    p.add_argument("--w", type=_non_negative_float, default=1.0)
-    p.add_argument("--w-bar", type=_non_negative_float, default=1.0)
+    p.add_argument("--w", type=_penalty_weight, default=1.0)
+    p.add_argument("--w-bar", type=_penalty_weight, default=1.0)
     p.add_argument("--max-iters", dest="max_iterations", metavar="MAX_ITERS",
                    type=_non_negative_int, default=200)
     p.add_argument("--tol", type=_positive_float, default=1e-6)

@@ -16,9 +16,11 @@ unconstrained points interact with nothing and take a vectorized argmin of
 costs computed once per distinct code row.  Constraints are never expanded
 into pairs: penalties and violation tallies are summed over the counts of
 constrained points per (component, distinct row) slot and cluster.
-Centroids (per-field modes) come from one (distinct rows, K) count matrix,
-the costs and the metric update's dispersion from one mismatch of the
-distinct rows against the centroids.  No step groups messages by cluster:
+Each M-step counts members once, in one (distinct rows, K) matrix that
+the centroids (per-field modes) and the metric update read; the costs
+and the dispersion come from one mismatch of the distinct rows against
+the centroids.  A pass that moves no point ends the loop unscored: its
+state is the one last scored.  No step groups messages by cluster:
 the objective sums each distinct row's cost times its count in each
 cluster, so it can differ from a per-message sum in its last bits, and
 the per-cluster max-separated-pair table is built over each cluster's
@@ -29,6 +31,7 @@ through the loop, which keeps the objective non-increasing; if any point
 moved, the final objective builds one for the final assignments.
 """
 
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -51,10 +54,14 @@ class MpckConfig:
     metric_update_enabled: bool = True
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
-        if self.tol <= 0:
-            raise ValueError("tolerance must be positive")
+        for name, least in (("k", 1), ("max_iterations", 0), ("seed", 0)):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                raise ValueError("%s must be an integer, got %r" % (name, value))
+            if value < least:
+                raise ValueError("%s must be >= %d, got %r" % (name, least, value))
+        if not self.tol > 0:
+            raise ValueError("tol must be > 0, got %r" % (self.tol,))
 
 
 @dataclass
@@ -142,12 +149,8 @@ def _row_counts(corpus, row_ids, groups, g):
 def update_centroids(corpus, assignments, k):
     """Per-field mode of each cluster's members; lexicographically smallest
     token wins ties."""
-    cent_codes = _centroid_codes(corpus, assignments, k)
+    cent_codes = _mode_rows(corpus, _row_counts(corpus, corpus.row_ids, assignments, k))
     return tuple(_centroid_message(corpus, cent_codes[h], h) for h in range(k))
-
-
-def _centroid_codes(corpus, assignments, k):
-    return _mode_rows(corpus, _row_counts(corpus, corpus.row_ids, assignments, k))
 
 
 def _mode_rows(corpus, counts):
@@ -401,8 +404,9 @@ def _seed_centroids(corpus, constraints, k, rng):
     return np.stack(cent)
 
 
-def _update_weights(state):
-    """Closed-form metric update for every cluster, including violation tallies.
+def _update_weights(state, counts):
+    """Closed-form metric update for every cluster, including violation
+    tallies; `counts` is the (u, K) count matrix of the state's assignments.
 
     a_f = n / max(EPS_DENOM, D_f), clamped to [EPS_WEIGHT, 1/EPS_WEIGHT],
     where D_f is the members' dispersion around the centroid plus the
@@ -410,13 +414,13 @@ def _update_weights(state):
     """
     k, corpus = state.k, state.corpus
     tallies = np.zeros((k, corpus.arity))
-    s, g, n, counts = state.cells()
+    s, g, n, slot_counts = state.cells()
     for kind in state.kinds:
         cell, t, x, y = state.pairs(s, kind)
         # a violated must-link has its partner outside the point's cluster,
         # a violated cannot-link inside it
-        inside = counts[t, g[cell]]
-        partners = inside if kind else counts[t].sum(axis=1) - inside
+        inside = slot_counts[t, g[cell]]
+        partners = inside if kind else slot_counts[t].sum(axis=1) - inside
         nf = state.fields.size      # (K, V) mismatching fields of those pairs, by cluster
         by_cluster = np.bincount((g[cell, None] * nf + np.arange(nf)).ravel(), (
             (n[cell] * partners)[:, None] * state.mismatch[x, y]).ravel(), k * nf).reshape(k, nf)
@@ -432,7 +436,6 @@ def _update_weights(state):
         cl_tallies = np.bincount(g[cell], n[cell] * partners, k)[:, None] * far
         cl_tallies[:, state.fields] -= by_cluster
         tallies += np.maximum(0.0, 0.5 * state.scales[1] * cl_tallies)
-    counts = _row_counts(corpus, corpus.row_ids, state.assignments, k)
     sizes = counts.sum(axis=0)
     empty = np.flatnonzero(sizes == 0)
     if empty.size:
@@ -498,12 +501,11 @@ def run_mpck(corpus, constraints, config):
             tracked += float(costs[h] - costs[state.assignments[i]])
             state.move(i, h)
 
-        recomputed = state.objective()
-        max_gap = max(max_gap, abs(tracked - recomputed))
-
+        # a fixpoint's state is the one last scored, with a gap of 0
         if np.array_equal(prev_assign, state.assignments):
             converged_by = "fixpoint"
             break
+        max_gap = max(max_gap, abs(tracked - state.objective()))
 
         _m_step(state, config.metric_update_enabled)
         j_end = state.objective()
@@ -542,29 +544,30 @@ def run_kmeans(corpus, config):
 
 def _m_step(state, metric_update_enabled):
     """Repair empty clusters, then update the centroids and, if enabled,
-    the metrics."""
+    the metrics, both from one (u, K) count matrix of the repaired
+    assignments."""
     _repair_empty_clusters(state)
-    state.cent = _centroid_codes(state.corpus, state.assignments, state.k)
+    counts = _row_counts(state.corpus, state.corpus.row_ids, state.assignments, state.k)
+    state.cent = _mode_rows(state.corpus, counts)
     if metric_update_enabled:
-        state.weights = _update_weights(state)
+        state.weights = _update_weights(state, counts)
 
 
 def _repair_empty_clusters(state):
     """Reseed each empty cluster with the point farthest from its own
-    centroid, drawn from clusters that can spare a member."""
+    centroid, drawn from clusters that can spare a member.  Only points
+    move, as the M-step sets every centroid next; a pick, alone in its
+    new cluster, is never drawn again, so the costs are taken once."""
     sizes = np.bincount(state.assignments, minlength=state.k)
-    for h in range(state.k):
-        if sizes[h] > 0:
-            continue
-        disp = state.dispersion_costs()[state.corpus.row_ids, state.assignments]
+    empty = np.flatnonzero(sizes == 0)
+    if not empty.size:
+        return
+    disp = state.dispersion_costs()[state.corpus.row_ids, state.assignments]
+    for h in empty:
         eligible = sizes[state.assignments] >= 2
         if not eligible.any():
             raise EmptyCluster("no cluster can spare a point for reseeding")
-        disp[~eligible] = -np.inf
-        pick = int(np.argmax(disp))
+        pick = int(np.argmax(np.where(eligible, disp, -np.inf)))
         sizes[state.assignments[pick]] -= 1
         state.assignments[pick] = h
         sizes[h] += 1
-        cent = state.cent.copy()
-        cent[h] = state.corpus.unique_codes[state.corpus.row_ids[pick]]
-        state.cent = cent

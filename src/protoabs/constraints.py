@@ -27,6 +27,14 @@ def _pair(a, b):
     return (a, b) if a < b else (b, a)
 
 
+def _check_weights(constraints):
+    """Both penalty weights of `constraints` must be finite and >= 0."""
+    for name in ("w", "w_bar"):
+        value = getattr(constraints, name)
+        if not 0 <= value < float("inf"):
+            raise ValueError("penalty weight %s must be finite and >= 0, got %r" % (name, value))
+
+
 @dataclass(frozen=True)
 class ConstraintSet:
     must_links: frozenset = frozenset()
@@ -35,6 +43,7 @@ class ConstraintSet:
     w_bar: float = 1.0
 
     def __post_init__(self):
+        _check_weights(self)
         object.__setattr__(self, "must_links", frozenset(_pair(*p) for p in self.must_links))
         object.__setattr__(self, "cannot_links", frozenset(_pair(*p) for p in self.cannot_links))
         if self.must_links & self.cannot_links:
@@ -68,6 +77,9 @@ class ClosedConstraints:
     cannot_components: np.ndarray
     w: float = 1.0
     w_bar: float = 1.0
+
+    def __post_init__(self):
+        _check_weights(self)
 
     def is_empty(self):
         return self.points.size == 0
@@ -103,8 +115,6 @@ def constraints_from_labels(samples, w=1.0, w_bar=1.0):
     """All same-class pairs become must-links, all cross-class pairs
     cannot-links: each class is one component, and every two classes are
     cannot-linked."""
-    if w < 0 or w_bar < 0:
-        raise ValueError("penalty weights must be non-negative")
     by_index = {}
     for s in samples:
         if s.index in by_index and by_index[s.index] != s.class_id:

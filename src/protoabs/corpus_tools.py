@@ -21,7 +21,7 @@ import numbers
 import os
 from contextlib import suppress
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -57,40 +57,23 @@ def parse_trace_file(path):
 
 
 def parse_trace_lines(lines):
-    traces = []
-    messages = []
-    rows = []
-
-    def end_message():
-        nonlocal rows
-        if rows:
+    traces, messages, rows = [], [], []
+    # a closing "--" ends the last message and trace
+    for line_no, line in enumerate(chain(lines, ["--"]), start=1):
+        parts = line.split()
+        if parts and parts[0].startswith("#"):
+            continue
+        if parts and parts != ["--"]:
+            if "=" in parts[0]:
+                raise ParseError("field key %r must not contain '='" % parts[0], line_no)
+            rows.append((parts[0], tuple(parts[1:])))
+            continue
+        if rows:                        # a blank line or "--" ends a message
             messages.append(tuple(rows))
             rows = []
-
-    def end_trace():
-        nonlocal messages
-        end_message()
-        if messages:
+        if parts and messages:          # "--" ends a trace
             traces.append(DecodedTrace(messages=tuple(messages)))
             messages = []
-
-    for line_no, raw in enumerate(lines, start=1):
-        line = raw.rstrip("\n")
-        stripped = line.strip()
-        if stripped.startswith("#"):
-            continue
-        if stripped == "":
-            end_message()
-            continue
-        if stripped == "--":
-            end_trace()
-            continue
-        parts = stripped.split()
-        key, values = parts[0], tuple(parts[1:])
-        if "=" in key:
-            raise ParseError("field key %r must not contain '='" % key, line_no)
-        rows.append((key, values))
-    end_trace()
     if not traces:
         raise EmptyCorpus("trace file contains no messages")
     return traces

@@ -15,6 +15,7 @@ from protoabs.clustering import (
     ClusterModel,
     MpckConfig,
     PenaltyContext,
+    _row_counts,
     _state_from_model,
     _update_weights,
     evaluate_objective,
@@ -27,6 +28,12 @@ from protoabs.metric import DiagonalMetric, MaxPair
 from protoabs.model import build_corpus
 
 PROPERTY = settings(max_examples=200, deadline=None)
+
+
+def update_weights(state):
+    """The metric update of `state`, from the count matrix of its assignments."""
+    counts = _row_counts(state.corpus, state.corpus.row_ids, state.assignments, state.k)
+    return _update_weights(state, counts)
 
 
 def _assignments(draw, n, k):
@@ -103,7 +110,7 @@ def test_update_weights_matches_oracle_update_metric(inst, data):
         st.integers(0, model.k - 1), min_size=len(corpus), max_size=len(corpus)
     )), dtype=np.int64)
     ctx = PenaltyContext.build(corpus, table_assign, model.metrics)
-    got = _update_weights(_state_from_model(corpus, model, cs, ctx))
+    got = update_weights(_state_from_model(corpus, model, cs, ctx))
 
     maxpairs = []
     for h, m in enumerate(model.metrics):
@@ -181,9 +188,9 @@ def test_moves_keep_the_tables_of_a_fresh_build(inst, data):
     assert abs(got - want) <= 1e-9 * max(1.0, abs(want))
     if np.bincount(moved.assignments, minlength=model.k).min() == 0:
         with pytest.raises(EmptyCluster):
-            _update_weights(state)
+            update_weights(state)
         return
-    assert_weights_match_oracle(corpus, moved, cs, ctx.maxpairs, _update_weights(state))
+    assert_weights_match_oracle(corpus, moved, cs, ctx.maxpairs, update_weights(state))
 
 
 @PROPERTY

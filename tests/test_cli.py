@@ -110,6 +110,8 @@ BAD_ARGUMENTS = [
     ("cluster", ["--tol", "0"]),
     ("cluster", ["--w", "-1"]),
     ("cluster", ["--w-bar", "-1"]),
+    ("cluster", ["--w", "inf"]),
+    ("cluster", ["--w-bar", "inf"]),
     ("cluster", ["--labels-per-class", "-1"]),
     ("cluster", ["--max-iters", "-1"]),
     ("cluster", ["--seed", "-1"]),

@@ -318,7 +318,7 @@ class TestRunMpck:
         monkeypatch.setattr(PenaltyContext, "build", classmethod(built))
         monkeypatch.setattr(clustering._metric, "max_separated_pair", paired)
         monkeypatch.setattr(clustering, "_update_weights",
-                            lambda state: updates.append(1) or update(state))
+                            lambda state, counts: updates.append(1) or update(state, counts))
         monkeypatch.setattr(clustering, "DiagonalMetric",
                             lambda weights: metrics.append(1) or metric(weights))
         cfg = MpckConfig(k=21, seed=0)
@@ -389,6 +389,27 @@ class TestRunMpck:
         rebuilt = evaluate_objective(corpus, model, close_constraints(cs))
         assert replace(model, objective=rebuilt).to_json() == model.to_json()
 
+    @pytest.mark.parametrize("algorithm", ["mpck", "kmeans"])
+    @pytest.mark.parametrize("max_iterations, tol, stop", [
+        (200, 1e-6, "fixpoint"),
+        (200, 1e9, "tolerance"),
+        (1, 1e-6, "max_iterations"),
+    ])
+    def test_each_loop_state_is_scored_once(self, monkeypatch, algorithm, max_iterations,
+                                            tol, stop):
+        """The loop scores the initial state and, per iteration that moved a
+        point, the assignment pass and the M-step; a fixpoint is not
+        rescored.  The final objective scores the model once more."""
+        corpus = random_corpus(np.random.default_rng(8), 40, 4)
+        cs = constraints_from_labels([LabeledSample(i, i % 3) for i in range(9)])
+        calls, objective = [], clustering._State.objective
+        monkeypatch.setattr(clustering._State, "objective",
+                            lambda state: calls.append(1) or objective(state))
+        cfg = MpckConfig(k=3, seed=0, max_iterations=max_iterations, tol=tol)
+        model = run_mpck(corpus, cs, cfg) if algorithm == "mpck" else run_kmeans(corpus, cfg)
+        assert model.converged_by == stop
+        assert len(calls) == 1 + 2 * len(model.objective_history) + 1
+
 
 class TestRunKmeans:
     def test_k_equals_n(self):
@@ -422,3 +443,19 @@ def test_dispersion_costs_in_blocks_equal_one_stacked_matmul(monkeypatch, per_bl
     monkeypatch.setattr(clustering, "DISPERSION_BLOCK", per_block * u * f)
     want = np.matmul(state.cent_mismatch, weights[:, :, None])[:, :, 0].T
     assert np.array_equal(state.dispersion_costs(), want)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("k", 0), ("k", 2.5), ("k", True), ("k", "3"),
+    ("max_iterations", -3), ("max_iterations", 1.0), ("max_iterations", False),
+    ("seed", -1), ("seed", 0.5), ("seed", None),
+    ("tol", 0.0), ("tol", -1e-6), ("tol", float("nan")),
+])
+def test_config_rejects_a_bad_field_by_name(field, value):
+    with pytest.raises(ValueError, match="^%s must be " % field):
+        MpckConfig(**{"k": 3, field: value})
+
+
+def test_config_accepts_numpy_integers():
+    cfg = MpckConfig(k=np.int64(3), max_iterations=np.int64(0), seed=np.int64(7))
+    assert (cfg.k, cfg.max_iterations, cfg.seed) == (3, 0, 7)

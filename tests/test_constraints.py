@@ -1,5 +1,6 @@
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -170,3 +171,22 @@ def test_label_constraints_match_pair_oracle(labeled, w, w_bar):
         constraints_from_labels(samples, w=w, w_bar=w_bar),
         oracles.label_constraints(samples, w=w, w_bar=w_bar),
     )
+
+
+EMPTY = np.zeros(0, dtype=np.int64)
+WEIGHTED = {
+    "ConstraintSet": lambda **weights: ConstraintSet(**weights),
+    "ClosedConstraints": lambda **weights: ClosedConstraints(
+        EMPTY, EMPTY, EMPTY.reshape(0, 2), **weights),
+    "constraints_from_labels": lambda **weights: constraints_from_labels(
+        labels_for(2, 2), **weights),
+}
+
+
+@pytest.mark.parametrize("build", WEIGHTED.values(), ids=WEIGHTED.keys())
+@pytest.mark.parametrize("name", ["w", "w_bar"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0])
+def test_penalty_weights_must_be_finite_and_non_negative(build, name, value):
+    with pytest.raises(ValueError, match="penalty weight %s must be finite" % name):
+        build(**{name: value})
+    assert getattr(build(**{name: 0.0}), name) == 0.0

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 import oracles
 from protoabs.corpus_tools import (
     ClassTemplate,
+    DecodedTrace,
     SynthSpec,
     apply_rules,
     flatten_message,
@@ -85,6 +86,41 @@ class TestTraceParsing:
         traces = parse_trace_lines(SAMPLE_TRACE.splitlines())
         text = serialize_traces(traces)
         assert parse_trace_lines(text.splitlines()) == traces
+
+
+KEYS = st.text("ABCZ019-_#", min_size=1, max_size=5).filter(
+    lambda key: key[0] != "#" and key != "--")
+VALUES = st.text("abz09=#-_.", min_size=1, max_size=4)
+PADDING = st.text(" \t\r\x1c", max_size=2)
+MESSAGES = st.lists(st.tuples(KEYS, st.lists(VALUES, max_size=3).map(tuple)),
+                    min_size=1, max_size=4).map(tuple)
+TRACES = st.lists(st.lists(MESSAGES, min_size=1, max_size=3).map(
+    lambda messages: DecodedTrace(messages=tuple(messages))), min_size=1, max_size=3)
+
+
+def noisy_lines(draw, text):
+    """The lines of `text` with comment lines anywhere, extra blank lines
+    after each message or trace end and whitespace around every line."""
+    lines = []
+    for line in text.splitlines():
+        lines += draw(st.lists(st.sampled_from(["#", "# K v", "#--", " # x=y"]), max_size=1))
+        lines.append(draw(PADDING) + line + draw(PADDING))
+        if line in ("", "--"):
+            lines += draw(st.lists(PADDING, max_size=2))
+    return lines
+
+
+@settings(max_examples=200, deadline=None)
+@given(TRACES, st.data())
+def test_serialized_traces_parse_back_through_comments_and_whitespace(traces, data):
+    lines = noisy_lines(data.draw, serialize_traces(traces))
+    assert parse_trace_lines(lines) == traces
+    # a key holding '=' is reported at its line
+    bad = data.draw(st.integers(0, len(lines)))
+    lines.insert(bad, "K=%s v" % data.draw(VALUES))
+    with pytest.raises(ParseError) as err:
+        parse_trace_lines(lines)
+    assert err.value.line_no == bad + 1
 
 
 class TestPreprocess:

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from oracles import distance_sq, log_det, unit_metric, update_metric
-from protoabs.clustering import ClusterModel, PenaltyContext, _state_from_model, _update_weights
+from protoabs.clustering import (
+    ClusterModel,
+    PenaltyContext,
+    _row_counts,
+    _state_from_model,
+    _update_weights,
+)
 from protoabs.constraints import ConstraintSet
 from protoabs.errors import ArityMismatch, EmptyCluster
 from protoabs.metric import DiagonalMetric, max_separated_pair
@@ -22,7 +28,8 @@ def package_update(corpus, centroid):
         assignments=np.zeros(len(corpus), dtype=np.int64), objective=0.0,
     )
     ctx = PenaltyContext.build(corpus, model.assignments, model.metrics)
-    return _update_weights(_state_from_model(corpus, model, ConstraintSet(), ctx))[0]
+    state = _state_from_model(corpus, model, ConstraintSet(), ctx)
+    return _update_weights(state, _row_counts(corpus, corpus.row_ids, state.assignments, 1))[0]
 
 
 class TestDistance:
