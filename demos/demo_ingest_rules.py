@@ -47,7 +47,7 @@ def main():
 
     rules = parse_rule_lines(RULES.splitlines())
     labels = apply_rules(corpus, rules)
-    print("rule labels:", labels.labels)
+    print("rule labels:", tuple(labels.labels.tolist()))
 
 
 if __name__ == "__main__":

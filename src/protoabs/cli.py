@@ -26,7 +26,7 @@ from .corpus_tools import (
     save_labels,
     write_atomic,
 )
-from .errors import DataError, ProtoabsError, TooManyClusters, UnmatchedMessage
+from .errors import DataError, InsufficientLabels, ProtoabsError, TooManyClusters, UnmatchedMessage
 from .evaluation import evaluate
 from .experiments import (
     run_experiment,
@@ -173,9 +173,7 @@ def build_parser():
 def _summary(corpus, labels=None):
     line = "N=%d F=%d" % (len(corpus), corpus.arity)
     if labels is not None:
-        hist = np.bincount(
-            [l for l in labels.labels if l != UNLABELED], minlength=labels.n_classes
-        )
+        hist = np.bincount(labels.labels[labels.labels != UNLABELED], minlength=labels.n_classes)
         line += " J=%d class_histogram=%s" % (labels.n_classes, hist.tolist())
     return line
 
@@ -351,7 +349,9 @@ def main(argv=None):
     try:
         return args.run(args)
     except (DataError, OSError) as e:
-        print("data error: %s" % e, file=sys.stderr)
+        # the labelled examples are drawn from the labels file
+        where = "labels %s: " % args.labels if isinstance(e, InsufficientLabels) else ""
+        print("data error: %s%s" % (where, e), file=sys.stderr)
         return 2
     except ProtoabsError as e:
         print("internal error: %s" % e, file=sys.stderr)

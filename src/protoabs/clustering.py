@@ -31,6 +31,7 @@ through the loop, which keeps the objective non-increasing; if any point
 moved, the final objective builds one for the final assignments.
 """
 
+import math
 import numbers
 from dataclasses import dataclass, replace
 
@@ -74,7 +75,7 @@ class ClusterModel:
     iterations: int = 0
     seed: int = 0
     objective_history: tuple = ()
-    accounting_gap: float = 0.0
+    accounting_gap: float = 0.0   # worst |fsum(cost deltas) - fsum(terms' change)| of a pass
     converged_by: str = ""
 
     def to_dict(self):
@@ -94,11 +95,15 @@ class ClusterModel:
     @classmethod
     def from_dict(cls, d):
         k, iterations, seed = json_ints([d["k"], d["iterations"], d["seed"]], "k, iterations, seed")
-        assignments = json_ints(d["assignments"], "assignments")
-        if any(not 0 <= a < k for a in assignments):
+        assignments = np.asarray(json_ints(d["assignments"], "assignments"))
+        if ((assignments < 0) | (assignments >= k)).any():
             raise ValueError("assignments must lie in [0, %d)" % k)
         if len(d["centroids"]) != k or len(d["metric_weights"]) != k:
             raise ValueError("k=%d needs k centroids and k metric_weights" % k)
+        lengths = sorted({len(row) for row in d["centroids"] + d["metric_weights"]})
+        if len(lengths) > 1:
+            raise ValueError("centroids and metric_weights rows have lengths %s, "
+                             "need one arity" % lengths)
         return cls(
             k=k,
             centroids=tuple(
@@ -106,7 +111,7 @@ class ClusterModel:
                 for h, c in enumerate(d["centroids"])
             ),
             metrics=tuple(DiagonalMetric(np.array(w)) for w in d["metric_weights"]),
-            assignments=np.array(assignments, dtype=np.int64),
+            assignments=assignments.astype(np.int64),
             objective=float(d["objective"]),
             iterations=iterations,
             seed=seed,
@@ -357,17 +362,22 @@ class _State:
                 self.tables[kind][at] += sign * self.partner_costs(kind, self.slot_rows[t], y, g)
 
     def objective(self):
-        """Objective recomputed in full against the current max-pair
-        table; the must and cannot tables are rebuilt on the way."""
+        """(objective, terms), recomputed in full against the current
+        max-pair table; the must and cannot tables are rebuilt on the way.
+        The terms, whose sum is the objective, are the occupied (distinct
+        row, cluster) cells' costs and each kind's penalty cells."""
         counts = _row_counts(self.corpus, self.corpus.row_ids, self.assignments, self.k)
         # an empty cell adds nothing, even where its cost is infinite
-        costs = np.multiply(counts, self.base_costs(), out=np.zeros(counts.shape), where=counts > 0)
+        occupied = counts > 0
+        costs = np.multiply(counts, self.base_costs(), out=np.zeros(counts.shape), where=occupied)
         total = float(costs.sum())
+        terms = [costs[occupied]]
         cells = s, g, n, _ = self.cells()
         self.tables = self.build_tables(cells)
         for kind in self.kinds:     # each violated pair is charged to both points
             total += 0.5 * self.scales[kind] * float(self.tables[kind][s, g] @ n)
-        return float(total)
+            terms.append(0.5 * self.scales[kind] * (self.tables[kind][s, g] * n))
+        return float(total), np.concatenate(terms)
 
 
 def _state_from_model(corpus, model, constraints, ctx):
@@ -379,7 +389,7 @@ def _state_from_model(corpus, model, constraints, ctx):
 
 def evaluate_objective(corpus, model, constraints, ctx=None):
     """Recompute the full objective from a model's stored state."""
-    return _state_from_model(corpus, model, constraints, ctx).objective()
+    return _state_from_model(corpus, model, constraints, ctx).objective()[0]
 
 
 def _seed_centroids(corpus, constraints, k, rng):
@@ -474,13 +484,13 @@ def run_mpck(corpus, constraints, config):
 
     history = []
     max_gap = 0.0
-    j_end = state.objective()
+    _, terms = state.objective()    # the terms that the first pass starts from
     converged_by = "max_iterations"
     iterations = 0
     for t in range(1, config.max_iterations + 1):
         iterations = t
         # nothing changes the state between the last objective and here
-        tracked = j_end
+        old_terms = terms
         prev_assign = state.assignments.copy()
         # constrained points in a seeded random order; nothing reads the
         # generator after seeding, so without them no order is drawn
@@ -489,26 +499,32 @@ def run_mpck(corpus, constraints, config):
             perm = rng.permutation(n)
             visit = perm[~free[perm]].tolist()
 
+        # each point's cost delta; a free point that stays adds 0
         base = state.base_costs()
-        if free_rows.size:
-            new = np.argmin(base, axis=1)[free_row_ids]
-            old = state.assignments[free_rows]
-            tracked += float(base[free_row_ids, new].sum() - base[free_row_ids, old].sum())
-            state.assignments[free_rows] = new
+        new = np.argmin(base, axis=1)[free_row_ids]
+        old = state.assignments[free_rows]
+        moved = new != old
+        rows = free_row_ids[moved]
+        deltas = (base[rows, new[moved]] - base[rows, old[moved]]).tolist()
+        state.assignments[free_rows] = new
         for i in visit:
             costs = state.point_costs(i, base[row_ids[i]])
             h = int(np.argmin(costs))
-            tracked += float(costs[h] - costs[state.assignments[i]])
+            deltas.append(costs[h] - costs[state.assignments[i]])
             state.move(i, h)
 
         # a fixpoint's state is the one last scored, with a gap of 0
         if np.array_equal(prev_assign, state.assignments):
             converged_by = "fixpoint"
             break
-        max_gap = max(max_gap, abs(tracked - state.objective()))
+        # the summed deltas against the change of the recomputed terms,
+        # each sum exact, so that the gap does not grow with |J|
+        _, terms = state.objective()
+        change = np.concatenate([terms, -old_terms]).tolist()
+        max_gap = max(max_gap, abs(math.fsum(deltas) - math.fsum(change)))
 
         _m_step(state, config.metric_update_enabled)
-        j_end = state.objective()
+        j_end, terms = state.objective()
         history.append(j_end)
         if len(history) > 1 and abs(j_end - history[-2]) < config.tol:
             converged_by = "tolerance"
@@ -555,7 +571,10 @@ def _m_step(state, metric_update_enabled):
 
 def _repair_empty_clusters(state):
     """Reseed each empty cluster with the point farthest from its own
-    centroid, drawn from clusters that can spare a member.  Only points
+    centroid, drawn from clusters that can spare a member, and from the
+    unconstrained points among those when there are any: with frozen
+    metrics such a move cannot raise the objective once the M-step has
+    set the centroids, while moving a constrained point can.  Only points
     move, as the M-step sets every centroid next; a pick, alone in its
     new cluster, is never drawn again, so the costs are taken once."""
     sizes = np.bincount(state.assignments, minlength=state.k)
@@ -563,10 +582,14 @@ def _repair_empty_clusters(state):
     if not empty.size:
         return
     disp = state.dispersion_costs()[state.corpus.row_ids, state.assignments]
+    free = np.ones(state.assignments.size, dtype=bool)
+    free[state.constrained] = False
     for h in empty:
         eligible = sizes[state.assignments] >= 2
         if not eligible.any():
             raise EmptyCluster("no cluster can spare a point for reseeding")
+        if (eligible & free).any():
+            eligible &= free
         pick = int(np.argmax(np.where(eligible, disp, -np.inf)))
         sizes[state.assignments[pick]] -= 1
         state.assignments[pick] = h

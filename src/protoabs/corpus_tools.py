@@ -224,7 +224,7 @@ def apply_rules(corpus, rules):
                 % (i, corpus.source_id(i), [t for t in fields if t != ABSENT])
             )
         row_labels.append(label)
-    return LabelVector(labels=tuple(np.array(row_labels)[corpus.row_ids].tolist()), n_classes=j)
+    return LabelVector(labels=np.array(row_labels)[corpus.row_ids], n_classes=j)
 
 
 # numpy draws an integer below n from one 32-bit half of a PCG64 word when
@@ -333,8 +333,7 @@ def generate_synthetic(spec):
     ids = IdRule(["synth:%s:" % t.name for t in templates], drawn,
                  np.arange(spec.n_messages))
     corpus = Corpus(pad_rows(raw, spec.arity), row_ids, spec.arity, ids)
-    labels = LabelVector(labels=tuple(drawn.tolist()), n_classes=j)
-    return corpus, labels
+    return corpus, LabelVector(labels=drawn, n_classes=j)
 
 
 NOISE_BLOCK = 4096  # PCG64 words read at a time

@@ -23,23 +23,23 @@ class ConfusionMatrix:
 
 
 def confusion(assignments, labels):
-    """counts[k][j] = number of labeled points in cluster k with class j;
-    a negative cluster id raises ValueError."""
+    """counts[k][c] = number of labeled points in cluster k with class
+    col_ids[c], one column per class that some labeled point has, so that
+    nothing is sized by `n_classes`; a negative cluster id raises ValueError."""
     assignments = np.asarray(assignments, dtype=np.int64)
-    lab = np.asarray(labels.labels, dtype=np.int64)
-    if assignments.shape[0] != lab.shape[0]:
+    if assignments.shape[0] != len(labels):
         raise ValueError("assignments and labels have different lengths")
-    keep = lab != UNLABELED
+    keep = labels.labels != UNLABELED
     if not keep.any():
         raise NoLabels("every point is unlabeled")
     if assignments.min() < 0:
         raise ValueError("negative cluster id %d" % assignments.min())
-    a, l = assignments[keep], lab[keep]
-    k = int(a.max()) + 1
-    j = labels.n_classes
-    counts = np.zeros((k, j), dtype=np.int64)
-    np.add.at(counts, (a, l), 1)
-    return ConfusionMatrix(counts=counts, row_ids=tuple(range(k)), col_ids=tuple(range(j)))
+    a = assignments[keep]
+    classes, l = np.unique(labels.labels[keep], return_inverse=True)
+    k, j = int(a.max()) + 1, classes.size
+    counts = np.bincount(a * j + l, minlength=k * j).reshape(k, j)
+    return ConfusionMatrix(counts=counts, row_ids=tuple(range(k)),
+                           col_ids=tuple(classes.tolist()))
 
 
 def purity(cm):

@@ -28,17 +28,23 @@ def draw_labeled_samples(labels, per_class, seed, mode="balanced"):
     """
     if mode not in ("balanced", "unbalanced"):
         raise ValueError("mode must be balanced or unbalanced")
-    rng = np.random.default_rng(seed)
-    lab = np.asarray(labels.labels)
+    if per_class == 0:
+        return []
     j = labels.n_classes
+    # each class needs a member, so a draw over more classes than messages
+    # fails before anything is sized by n_classes
+    if j > len(labels):
+        raise InsufficientLabels(
+            "%d classes need a label each, but there are %d messages" % (j, len(labels)))
+    rng = np.random.default_rng(seed)
     counts = np.full(j, per_class)
-    if mode == "unbalanced" and per_class > 0:
+    if mode == "unbalanced":
         counts = rng.integers(1, per_class + 1, size=j)
         if counts.max() < per_class:
             counts[int(rng.integers(j))] = per_class
     # one stable sort groups every class's members, ascending; shifted
     # past UNLABELED (-1) and narrowed, the keys take a radix sort
-    keys = (lab + 1).astype(np.min_scalar_type(j))
+    keys = (labels.labels + 1).astype(np.min_scalar_type(j))
     order = np.argsort(keys, kind="stable")
     ends = np.cumsum(np.bincount(keys, minlength=j + 1))
     samples = []

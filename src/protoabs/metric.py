@@ -25,8 +25,8 @@ class DiagonalMetric:
         w = np.asarray(self.weights, dtype=np.float64)
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
-        if np.any(w < 0):
-            raise ValueError("metric weights must be non-negative")
+        if not (np.isfinite(w) & (w >= 0)).all():
+            raise ValueError("metric weights must be finite and non-negative")
 
     @property
     def arity(self):

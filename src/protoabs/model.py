@@ -250,33 +250,46 @@ class Corpus:
         return cls(rows, row_ids, arity, source_ids)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LabelVector:
-    labels: tuple
+    labels: np.ndarray      # read-only int64: a class id, or UNLABELED, per message
     n_classes: int
 
     def __post_init__(self):
         if self.n_classes < 1:
             raise ValueError("n_classes must be >= 1, got %d" % self.n_classes)
+        if self.n_classes > np.iinfo(np.int64).max:
+            raise ValueError("n_classes %d does not fit int64" % self.n_classes)
+        # NaN, floats and ints beyond int64 are compared as the values given
+        labels = np.asarray(self.labels)
+        labels = labels if labels.dtype.kind == "i" else np.asarray(self.labels, dtype=object)
+        with np.errstate(invalid="ignore"):     # NaN compares False, quietly
+            bad = (labels != UNLABELED) & ~((labels >= 0) & (labels < self.n_classes))
+        if bad.any():
+            raise ValueError("label %r out of range 0..%d"
+                             % (self.labels[int(bad.argmax())], self.n_classes - 1))
+        object.__setattr__(self, "labels", labels.astype(np.int64))
+        self.labels.setflags(write=False)
 
-        def bad(l):
-            return l != UNLABELED and not (0 <= l < self.n_classes)
-
-        # distinct values first; the labels are scanned only to name the first bad one
-        if any(map(bad, set(self.labels))):
-            l = next(filter(bad, self.labels))
-            raise ValueError("label %r out of range 0..%d" % (l, self.n_classes - 1))
+    def __eq__(self, other):
+        return (isinstance(other, LabelVector) and self.n_classes == other.n_classes
+                and np.array_equal(self.labels, other.labels))
 
     def __len__(self):
-        return len(self.labels)
+        return self.labels.size
 
     def to_dict(self):
-        return {"n_classes": self.n_classes, "labels": list(self.labels)}
+        return {"n_classes": self.n_classes, "labels": self.labels.tolist()}
 
     @classmethod
     def from_dict(cls, d):
         (n_classes,) = json_ints([d["n_classes"]], "n_classes")
-        return cls(labels=tuple(json_ints(d["labels"], "labels")), n_classes=n_classes)
+        labels = json_ints(d["labels"], "labels")
+        try:    # ints only, so one int64 pass; one beyond int64 is named by the check
+            labels = np.fromiter(labels, np.int64, len(labels))
+        except OverflowError:
+            pass
+        return cls(labels=labels, n_classes=n_classes)
 
 
 def pad_rows(raw_rows, arity):

@@ -18,7 +18,7 @@ from protoabs.errors import (
     UnmatchedMessage,
 )
 from protoabs.metric import EPS_DENOM, EPS_WEIGHT, DiagonalMetric, MaxPair
-from protoabs.model import ABSENT, Corpus, IdRule, LabelVector, pad_rows
+from protoabs.model import ABSENT, UNLABELED, Corpus, IdRule, LabelVector, pad_rows
 
 
 def encode_messages(messages, arity):
@@ -79,6 +79,22 @@ def renumber_rows(rows, row_ids):
 def json_indented(obj):
     """The stdlib's indented, key-sorted JSON."""
     return json.dumps(obj, indent=2, sort_keys=True)
+
+
+def check_labels(labels, n_classes):
+    """The range check of a label sequence as `LabelVector` made it while
+    it held a tuple: each label is UNLABELED or in 0..n_classes-1, compared
+    as the Python or numpy value it is; ValueError names the first bad one."""
+    if n_classes < 1:
+        raise ValueError("n_classes must be >= 1, got %d" % n_classes)
+
+    def bad(l):
+        return l != UNLABELED and not (0 <= l < n_classes)
+
+    # distinct values first; the labels are scanned only to name the first bad one
+    if any(map(bad, set(labels))):
+        l = next(filter(bad, labels))
+        raise ValueError("label %r out of range 0..%d" % (l, n_classes - 1))
 
 
 def apply_rules(corpus, rules):
@@ -373,9 +389,10 @@ def seed_centroids(corpus, constraints, k, rng):
     return np.stack(cent)
 
 
-def repair_empty_clusters(corpus, assignments, cent, weights):
+def repair_empty_clusters(corpus, assignments, cent, weights, constrained=()):
     """Reseed each empty cluster with the point farthest from its own
-    centroid among clusters of two or more, one member scan per cluster.
+    centroid among clusters of two or more, and among the points not in
+    `constrained` of those when there are any; one member scan per cluster.
 
     Returns new (assignments, cent) arrays.
     """
@@ -395,6 +412,10 @@ def repair_empty_clusters(corpus, assignments, cent, weights):
         eligible = sizes[assignments] >= 2
         if not eligible.any():
             raise EmptyCluster("no cluster can spare a point for reseeding")
+        free = eligible.copy()
+        free[list(constrained)] = False
+        if free.any():
+            eligible = free
         disp[~eligible] = -np.inf
         pick = int(np.argmax(disp))
         sizes[assignments[pick]] -= 1

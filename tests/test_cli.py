@@ -10,7 +10,8 @@ import pytest
 from protoabs.cli import build_parser, main
 from protoabs.corpus_tools import DEFAULT_DROP_KEYS, load_labels
 from protoabs.experiments import draw_labeled_samples
-from protoabs.model import DEFAULT_ARITY
+from protoabs.errors import InsufficientLabels
+from protoabs.model import DEFAULT_ARITY, LabelVector
 
 
 def run(argv):
@@ -22,9 +23,11 @@ N = 400
 
 @pytest.fixture(scope="module")
 def workspace(tmp_path_factory):
-    """Small synthetic corpus plus labels shared by the CLI tests."""
+    """Small synthetic corpus plus labels shared by the CLI tests, and the
+    valid model that the bad models of BAD_DATA derive from."""
     root = tmp_path_factory.mktemp("cli")
     assert run(["synth", "--out-dir", str(root), "--n", str(N), "--seed", "3"]) == 0
+    _write(root / "model.json", TWO_CLUSTERS)
     return root
 
 
@@ -207,6 +210,12 @@ def _no_classes(labels):
     return dict(labels, n_classes=0, labels=[-1] * len(labels["labels"]))
 
 
+def _huge_classes(labels):
+    """The labels with n_classes 2^40: an array of that many counts would
+    not fit in memory."""
+    return dict(labels, n_classes=2**40)
+
+
 SHORT_MODEL = {"k": 1, "seed": 0, "iterations": 0, "objective": 0.0,
                "assignments": [0] * 10, "centroids": [["A=1"]], "metric_weights": [[1.0]]}
 TWO_CLUSTERS = dict(SHORT_MODEL, k=2, assignments=[0, 1] * (N // 2),
@@ -258,6 +267,10 @@ BAD_DATA = [
     ("labels 1.5", "cluster", {"--labels": lambda l: dict(l, labels=[1.5] + l["labels"][1:])}),
     ("labels true", "cluster", {"--labels": lambda l: dict(l, labels=[True] + l["labels"][1:])}),
     ("labels of 0 classes", "cluster", {"--labels": _no_classes}),
+    # each class needs a label, and no array is sized by a huge n_classes
+    ("labels of 2^40 classes", "cluster --k 21", {"--labels": _huge_classes}),
+    ("sweep-k labels of 2^40 classes", "sweep-k --k 2..3", {"--labels": _huge_classes}),
+    ("labels n_classes beyond int64", "eval", {"--labels": lambda l: dict(l, n_classes=2**63)}),
     ("sweep-labels labels of 0 classes", "sweep-labels", {"--labels": _no_classes}),
     ("labels shorter than corpus", "sweep-k", {"--labels": "short"}),
     ("K range above the corpus size", "sweep-k --k 1..100000000000", {}),
@@ -279,6 +292,10 @@ BAD_DATA = [
      {"--model": dict(TWO_CLUSTERS, centroids=[["A=1"]])}),
     ("model with more metrics than k", "eval",
      {"--model": dict(TWO_CLUSTERS, metric_weights=[[1.0]] * 3)}),
+    ("model centroid of another arity", "eval",
+     {"--model": dict(TWO_CLUSTERS, centroids=[["A=1"], ["A=2", "B=1", "C=1"]])}),
+    ("model weight NaN", "eval",
+     {"--model": dict(TWO_CLUSTERS, metric_weights=[[1.0], [float("nan")]])}),
 ]
 
 
@@ -288,7 +305,7 @@ BAD_DATA = [
 def test_bad_data_exits_2_without_traceback(workspace, tmp_path, capsys, command, files):
     labels = json.loads((workspace / "labels.json").read_text())
     shorts = {"--labels": dict(labels, labels=labels["labels"][:10]), "--model": SHORT_MODEL}
-    inputs = {"eval": ["--labels"], "ingest": [], "label": ["--corpus"]}.get(
+    inputs = {"eval": ["--model", "--labels"], "ingest": [], "label": ["--corpus"]}.get(
         command.split()[0], ["--corpus", "--labels"])
     args = {flag: str(workspace / ("%s.json" % flag.strip("-"))) for flag in inputs}
     for flag, content in files.items():
@@ -391,6 +408,35 @@ def test_eval_subcommand(workspace, tmp_path):
     assert direct == again
 
 
+def test_labels_of_more_classes_than_messages_read_back(tmp_path):
+    """`synth --n 5` and `label` on its corpus write 21 classes for 5
+    messages; `eval` reads either file, and its confusion matrix has a
+    column per class that a message has, whatever `n_classes` says."""
+    data = tmp_path / "data"
+    assert run(["synth", "--out-dir", str(data), "--n", "5", "--seed", "0"]) == 0
+    assert run(["label", "--corpus", str(data / "corpus.json"), "--out-dir",
+                str(tmp_path / "rules")]) == 0
+    run_dir = tmp_path / "run"
+    assert run(["cluster", "--corpus", str(data / "corpus.json"), "--labels",
+                str(data / "labels.json"), "--algorithm", "kmeans", "--k", "2",
+                "--out-dir", str(run_dir)]) == 0
+    labels = json.loads((data / "labels.json").read_text())
+    assert labels["n_classes"] == 21 and len(labels["labels"]) == 5
+    _write(tmp_path / "huge.json", _huge_classes(labels))
+    reports = []
+    for path in (data / "labels.json", tmp_path / "rules" / "labels.json", tmp_path / "huge.json"):
+        out = tmp_path / ("eval-" + path.parent.name + path.stem)
+        assert run(["eval", "--model", str(run_dir / "model.json"), "--labels", str(path),
+                    "--out-dir", str(out)]) == 0
+        reports.append((out / "eval.json").read_bytes() + (out / "confusion.csv").read_bytes())
+        report = json.loads((out / "eval.json").read_text())
+        assert report["col_ids"] == sorted(set(json.loads(path.read_text())["labels"]))
+    assert reports[0] == reports[2]
+    # a labelled run needs a label of each of the 21 classes
+    assert run(["cluster", "--corpus", str(data / "corpus.json"), "--labels",
+                str(data / "labels.json"), "--k", "2", "--out-dir", str(run_dir)]) == 2
+
+
 def test_sweep_k_artifacts(workspace, tmp_path):
     out = tmp_path / "sweep"
     assert run([
@@ -416,6 +462,15 @@ def test_sweep_labels_artifacts_and_determinism(workspace, tmp_path):
     assert run(argv + ["--out-dir", str(out2)]) == 0
     assert (out1 / "sweep_labels.csv").read_bytes() == (out2 / "sweep_labels.csv").read_bytes()
     assert (out1 / "sweep_labels.svg").read_bytes() == (out2 / "sweep_labels.svg").read_bytes()
+
+
+@pytest.mark.parametrize("mode", ["balanced", "unbalanced"])
+def test_a_draw_over_more_classes_than_messages_fails_at_once(mode):
+    labels = LabelVector(labels=[0, 1, 1], n_classes=2**40)
+    with pytest.raises(InsufficientLabels, match=r"^1099511627776 classes need a label each, "
+                       r"but there are 3 messages$"):
+        draw_labeled_samples(labels, 1, 0, mode)
+    assert draw_labeled_samples(labels, 0, 0, mode) == []
 
 
 def test_zero_labels_per_class_draws_none_in_either_mode(workspace, tmp_path, capsys):

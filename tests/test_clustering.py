@@ -260,6 +260,32 @@ class TestRunMpck:
             for a, b in zip(hist, hist[1:]):
                 assert b <= a + 1e-9
 
+    @pytest.mark.parametrize("b_at", [0, 2, 3])
+    def test_reseeding_picks_a_free_point(self, b_at):
+        """Nine one-field messages, one `b`, must-links {0, 2, 3}: with the
+        metrics frozen, an emptied cluster is reseeded with an unconstrained
+        point, so the run ends at J = 1.0, {0, 2, 3} together.  Reseeding
+        with the farthest point whatever it is moved a must-linked one and
+        ended at 4.0 or 3.0."""
+        corpus = build_corpus([["b"] if i == b_at else ["a"] for i in range(9)], arity=1)
+        cs = ConstraintSet(must_links=frozenset({(0, 2), (0, 3), (2, 3)}), w=2.0)
+        model = run_mpck(corpus, cs, MpckConfig(k=3, seed=0, metric_update_enabled=False))
+        assert model.objective == 1.0
+        assert model.objective_history[-1] == 1.0
+        a = model.assignments
+        assert a[0] == a[2] == a[3]
+
+    def test_accounting_gap_compares_deltas_at_large_objective(self):
+        """At |J| of about 2^21 one ulp of J is 2^-31, so a tracked total and
+        a recomputed one, summed in different orders, can differ by more
+        than 1e-9 (1.4e-9 here); the exact sums of the points' cost deltas
+        and of the terms' change do not."""
+        corpus, labels = generate_synthetic(default_synth_spec(n_messages=5000, seed=0))
+        cs = constraints_from_labels(draw_labeled_samples(labels, 5, seed=0))
+        model = run_mpck(corpus, cs, MpckConfig(k=35, seed=0))
+        assert len(model.objective_history) >= 1
+        assert model.accounting_gap <= 1e-9
+
     def test_reduction_to_kmeans(self):
         rng = np.random.default_rng(33)
         corpus = random_corpus(rng, 30, 4)

@@ -183,7 +183,7 @@ class TestRules:
             arity=3,
         )
         labels = apply_rules(corpus, rules)
-        assert labels.labels == (0, 1, 2)
+        assert labels.labels.tolist() == [0, 1, 2]
 
     def test_higher_priority_wins(self):
         rules = parse_rule_lines([
@@ -191,12 +191,12 @@ class TestRules:
             "1 9 VERSION=TLS_1_2",
         ])
         corpus = build_corpus([["X=1", "VERSION=TLS_1_2"]], arity=2)
-        assert apply_rules(corpus, rules).labels == (1,)
+        assert apply_rules(corpus, rules).labels.tolist() == [1]
 
     def test_catch_all_wildcard(self):
         rules = parse_rule_lines(["0 1 HEAD=SPECIFIC", "1 0 HEAD=*"])
         corpus = build_corpus([["HEAD=SPECIFIC"], ["HEAD=OTHER"]], arity=1)
-        assert apply_rules(corpus, rules).labels == (0, 1)
+        assert apply_rules(corpus, rules).labels.tolist() == [0, 1]
 
     def test_unmatched_message(self):
         rules = parse_rule_lines(["0 1 HEAD=ONLY"])
@@ -220,7 +220,7 @@ class TestRules:
             arity=4,
         )
         rules = parse_rule_lines(["0 1 HANDSHAKE-IN=CLIENTHELLO"])
-        assert apply_rules(corpus, rules).labels == (0,)
+        assert apply_rules(corpus, rules).labels.tolist() == [0]
 
 
 class TestSynthetic:

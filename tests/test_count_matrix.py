@@ -119,9 +119,13 @@ def test_repair_pick_matches_per_member_oracle(corpus, data):
     cent = corpus.codes[np.array(data.draw(st.lists(
         st.integers(0, n - 1), min_size=k, max_size=k)))]
     weights = random_weights(data.draw, k, corpus.arity)
-    state = _State(corpus, k, cent.copy(), weights, assignments.copy(), ConstraintSet(), None)
+    # labelled points are constrained, and a pick avoids them when it can
+    labeled = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, 1)),
+                                 max_size=n, unique_by=lambda s: s[0]))
+    cs = constraints_from_labels([LabeledSample(i, c) for i, c in labeled])
+    state = _State(corpus, k, cent.copy(), weights, assignments.copy(), cs, None)
     try:
-        want = oracles.repair_empty_clusters(corpus, assignments, cent, weights)
+        want = oracles.repair_empty_clusters(corpus, assignments, cent, weights, cs.points)
     except EmptyCluster:
         with pytest.raises(EmptyCluster):
             _repair_empty_clusters(state)

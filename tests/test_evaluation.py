@@ -60,6 +60,12 @@ class TestConfusion:
         with pytest.raises(ValueError, match="negative cluster id -1"):
             confusion(assignments, lv([0, 1, UNLABELED], j=2))
 
+    def test_a_column_per_class_present(self):
+        # nothing is sized by n_classes, which a labels file may set to 2^40
+        cm = confusion([0, 1, 1, 0], lv([2, 0, 2, UNLABELED], j=2**40))
+        assert cm.col_ids == (0, 2)
+        assert cm.counts.tolist() == [[0, 1], [1, 1]]
+
 
 class TestPurity:
     def test_identical_partitions(self):

@@ -138,6 +138,53 @@ def test_label_vector_names_the_first_bad_label():
         LabelVector(labels=(1, float("nan")), n_classes=3)
 
 
+def test_label_vector_holds_a_read_only_int_array():
+    lv = LabelVector(labels=[0, 2, -1], n_classes=3)
+    assert lv.labels.dtype == np.int64 and not lv.labels.flags.writeable
+    assert lv == LabelVector(labels=np.array([0, 2, -1], dtype=np.int8), n_classes=3)
+    assert lv != LabelVector(labels=(0, 2, -1), n_classes=4)
+    assert lv != LabelVector(labels=(0, 2, 2), n_classes=3)
+
+
+def test_label_file_may_name_more_classes_than_labels():
+    lv = LabelVector.from_dict({"n_classes": 2**40, "labels": [0, 1, -1]})
+    assert lv.n_classes == 2**40 and lv.labels.tolist() == [0, 1, -1]
+    assert LabelVector.from_dict(lv.to_dict()) == lv
+    with pytest.raises(ValueError, match=r"^n_classes 9223372036854775808 does not fit int64$"):
+        LabelVector.from_dict({"n_classes": 2**63, "labels": [0]})
+    with pytest.raises(ValueError, match=r"^label 36893488147419103232 out of range 0\.\.2$"):
+        LabelVector.from_dict({"n_classes": 3, "labels": [0, 2**65]})
+
+
+# ids, UNLABELED and negatives, ints beyond int64 either way, NaN and floats
+LABEL_VALUES = st.one_of(
+    st.integers(-3, 5),
+    st.integers(2**63 - 2, 2**65) | st.integers(-2**65, -2**63 - 1),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.floats(-2.0, 6.0),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(LABEL_VALUES, max_size=8), st.integers(-1, 4),
+       st.sampled_from([tuple, list, np.array]))
+def test_label_check_agrees_with_the_tuple_oracle(values, n_classes, form):
+    """The array check accepts and rejects what the tuple-era check did,
+    with its message; accepted labels are stored as int64, truncated as
+    int() truncates a float."""
+    labels = form(values)
+    try:
+        oracles.check_labels(labels, n_classes)
+    except ValueError as e:
+        with pytest.raises(ValueError) as got:
+            LabelVector(labels=labels, n_classes=n_classes)
+        assert str(got.value) == str(e)
+        return
+    lv = LabelVector(labels=labels, n_classes=n_classes)
+    assert lv.labels.dtype == np.int64 and not lv.labels.flags.writeable
+    assert lv.labels.tolist() == [int(v) for v in values]
+
+
 def test_json_ints_names_the_first_non_integer():
     assert json_ints([0, -3, 2**70], "x") == [0, -3, 2**70]
     with pytest.raises(ValueError, match=r"^x: True is not an integer$"):
