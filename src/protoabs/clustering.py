@@ -21,19 +21,21 @@ the centroids (per-field modes) and the metric update read; the costs
 and the dispersion come from one mismatch of the distinct rows against
 the centroids.  A pass that moves no point ends the loop unscored: its
 state is the one last scored.  No step groups messages by cluster:
-the objective sums each distinct row's cost times its count in each
-cluster, so it can differ from a per-message sum in its last bits, and
-the per-cluster max-separated-pair table is built over each cluster's
-distinct rows.  That table, read by the cannot-link penalty alone, is
-built on first read for the assignments and metrics of that moment and
-dropped with the weights, so with metric updates disabled it stays fixed
-through the loop, which keeps the objective non-increasing; if any point
-moved, the final objective builds one for the final assignments.
+the objective is the exact sum (`math.fsum`) of each distinct row's cost
+times its count in each cluster and of the penalty cells, so its bits do
+not depend on the order of those terms, and the per-cluster
+max-separated-pair table is built over each cluster's distinct rows.
+That table, read by the cannot-link penalty alone, is built on first
+read for the assignments and metrics of that moment and dropped with
+the weights, so with metric updates disabled it stays fixed through the
+loop, which keeps the objective non-increasing; if any point moved, the
+final objective builds one for the final assignments.
 """
 
 import math
 import numbers
 from dataclasses import dataclass, replace
+from itertools import chain
 
 import numpy as np
 
@@ -41,7 +43,7 @@ from . import metric as _metric
 from .constraints import ConstraintSet, close_constraints, neighborhoods
 from .errors import EmptyCluster, TooManyClusters
 from .metric import EPS_DENOM, EPS_WEIGHT, DiagonalMetric, MaxPair
-from .model import Message, json_indented, json_ints
+from .model import Message, json_indented, json_ints, json_typed
 
 DISPERSION_BLOCK = 2**20    # float entries cast at a time by _State.dispersion_costs
 
@@ -94,13 +96,21 @@ class ClusterModel:
 
     @classmethod
     def from_dict(cls, d):
+        """Inverse of to_dict.  Centroid rows are lists of string tokens;
+        metric weights and the objective are JSON numbers, not bools."""
         k, iterations, seed = json_ints([d["k"], d["iterations"], d["seed"]], "k, iterations, seed")
         assignments = np.asarray(json_ints(d["assignments"], "assignments"))
         if ((assignments < 0) | (assignments >= k)).any():
             raise ValueError("assignments must lie in [0, %d)" % k)
-        if len(d["centroids"]) != k or len(d["metric_weights"]) != k:
+        centroids, weights = d["centroids"], d["metric_weights"]
+        if len(centroids) != k or len(weights) != k:
             raise ValueError("k=%d needs k centroids and k metric_weights" % k)
-        lengths = sorted({len(row) for row in d["centroids"] + d["metric_weights"]})
+        json_typed(centroids, {list}, "centroids", "a list")
+        json_typed(weights, {list}, "metric_weights", "a list")
+        json_typed(list(chain.from_iterable(centroids)), {str}, "centroid tokens", "a string")
+        json_typed(list(chain.from_iterable(weights)), {int, float}, "metric_weights", "a number")
+        (objective,) = json_typed([d["objective"]], {int, float}, "objective", "a number")
+        lengths = sorted({len(row) for row in centroids + weights})
         if len(lengths) > 1:
             raise ValueError("centroids and metric_weights rows have lengths %s, "
                              "need one arity" % lengths)
@@ -108,11 +118,11 @@ class ClusterModel:
             k=k,
             centroids=tuple(
                 Message(fields=tuple(c), source_id="centroid:%d" % h)
-                for h, c in enumerate(d["centroids"])
+                for h, c in enumerate(centroids)
             ),
-            metrics=tuple(DiagonalMetric(np.array(w)) for w in d["metric_weights"]),
+            metrics=tuple(DiagonalMetric(np.array(w)) for w in weights),
             assignments=assignments.astype(np.int64),
-            objective=float(d["objective"]),
+            objective=float(objective),
             iterations=iterations,
             seed=seed,
         )
@@ -362,22 +372,20 @@ class _State:
                 self.tables[kind][at] += sign * self.partner_costs(kind, self.slot_rows[t], y, g)
 
     def objective(self):
-        """(objective, terms), recomputed in full against the current
+        """The objective's terms, recomputed in full against the current
         max-pair table; the must and cannot tables are rebuilt on the way.
-        The terms, whose sum is the objective, are the occupied (distinct
-        row, cluster) cells' costs and each kind's penalty cells."""
+        They are the occupied (distinct row, cluster) cells' costs and each
+        kind's penalty cells, as a list of floats; the objective is their
+        exact sum, `math.fsum`, so its bits do not depend on their order."""
         counts = _row_counts(self.corpus, self.corpus.row_ids, self.assignments, self.k)
         # an empty cell adds nothing, even where its cost is infinite
         occupied = counts > 0
-        costs = np.multiply(counts, self.base_costs(), out=np.zeros(counts.shape), where=occupied)
-        total = float(costs.sum())
-        terms = [costs[occupied]]
+        terms = [counts[occupied] * self.base_costs()[occupied]]
         cells = s, g, n, _ = self.cells()
         self.tables = self.build_tables(cells)
         for kind in self.kinds:     # each violated pair is charged to both points
-            total += 0.5 * self.scales[kind] * float(self.tables[kind][s, g] @ n)
             terms.append(0.5 * self.scales[kind] * (self.tables[kind][s, g] * n))
-        return float(total), np.concatenate(terms)
+        return np.concatenate(terms).tolist()
 
 
 def _state_from_model(corpus, model, constraints, ctx):
@@ -389,7 +397,7 @@ def _state_from_model(corpus, model, constraints, ctx):
 
 def evaluate_objective(corpus, model, constraints, ctx=None):
     """Recompute the full objective from a model's stored state."""
-    return _state_from_model(corpus, model, constraints, ctx).objective()[0]
+    return math.fsum(_state_from_model(corpus, model, constraints, ctx).objective())
 
 
 def _seed_centroids(corpus, constraints, k, rng):
@@ -484,7 +492,7 @@ def run_mpck(corpus, constraints, config):
 
     history = []
     max_gap = 0.0
-    _, terms = state.objective()    # the terms that the first pass starts from
+    terms = state.objective()       # the terms that the first pass starts from
     converged_by = "max_iterations"
     iterations = 0
     for t in range(1, config.max_iterations + 1):
@@ -519,14 +527,14 @@ def run_mpck(corpus, constraints, config):
             break
         # the summed deltas against the change of the recomputed terms,
         # each sum exact, so that the gap does not grow with |J|
-        _, terms = state.objective()
-        change = np.concatenate([terms, -old_terms]).tolist()
+        terms = state.objective()
+        change = terms + [-term for term in old_terms]
         max_gap = max(max_gap, abs(math.fsum(deltas) - math.fsum(change)))
 
         _m_step(state, config.metric_update_enabled)
-        j_end, terms = state.objective()
-        history.append(j_end)
-        if len(history) > 1 and abs(j_end - history[-2]) < config.tol:
+        terms = state.objective()
+        history.append(math.fsum(terms))
+        if len(history) > 1 and abs(history[-1] - history[-2]) < config.tol:
             converged_by = "tolerance"
             break
 

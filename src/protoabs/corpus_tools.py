@@ -447,7 +447,7 @@ def read_json(path, build, what):
             return build(json.load(fh))
         except KeyError as e:
             raise DataError("missing field %s" % e) from e
-        except (ValueError, TypeError) as e:
+        except (ValueError, TypeError, OverflowError) as e:
             raise DataError(str(e)) from e
     return read_text(path, parse, what)
 

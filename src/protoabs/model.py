@@ -26,14 +26,15 @@ DEFAULT_ARITY = 32
 def json_ints(values, what):
     """`values`, read from a JSON file, if each one is an integer: int() and
     numpy would truncate 1.5 and read true as 1."""
-    return _json_typed(values, int, what, "an integer")
+    return json_typed(values, {int}, what, "an integer")
 
 
-def _json_typed(values, kind, what, name):
-    """`values`, a list read from a JSON file, if each one is exactly of
-    type `kind`; one type pass, and a scan only to name the first bad one."""
-    if not set(map(type, values)) <= {kind}:
-        bad = next(v for v in values if type(v) is not kind)
+def json_typed(values, kinds, what, name):
+    """`values`, a list read from a JSON file, if the type of each one is
+    exactly one of the set `kinds`; one type pass, and a scan only to name
+    the first bad one."""
+    if not set(map(type, values)) <= kinds:
+        bad = next(v for v in values if type(v) not in kinds)
         raise ValueError("%s: %r is not %s" % (what, bad, name))
     return values
 
@@ -244,9 +245,9 @@ class Corpus:
         else:
             rows, source_ids = d["rows"], d["source_ids"]
             row_ids = json_ints(d["row_ids"], "row_ids")
-        _json_typed(rows, list, "rows", "a list")
-        _json_typed(list(chain.from_iterable(rows)), str, "tokens", "a string")
-        _json_typed(source_ids, str, "source_ids", "a string")
+        json_typed(rows, {list}, "rows", "a list")
+        json_typed(list(chain.from_iterable(rows)), {str}, "tokens", "a string")
+        json_typed(source_ids, {str}, "source_ids", "a string")
         return cls(rows, row_ids, arity, source_ids)
 
 

@@ -2,6 +2,7 @@
 the objective, the metric update and the per-point assignment, each over
 the closure of the constraints, as `run_mpck` scores them."""
 
+import math
 from unittest.mock import patch
 
 import numpy as np
@@ -194,10 +195,11 @@ def test_moves_keep_the_tables_of_a_fresh_build(inst, data):
 
 
 @PROPERTY
-@given(instances(), st.booleans(), st.integers(0, 3))
-def test_a_run_stores_the_objective_of_a_fresh_table(inst, metric_updates, seed):
+@given(instances(), st.booleans(), st.integers(0, 3), st.data())
+def test_a_run_stores_the_objective_of_a_fresh_table(inst, metric_updates, seed, data):
     """A run's stored objective is the one a table built for its final
-    assignments and metrics gives, the cost deltas of each assignment pass
+    assignments and metrics gives, the exact sum of that state's terms in
+    any order, the cost deltas of each assignment pass
     sum to the change of the recomputed objective's terms, and with frozen
     metrics, whose loop keeps one table,
     the objective never rises across an M-step whose reseeds all moved an
@@ -220,7 +222,9 @@ def test_a_run_stores_the_objective_of_a_fresh_table(inst, metric_updates, seed)
             run = run_mpck(corpus, cs, cfg)
         except EmptyCluster:
             assume(False)
-    assert evaluate_objective(corpus, run, cs).hex() == run.objective.hex()
+    terms = _state_from_model(corpus, run, cs, None).objective()
+    for order in (terms, terms[::-1], data.draw(st.permutations(terms))):
+        assert math.fsum(order).hex() == run.objective.hex()
     assert run.accounting_gap <= 1e-9
     if not metric_updates:
         history = run.objective_history

@@ -296,6 +296,15 @@ BAD_DATA = [
      {"--model": dict(TWO_CLUSTERS, centroids=[["A=1"], ["A=2", "B=1", "C=1"]])}),
     ("model weight NaN", "eval",
      {"--model": dict(TWO_CLUSTERS, metric_weights=[[1.0], [float("nan")]])}),
+    ("model centroid token a number", "eval",
+     {"--model": dict(TWO_CLUSTERS, centroids=[[1], ["A=2"]])}),
+    ("model centroid row a string", "eval",
+     {"--model": dict(TWO_CLUSTERS, centroids=[["A=1"], "B"])}),
+    ("model weight true", "eval", {"--model": dict(TWO_CLUSTERS, metric_weights=[[1.0], [True]])}),
+    ("model weight a string", "eval",
+     {"--model": dict(TWO_CLUSTERS, metric_weights=[[1.0], ["1"]])}),
+    ("model objective true", "eval", {"--model": dict(TWO_CLUSTERS, objective=True)}),
+    ("model objective beyond float", "eval", {"--model": dict(TWO_CLUSTERS, objective=10**400)}),
 ]
 
 

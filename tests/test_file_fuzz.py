@@ -1,0 +1,119 @@
+"""Mutated input files end in a documented exit code, never a traceback.
+
+The valid N=300 outputs of `synth` (corpus.json, labels.json) and `cluster`
+(model.json) are mutated at one JSON node: a key or an element is deleted,
+or the node is replaced with null, a bool, a negative, huge or fractional
+number, NaN, a string, or an empty or nested list.  A rules file and a
+trace file are mutated at one line.  Each command that reads the mutated
+file runs in-process through `cli.main`; it must exit 0, 1 or 2 with at
+most one line on stderr, and raise nothing."""
+
+import contextlib
+import io
+import json
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from protoabs.cli import main
+from protoabs.corpus_tools import DecodedTrace, load_corpus, serialize_traces
+from protoabs.tls_default import default_rules_text
+
+N = 300
+
+# each command, and the file that it reads for each input option; "trace"
+# is ingest's positional argument
+COMMANDS = {
+    "cluster": {"--corpus": "corpus.json", "--labels": "labels.json"},
+    "label": {"--corpus": "corpus.json", "--rules": "rules.txt"},
+    "eval": {"--model": "model.json", "--labels": "labels.json"},
+    "ingest": {"trace": "trace.txt"},
+}
+
+VALUES = st.sampled_from([
+    None, True, False, -1, -0.5, 0.5, 2**64, 10**400, float("nan"), "", "x", [], [[0]], [[]],
+])
+WORDS = st.sampled_from([
+    "", "--", "#", "=", "*", "-1", "0", "3", "2.5", "99999999999999999999", "@-1=X", "@0=",
+    "@40=A", "KEY=*", "A=B", "\x00", "é",
+])
+
+
+@pytest.fixture(scope="module")
+def valid(tmp_path_factory):
+    """The valid files, by name, and a directory for the mutated ones."""
+    root = tmp_path_factory.mktemp("fuzz")
+    assert main(["synth", "--n", str(N), "--seed", "0", "--out-dir", str(root)]) == 0
+    assert main(["cluster", "--corpus", str(root / "corpus.json"),
+                 "--labels", str(root / "labels.json"), "--out-dir", str(root)]) == 0
+    (root / "rules.txt").write_text(default_rules_text())
+    # the messages as traces of 10, one row per token: KEY=value is `KEY value`
+    messages = [tuple((k, (v,)) for k, _, v in (t.partition("=") for t in m.fields))
+                for m in load_corpus(str(root / "corpus.json")).messages]
+    traces = [DecodedTrace(tuple(messages[i:i + 10])) for i in range(0, N, 10)]
+    (root / "trace.txt").write_text(serialize_traces(traces))
+    files = {name: (root / name).read_text()
+             for inputs in COMMANDS.values() for name in inputs.values()}
+    mutated = root / "mutated"
+    mutated.mkdir()
+    return root, files, mutated
+
+
+@st.composite
+def json_mutations(draw, text):
+    """The JSON object in `text` with one node deleted or replaced: step from
+    the root into a random child, and on into its children while a coin
+    says so."""
+    doc = json.loads(text)
+    parent = doc
+    key = draw(st.sampled_from(sorted(doc)))
+    while isinstance(parent[key], (dict, list)) and parent[key] and draw(st.booleans()):
+        parent = parent[key]
+        key = draw(st.sampled_from(sorted(parent) if isinstance(parent, dict)
+                                   else range(len(parent))))
+    if draw(st.booleans()):
+        del parent[key]
+    else:
+        parent[key] = draw(VALUES)
+    return json.dumps(doc)
+
+
+@st.composite
+def line_mutations(draw, text):
+    """`text` with one line deleted, or one word of it deleted, replaced or
+    put in front."""
+    lines = text.splitlines()
+    i = draw(st.integers(0, len(lines) - 1))
+    words = lines[i].split()
+    j = draw(st.integers(0, len(words)))
+    how = draw(st.sampled_from(["delete line", "delete word", "replace word", "insert word"]))
+    if how == "delete line":
+        del lines[i]
+    elif how == "insert word" or j == len(words):
+        words.insert(j, draw(WORDS))
+    else:
+        words[j:j + 1] = [] if how == "delete word" else [draw(WORDS)]
+    if how != "delete line":
+        lines[i] = " ".join(words)
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_a_mutated_file_ends_in_a_documented_exit_code(valid, data):
+    root, files, mutated = valid
+    command = data.draw(st.sampled_from(sorted(COMMANDS)))
+    name = data.draw(st.sampled_from(sorted(COMMANDS[command].values())))
+    mutate = json_mutations if name.endswith(".json") else line_mutations
+    (mutated / name).write_text(data.draw(mutate(files[name])))
+    argv = [command, "--out-dir", str(mutated / "out")]
+    for option, file in COMMANDS[command].items():
+        path = str((mutated if file == name else root) / file)
+        argv += [path] if option == "trace" else [option, path]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    assert code in (0, 1, 2), err.getvalue()
+    assert "Traceback" not in err.getvalue()
+    assert len(err.getvalue().splitlines()) <= 1, err.getvalue()

@@ -36,7 +36,13 @@ four sweep CSVs (their objective column) and stdout (the accounting gap of
 the `--tol 1e9` run) were re-pinned; every other file kept its bytes.
 stdout was re-pinned again with the gap's new definition, above: the
 `gap=` field of the two K=15 mpck runs fell from 2.91e-11 to 5.68e-13
-and 2.49e-13, and every other byte held.
+and 2.49e-13, and every other byte held.  When the objective came to be
+the exact sum (`math.fsum`) of its terms, rounded once instead of once
+per addition, mpck/model.json and options/model.json (their objective
+line), sweep-k/sweep_k.csv, sweep-labels/sweep_labels.csv and
+sweep-labels-options/sweep_labels.csv (their objective column) were
+re-pinned: each objective moved by one ulp, and every other byte, stdout
+included, held.  The N=5000 runs' objectives kept their bits.
 
 The N=5000 CLI pipeline (synth seed 0, then cluster and eval with their
 defaults) pins the sha256 of labels.json, model.json and eval.json, the
@@ -60,13 +66,15 @@ classes' template rows.
 
 import hashlib
 import json
+import math
+import random
 import re
 from dataclasses import replace
 
 import pytest
 
 from protoabs.cli import main
-from protoabs.clustering import MpckConfig, run_kmeans, run_mpck
+from protoabs.clustering import MpckConfig, _state_from_model, run_kmeans, run_mpck
 from protoabs.constraints import ConstraintSet, constraints_from_labels
 from protoabs.corpus_tools import generate_synthetic
 from protoabs.experiments import draw_labeled_samples
@@ -140,11 +148,15 @@ def chained_pairs(labels):
     return ConstraintSet(frozenset(must), frozenset(cannot), w=1.7, w_bar=0.6)
 
 
+def dense_constraints(labels, case):
+    return (chained_pairs(labels) if case == "pairs"
+            else constraints_from_labels(draw_labeled_samples(labels, case, seed=0)))
+
+
 @pytest.mark.parametrize("case", list(PINNED_DENSE), ids=str)
 def test_pinned_bits(corpus_5k, case):
     corpus, labels = corpus_5k
-    cs = (chained_pairs(labels) if case == "pairs"
-          else constraints_from_labels(draw_labeled_samples(labels, case, seed=0)))
+    cs = dense_constraints(labels, case)
     model = run_mpck(corpus, cs, MpckConfig(k=21, seed=0))
     assert (
         hashlib.sha256(model.to_json().encode()).hexdigest(),
@@ -154,6 +166,20 @@ def test_pinned_bits(corpus_5k, case):
         model.converged_by,
         model.iterations,
     ) == PINNED_DENSE[case]
+
+
+@pytest.mark.parametrize("k,case", [(21, 1), (21, "pairs"), (35, 1)], ids=str)
+def test_objective_is_the_exact_sum_of_its_terms(corpus_5k, k, case):
+    """The stored objective is `math.fsum` of the terms of the final state,
+    and keeps its bits when they are summed reversed or shuffled; at K=35 a
+    sum rounded term by term ends one ulp away."""
+    corpus, labels = corpus_5k
+    cs = dense_constraints(labels, case)
+    model = run_mpck(corpus, cs, MpckConfig(k=k, seed=0))
+    terms = _state_from_model(corpus, model, cs, None).objective()
+    shuffled = random.Random(0).sample(terms, len(terms))
+    for order in (terms, terms[::-1], shuffled):
+        assert math.fsum(order).hex() == model.objective.hex()
 
 
 PINNED_ARTIFACTS = {
@@ -180,7 +206,7 @@ PINNED_ARTIFACTS = {
     "mpck/eval.json":
         "49be75f367527b578174e8e8ee91b91155e3a4e2a7e185c6aa66d34984db2c12",
     "mpck/model.json":
-        "9225371620ddee5a0cc9c345ceef16611e32cb1df087b611a5f525d062a9421b",
+        "ba3a700981f6265cce83ab302f2d9efc9376d1c71a3e227db39945ffce6cb34f",
     "options/confusion.csv":
         "5796bbe414526390fcac33294cfba343630696207f9a32b8b8bdcf0ab5aa2a14",
     "options/confusion.svg":
@@ -188,7 +214,7 @@ PINNED_ARTIFACTS = {
     "options/eval.json":
         "3754a0e988586fd8b0164e14249a565e94e371e515873bc8f2c4ba9168e883df",
     "options/model.json":
-        "08d8e4a07616282b3898b1c9aee216491b1b855bd963d6abe3f78be1a9d581f7",
+        "b12013283c6e1afceca02b1a3b457de10261d8a021eeb41d2a4ee600596d1230",
     "stdout":
         "f7b07940d5eb4d372b9a99caed26823adfe906a8d75557107517a4e4e35fb000",
     "sweep-k-options/sweep_k.csv":
@@ -196,15 +222,15 @@ PINNED_ARTIFACTS = {
     "sweep-k-options/sweep_k.svg":
         "361561d2bc38e45b25ca4c6989c0694ef844cc5f3ade6cc8b3136ef8b5d1f1fc",
     "sweep-k/sweep_k.csv":
-        "f5eef58209d0659f1826e421a2c5306d8d87fbe244b842ab852fc88ca79a8ff9",
+        "34919daa013818073291c7d84827b765aa94fa67d90f0696b72af620deec2f8c",
     "sweep-k/sweep_k.svg":
         "4206074b546d15e42b0dc99f2d8bdd2bb5c1ca21e7ef388c69b166fad62c6aaf",
     "sweep-labels-options/sweep_labels.csv":
-        "415ee99e5e80120cb390139d8c336f9e8c3acdfd533b0f5bfa1d76e8444097f6",
+        "1885ff01aeaae9759990d3eb9b1f276ebbf5778a07b219b27762538943435231",
     "sweep-labels-options/sweep_labels.svg":
         "afbc64f4e3e7fecf451e1fb2d3b02ca12bed2465ecb20a1efd37efa3e577e039",
     "sweep-labels/sweep_labels.csv":
-        "d9158c254e937fbe9b12f05369e37b58176c63257f1b30a15f2657b705bc2ef4",
+        "7a4d20e03839cb438abcd366253a04f9c1c34dc4d63312e8ea07ee1772e42b0c",
     "sweep-labels/sweep_labels.svg":
         "6623e6e354649bb3f44a3251aee2d79639733849042ffa8aea96d867992f1d58",
     "tol/confusion.csv":
