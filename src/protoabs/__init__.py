@@ -13,13 +13,11 @@ from .clustering import (
     evaluate_objective,
     run_kmeans,
     run_mpck,
-    update_centroids,
 )
 from .constraints import (
     ClosedConstraints,
     ConstraintSet,
     LabeledSample,
-    Neighborhood,
     close_constraints,
     constraints_from_labels,
     neighborhoods,

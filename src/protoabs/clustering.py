@@ -25,7 +25,7 @@ the objective is the exact sum (`math.fsum`) of each distinct row's cost
 times its count in each cluster and of the penalty cells, so its bits do
 not depend on the order of those terms, and the per-cluster
 max-separated-pair table is built over each cluster's distinct rows.
-That table, read by the cannot-link penalty alone, is built on first
+That table, read by the cannot-link terms alone, is built on first
 read for the assignments and metrics of that moment and dropped with
 the weights, so with metric updates disabled it stays fixed through the
 loop, which keeps the objective non-increasing; if any point moved, the
@@ -42,7 +42,7 @@ import numpy as np
 from . import metric as _metric
 from .constraints import ConstraintSet, close_constraints, neighborhoods
 from .errors import EmptyCluster, TooManyClusters
-from .metric import EPS_DENOM, EPS_WEIGHT, DiagonalMetric, MaxPair
+from .metric import EPS_DENOM, EPS_WEIGHT, DiagonalMetric
 from .model import Message, json_indented, json_ints, json_typed
 
 DISPERSION_BLOCK = 2**20    # float entries cast at a time by _State.dispersion_costs
@@ -128,12 +128,15 @@ class ClusterModel:
         )
 
 
+@dataclass(frozen=True, eq=False)
 class PenaltyContext:
-    """Per-cluster max-separated-pair table and its squared distances."""
+    """Per-cluster max-separated-pair table: the pair's squared distance,
+    read by the cannot-link penalty, and the fields on which its two rows
+    differ, read by the metric update.  An empty or one-row cluster has
+    0.0 and no field."""
 
-    def __init__(self, maxpairs):
-        self.maxpairs = tuple(maxpairs)
-        self.maxd2 = np.array([p.sq_distance for p in self.maxpairs])
+    maxd2: np.ndarray   # (K,)
+    far: np.ndarray     # (K, F) bool
 
     @classmethod
     def build(cls, corpus, assignments, metrics):
@@ -145,12 +148,15 @@ class PenaltyContext:
             raise ValueError("cluster ids must lie in [0, %d)" % k)
         first = np.full(corpus.unique_codes.shape[0] * k, n)
         np.minimum.at(first, corpus.row_ids * k + assignments, np.arange(n))
-        maxpairs = []
-        for reps, m in zip(first.reshape(-1, k).T, metrics):
+        # an empty cluster keeps the ends (0, 0), which differ on no field
+        maxd2, ends = np.zeros(k), np.zeros((k, 2), dtype=np.int64)
+        for h, (reps, m) in enumerate(zip(first.reshape(-1, k).T, metrics)):
             reps = reps[reps < n]
-            maxpairs.append(_metric.max_separated_pair(reps, corpus, m) if reps.size
-                            else MaxPair(-1, -1, 0.0))
-        return cls(maxpairs)
+            if reps.size:
+                pair = _metric.max_separated_pair(reps, corpus, m)
+                maxd2[h], ends[h] = pair.sq_distance, (pair.first, pair.second)
+        rows = corpus.unique_codes[corpus.row_ids[ends]]    # (K, 2, F)
+        return cls(maxd2, rows[:, 0] != rows[:, 1])
 
 
 def _row_counts(corpus, row_ids, groups, g):
@@ -159,13 +165,6 @@ def _row_counts(corpus, row_ids, groups, g):
     u = corpus.unique_codes.shape[0]
     flat = row_ids * g + np.asarray(groups, dtype=np.int64)
     return np.bincount(flat, minlength=u * g).reshape(u, g)
-
-
-def update_centroids(corpus, assignments, k):
-    """Per-field mode of each cluster's members; lexicographically smallest
-    token wins ties."""
-    cent_codes = _mode_rows(corpus, _row_counts(corpus, corpus.row_ids, assignments, k))
-    return tuple(_centroid_message(corpus, cent_codes[h], h) for h in range(k))
 
 
 def _mode_rows(corpus, counts):
@@ -405,7 +404,7 @@ def _seed_centroids(corpus, constraints, k, rng):
     then farthest-first under the unit Hamming metric, over distinct rows."""
     hoods = neighborhoods(constraints)[:k] if not constraints.is_empty() else []
     if hoods:
-        members = np.concatenate([h.member_indices for h in hoods]).astype(np.int64)
+        members = np.concatenate(hoods).astype(np.int64)
         groups = np.repeat(np.arange(len(hoods)), [len(h) for h in hoods])
         counts = _row_counts(corpus, corpus.row_ids[members], groups, len(hoods))
         cent = list(_mode_rows(corpus, counts))
@@ -448,10 +447,7 @@ def _update_weights(state, counts):
             continue
         # a violated cannot-link in cluster h adds wbar * (far - near) to h,
         # counted here from both of its points
-        ends = np.array([(p.first, p.second) for p in state.ctx.maxpairs]).reshape(-1, 2)
-        far_rows = corpus.unique_codes[corpus.row_ids[ends]]       # (K, 2, F)
-        far = (far_rows[:, 0] != far_rows[:, 1]) & (ends[:, :1] >= 0)
-        cl_tallies = np.bincount(g[cell], n[cell] * partners, k)[:, None] * far
+        cl_tallies = np.bincount(g[cell], n[cell] * partners, k)[:, None] * state.ctx.far
         cl_tallies[:, state.fields] -= by_cluster
         tallies += np.maximum(0.0, 0.5 * state.scales[1] * cl_tallies)
     sizes = counts.sum(axis=0)

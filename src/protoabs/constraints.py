@@ -175,18 +175,10 @@ def close_constraints(cs):
     return ClosedConstraints(points, component, linked, w=cs.w, w_bar=cs.w_bar)
 
 
-@dataclass(frozen=True)
-class Neighborhood:
-    member_indices: tuple
-
-    def __len__(self):
-        return len(self.member_indices)
-
-
 def neighborhoods(cs):
-    """Must-link components over the constrained points: connected
-    components of the must-link graph, plus singletons for points that only
-    appear in cannot-links.
+    """Member tuples of the must-link components over the constrained
+    points: connected components of the must-link graph, plus singletons
+    for points that only appear in cannot-links.
 
     Sorted by descending size, then by smallest member index.
     """
@@ -198,7 +190,7 @@ def neighborhoods(cs):
     # components are numbered by smallest member, so a stable sort on size
     # breaks ties by smallest member
     order = np.argsort(-np.bincount(component), kind="stable").tolist()
-    return [Neighborhood(tuple(members[c])) for c in order]
+    return [tuple(members[c]) for c in order]
 
 
 def load_labeled_samples(path):

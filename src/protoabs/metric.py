@@ -15,6 +15,7 @@ from .errors import EmptyCluster
 
 EPS_WEIGHT = 1e-6
 EPS_DENOM = 1e-9
+PAIR_BLOCK = 2**20      # float entries of the pair table scanned at a time
 
 
 @dataclass(frozen=True)
@@ -43,11 +44,11 @@ class MaxPair:
 def max_separated_pair(indices, corpus, m):
     """Argmax of the squared distance under `m` over unordered index pairs.
 
-    Time and memory are quadratic in `len(indices)`, so callers pass one
-    index per distinct row (members with identical code rows are
-    interchangeable), as `PenaltyContext.build` does with each row's
-    smallest member.  Deterministic: among ties the smallest (first,
-    second) pair wins.  A singleton domain yields (i, i, 0.0).
+    Time is quadratic in `len(indices)`, so callers pass one index per
+    distinct row (members with identical code rows are interchangeable),
+    as `PenaltyContext.build` does with each row's smallest member; rows
+    are scanned in blocks of at most PAIR_BLOCK table entries.  Among ties
+    the smallest (first, second) pair wins; a singleton yields (i, i, 0.0).
     """
     idx = np.sort(np.asarray(indices, dtype=np.int64))
     if idx.size == 0:
@@ -57,17 +58,28 @@ def max_separated_pair(indices, corpus, m):
         return MaxPair(i, i, 0.0)
     x = corpus.unique_codes[corpus.row_ids[idx]]
     w = np.asarray(m.weights, dtype=np.float64)
-    # (n, n) pairwise weighted mismatch totals, accumulated per field in the
-    # same order for every pair; a field on which all rows agree would add
-    # +0.0 to every total, so it is skipped
-    d = np.zeros((idx.size, idx.size))
-    for f in np.flatnonzero((x != x[0]).any(axis=0)):
-        d += w[f] * (x[:, None, f] != x[None, :, f])
-    # d is symmetric with a zero diagonal, so its first maximum in row-major
-    # order is the smallest (i, j) with i < j, and a pair of each row's
-    # smallest index, as a smaller index of the same row would give an
-    # earlier pair at the same distance; every pair ties at 0 if it is 0
-    i, j = divmod(int(np.argmax(d)), idx.size)
-    if d[i, j] == 0.0:
-        return MaxPair(int(idx[0]), int(idx[1]), 0.0)
-    return MaxPair(int(idx[i]), int(idx[j]), float(d[i, j]))
+    # pairwise weighted mismatch totals, accumulated per field in the same
+    # order for every pair; a field on which all rows agree would add +0.0
+    # to every total, so it is skipped.  Float addition is monotone, so no
+    # total exceeds the in-order sum of the other weights: a pair that
+    # reaches it ends the scan.  Every pair ties at 0 if the max is 0.
+    fields = np.flatnonzero((x != x[0]).any(axis=0))
+    bound = 0.0
+    for weight in w[fields].tolist():
+        bound += weight
+    n = idx.size
+    step = max(1, PAIR_BLOCK // n)
+    best, first, second = 0.0, 0, 1
+    for a in range(0, n - 1, step):
+        # rows a.. against the columns from a: entries on or below the
+        # diagonal are 0 or repeat earlier ones, and only a greater value
+        # replaces the best, so the first maximum in row-major order wins
+        d = np.zeros((min(step, n - a), n - a))
+        for f in fields:
+            d += w[f] * (x[a:a + step, None, f] != x[None, a:, f])
+        i, j = divmod(int(np.argmax(d)), d.shape[1])
+        if d[i, j] > best:
+            best, first, second = float(d[i, j]), a + i, a + j
+        if best >= bound:
+            break
+    return MaxPair(int(idx[first]), int(idx[second]), best)

@@ -18,7 +18,7 @@ from protoabs.errors import (
     UnmatchedMessage,
 )
 from protoabs.metric import EPS_DENOM, EPS_WEIGHT, DiagonalMetric, MaxPair
-from protoabs.model import ABSENT, UNLABELED, Corpus, IdRule, LabelVector, pad_rows
+from protoabs.model import ABSENT, UNLABELED, Corpus, IdRule, LabelVector, Message, pad_rows
 
 
 def encode_messages(messages, arity):
@@ -248,6 +248,18 @@ def max_pair_distances(corpus, assignments, metrics):
     return out
 
 
+def max_pair_fields(corpus, assignments, metrics):
+    """(K, F) fields on which the two messages of each cluster's brute-force
+    max-separated pair differ (none for an empty cluster)."""
+    far = np.zeros((len(metrics), corpus.arity), dtype=bool)
+    for h, m in enumerate(metrics):
+        members = np.flatnonzero(np.asarray(assignments) == h)
+        if members.size:
+            pair = max_separated_pair(members, corpus, m)
+            far[h] = corpus.codes[pair.first] != corpus.codes[pair.second]
+    return far
+
+
 def objective(corpus, model, constraints):
     """The MPCK-means objective summed term by term over messages and pairs."""
     max_sq = max_pair_distances(corpus, model.assignments, model.metrics)
@@ -270,16 +282,17 @@ def objective(corpus, model, constraints):
     return total
 
 
-def violation_tallies(corpus, assignments, constraints, maxpairs):
+def violation_tallies(corpus, assignments, constraints, far):
     """(K, F) weighted violation tallies of the metric update, one pair at
     a time in sorted pair order.
 
     A violated must-link adds w/2 per mismatching field to both clusters;
     a violated cannot-link inside cluster h adds w_bar * (far - near), where
-    far mismatches the pair `maxpairs[h]`; each cluster's cannot-link sum is
-    floored at 0 before it is added.
+    far is row h of the (K, F) fields on which each cluster's max pair
+    differs; each cluster's cannot-link sum is floored at 0 before it is
+    added.
     """
-    k, arity = len(maxpairs), corpus.arity
+    k, arity = len(far), corpus.arity
     codes = corpus.codes
     tallies = np.zeros((k, arity))
     cl_tallies = np.zeros((k, arity))
@@ -292,14 +305,8 @@ def violation_tallies(corpus, assignments, constraints, maxpairs):
     for a, b in sorted(constraints.cannot_links):
         la, lb = assignments[a], assignments[b]
         if la == lb:
-            pair = maxpairs[la]
-            far = (
-                (codes[pair.first] != codes[pair.second]).astype(np.float64)
-                if pair.first >= 0
-                else np.zeros(arity)
-            )
             near = (codes[a] != codes[b]).astype(np.float64)
-            cl_tallies[la] += constraints.w_bar * (far - near)
+            cl_tallies[la] += constraints.w_bar * (far[la].astype(np.float64) - near)
     return tallies + np.maximum(0.0, cl_tallies)
 
 
@@ -353,6 +360,14 @@ def mode_rows(corpus, assignments, k):
             raise EmptyCluster("cluster %d has no members" % h)
         cent_codes[h] = mode_row(corpus, members)
     return cent_codes
+
+
+def centroids(corpus, assignments, k):
+    """The K centroid messages of `mode_rows`."""
+    return tuple(
+        Message(tuple(corpus.vocabulary[f][c] for f, c in enumerate(row)), "centroid:%d" % h)
+        for h, row in enumerate(mode_rows(corpus, assignments, k))
+    )
 
 
 def dispersion(corpus, assignments, cent):

@@ -8,6 +8,7 @@ import itertools
 import numpy as np
 import pytest
 
+import oracles
 from oracles import f_cannot, unit_metric
 from protoabs.clustering import (
     ClusterModel,
@@ -16,7 +17,6 @@ from protoabs.clustering import (
     evaluate_objective,
     run_kmeans,
     run_mpck,
-    update_centroids,
 )
 from protoabs.cli import main as cli_main
 from protoabs.constraints import ConstraintSet, LabeledSample, constraints_from_labels
@@ -216,7 +216,7 @@ def test_criterion_7_exhaustive_small_instances():
                 continue  # both clusters must be non-empty
             candidate = ClusterModel(
                 k=2,
-                centroids=update_centroids(corpus, assignments, 2),
+                centroids=oracles.centroids(corpus, assignments, 2),
                 metrics=tuple(unit_metric(3) for _ in range(2)),
                 assignments=assignments,
                 objective=0.0,

@@ -21,11 +21,10 @@ from protoabs.clustering import (
     _update_weights,
     evaluate_objective,
     run_mpck,
-    update_centroids,
 )
 from protoabs.constraints import ConstraintSet, LabeledSample, constraints_from_labels
 from protoabs.errors import EmptyCluster, InconsistentConstraints
-from protoabs.metric import DiagonalMetric, MaxPair
+from protoabs.metric import DiagonalMetric
 from protoabs.model import build_corpus
 
 PROPERTY = settings(max_examples=200, deadline=None)
@@ -71,7 +70,7 @@ def instances(draw):
         for _ in range(k)
     )
     model = ClusterModel(
-        k=k, centroids=update_centroids(corpus, assignments, k), metrics=metrics,
+        k=k, centroids=oracles.centroids(corpus, assignments, k), metrics=metrics,
         assignments=assignments, objective=0.0,
     )
     w = draw(st.floats(0.0, 3.0))
@@ -112,22 +111,15 @@ def test_update_weights_matches_oracle_update_metric(inst, data):
     )), dtype=np.int64)
     ctx = PenaltyContext.build(corpus, table_assign, model.metrics)
     got = update_weights(_state_from_model(corpus, model, cs, ctx))
-
-    maxpairs = []
-    for h, m in enumerate(model.metrics):
-        members = np.flatnonzero(table_assign == h)
-        maxpairs.append(
-            oracles.max_separated_pair(members, corpus, m) if members.size
-            else MaxPair(-1, -1, 0.0)
-        )
-    assert_weights_match_oracle(corpus, model, cs, maxpairs, got)
+    far = oracles.max_pair_fields(corpus, table_assign, model.metrics)
+    assert_weights_match_oracle(corpus, model, cs, far, got)
 
 
-def assert_weights_match_oracle(corpus, model, cs, maxpairs, got):
+def assert_weights_match_oracle(corpus, model, cs, far, got):
     """`got` equals the oracle's metric update within 1e-9 relative: the
     tallies are summed over counts, not pair by pair."""
     closed = oracles.close_constraints(cs)
-    tallies = oracles.violation_tallies(corpus, model.assignments, closed, maxpairs)
+    tallies = oracles.violation_tallies(corpus, model.assignments, closed, far)
     for h in range(model.k):
         members = np.flatnonzero(model.assignments == h)
         want = oracles.update_metric(corpus, members, model.centroids[h], violations=tallies[h])
@@ -191,7 +183,7 @@ def test_moves_keep_the_tables_of_a_fresh_build(inst, data):
         with pytest.raises(EmptyCluster):
             update_weights(state)
         return
-    assert_weights_match_oracle(corpus, moved, cs, ctx.maxpairs, update_weights(state))
+    assert_weights_match_oracle(corpus, moved, cs, ctx.far, update_weights(state))
 
 
 @PROPERTY

@@ -4,17 +4,19 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import oracles
 from oracles import assign_point, distance_sq, f_cannot, f_must, unit_metric
 from protoabs import clustering
 from protoabs.clustering import (
     ClusterModel,
     MpckConfig,
     PenaltyContext,
+    _mode_rows,
+    _row_counts,
     _state_from_model,
     evaluate_objective,
     run_kmeans,
     run_mpck,
-    update_centroids,
 )
 from protoabs.constraints import (
     ConstraintSet,
@@ -42,7 +44,7 @@ def random_corpus(rng, n, arity, alphabet=3):
 
 def make_model(corpus, assignments, k, metrics=None):
     assignments = np.asarray(assignments, dtype=np.int64)
-    centroids = update_centroids(corpus, assignments, k)
+    centroids = oracles.centroids(corpus, assignments, k)
     if metrics is None:
         metrics = tuple(unit_metric(corpus.arity) for _ in range(k))
     return ClusterModel(
@@ -80,7 +82,9 @@ class TestPenalties:
         corpus = build_corpus([["a", "a"], ["b", "b"], ["a", "b"]], arity=2)
         metrics = (unit_metric(2),)
         ctx = PenaltyContext.build(corpus, [0, 0, 0], metrics)
-        i, j = ctx.maxpairs[0].first, ctx.maxpairs[0].second
+        pair = oracles.max_separated_pair([0, 1, 2], corpus, metrics[0])
+        i, j = pair.first, pair.second
+        assert ctx.far[0].tolist() == (corpus.codes[i] != corpus.codes[j]).tolist()
         assert f_cannot(corpus.messages[i], corpus.messages[j], metrics[0], ctx.maxd2[0]) == 0.0
 
     def test_f_cannot_equal_points_get_full_gap(self):
@@ -88,7 +92,7 @@ class TestPenalties:
             [["a"] * 5, ["b"] * 5, ["a"] * 5], arity=5
         )
         ctx = PenaltyContext.build(corpus, [0, 0, 0], (unit_metric(5),))
-        assert ctx.maxpairs[0].sq_distance == 5.0
+        assert ctx.far[0].all()
         assert ctx.maxd2[0] == 5.0
         assert f_cannot(corpus.messages[0], corpus.messages[2], unit_metric(5), ctx.maxd2[0]) == 5.0
 
@@ -184,26 +188,30 @@ class TestAssignPoint:
             assert assign_both(i, corpus, model, ConstraintSet(), ctx) == int(np.argmin(dists))
 
 
+def modes(corpus, assignments, k):
+    """Each cluster's per-field mode tokens, from the (u, K) count matrix."""
+    counts = _row_counts(corpus, corpus.row_ids, np.asarray(assignments), k)
+    return [tuple(corpus.vocabulary[f][c] for f, c in enumerate(row))
+            for row in _mode_rows(corpus, counts)]
+
+
 class TestCentroids:
     def test_mode_with_lexicographic_tie(self):
         corpus = build_corpus([["A", "B"], ["A", "C"]], arity=2)
-        (centroid,) = update_centroids(corpus, [0, 0], k=1)
-        assert centroid.fields == ("A", "B")
+        assert modes(corpus, [0, 0], k=1) == [("A", "B")]
 
     def test_singleton_cluster(self):
         corpus = build_corpus([["A", "B"], ["C", "D"]], arity=2)
-        centroids = update_centroids(corpus, [0, 1], k=2)
-        assert centroids[1].fields == ("C", "D")
+        assert modes(corpus, [0, 1], k=2)[1] == ("C", "D")
 
     def test_majority_wins(self):
         corpus = build_corpus([["A"], ["A"], ["B"]], arity=1)
-        (centroid,) = update_centroids(corpus, [0, 0, 0], k=1)
-        assert centroid.fields == ("A",)
+        assert modes(corpus, [0, 0, 0], k=1) == [("A",)]
 
     def test_empty_cluster_rejected(self):
         corpus = build_corpus([["A"]], arity=1)
         with pytest.raises(EmptyCluster):
-            update_centroids(corpus, [0], k=2)
+            modes(corpus, [0], k=2)
 
 
 class TestRunMpck:

@@ -18,11 +18,10 @@ from protoabs.clustering import (
     _repair_empty_clusters,
     _row_counts,
     _seed_centroids,
-    update_centroids,
 )
 from protoabs.constraints import ConstraintSet, LabeledSample, constraints_from_labels
 from protoabs.errors import EmptyCluster
-from protoabs.metric import DiagonalMetric, MaxPair
+from protoabs.metric import DiagonalMetric
 from protoabs.model import build_corpus
 
 PROPERTY = settings(max_examples=200, deadline=None)
@@ -65,11 +64,8 @@ def test_modes_match_per_member_oracle(corpus, data):
     n = len(corpus)
     k = data.draw(st.integers(1, n))
     assignments = cover(data.draw, n, k)
-    got = update_centroids(corpus, assignments, k)
-    want = oracles.mode_rows(corpus, assignments, k)
-    assert [c.fields for c in got] == [
-        tuple(corpus.vocabulary[f][c] for f, c in enumerate(row)) for row in want
-    ]
+    got = _mode_rows(corpus, _row_counts(corpus, corpus.row_ids, assignments, k))
+    assert np.array_equal(got, oracles.mode_rows(corpus, assignments, k))
 
 
 @PROPERTY
@@ -143,19 +139,8 @@ def assert_max_pairs_match_oracle(corpus, assignments, metrics):
     """The table's squared distances, and the fields on which each cluster's
     pair mismatches, equal those of the brute force over all members."""
     ctx = PenaltyContext.build(corpus, assignments, metrics)
-    codes = corpus.codes
-    want = []
-    for h, m in enumerate(metrics):
-        members = np.flatnonzero(assignments == h)
-        want.append(oracles.max_separated_pair(members, corpus, m) if members.size
-                    else MaxPair(-1, -1, 0.0))
-    assert ctx.maxd2.tolist() == [p.sq_distance for p in want]
-    for got, pair in zip(ctx.maxpairs, want):
-        if pair.first < 0:
-            assert got == pair
-        else:
-            assert np.array_equal(codes[got.first] != codes[got.second],
-                                  codes[pair.first] != codes[pair.second])
+    assert ctx.maxd2.tolist() == oracles.max_pair_distances(corpus, assignments, metrics)
+    assert np.array_equal(ctx.far, oracles.max_pair_fields(corpus, assignments, metrics))
 
 
 @PROPERTY

@@ -7,6 +7,7 @@ agrees exactly with the brute-force one."""
 
 import os
 import tempfile
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from protoabs import metric
 from protoabs.corpus_tools import AbstractionRule, apply_rules, load_corpus, save_corpus
 from protoabs.errors import UnmatchedMessage
 from protoabs.metric import DiagonalMetric, max_separated_pair
@@ -190,12 +192,26 @@ def test_apply_rules_over_rows_equals_the_per_message_pass(problem):
 @PROPERTY
 @given(field_rows, st.data())
 def test_max_separated_pair_matches_brute_force(rows, data):
+    """Blocks of one to three rows run the scan across blocks and its stop
+    at the bound; weights of 0 and 1e6 make ties and dominant fields."""
     corpus = corpus_of(rows)
     n = len(rows)
     members = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
-    weights = data.draw(st.lists(weight, min_size=corpus.arity, max_size=corpus.arity))
+    weights = data.draw(st.lists(st.sampled_from([0.0, 1e6]) | weight,
+                                 min_size=corpus.arity, max_size=corpus.arity))
     m = DiagonalMetric(np.array(weights))
-    assert max_separated_pair(members, corpus, m) == oracles.max_separated_pair(members, corpus, m)
+    with patch.object(metric, "PAIR_BLOCK", data.draw(st.integers(1, 3)) * len(members)):
+        got = max_separated_pair(members, corpus, m)
+    assert got == oracles.max_separated_pair(members, corpus, m)
+
+
+def test_max_separated_pair_scans_on_below_the_bound():
+    """With one row per block, row 0's best pair is at 1e6, just below the
+    bound 1e6 + 1, so the scan goes on to the pair of rows 1 and 2."""
+    corpus = corpus_of([("a", "a"), ("a", "b"), ("b", "a")])
+    with patch.object(metric, "PAIR_BLOCK", 3):
+        got = max_separated_pair([0, 1, 2], corpus, DiagonalMetric(np.array([1.0, 1e6])))
+    assert got == metric.MaxPair(1, 2, 1e6 + 1)
 
 
 @pytest.mark.parametrize("rows, members, weights", [

@@ -16,7 +16,8 @@ from protoabs import (
     preprocess,
 )
 
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+TESTS = os.path.dirname(os.path.abspath(__file__))
+SRC = os.path.join(os.path.dirname(TESTS), "src")
 
 # N=20k k-means with K=2: one cluster holds ~19k members, whose member-pair
 # table alone would need ~2.9 GB.
@@ -78,6 +79,21 @@ run_kmeans(corpus, MpckConfig(k=21, seed=0))
 print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
 """
 
+# N=10k mpck at K=8 and 1 label per class on the ClientHello spec at noise
+# 0.5, whose 10k rows are all but one distinct: a full (u_h, u_h) pair table
+# per cluster peaked at 180 MB; the scan holds one block of PAIR_BLOCK entries.
+DISTINCT_MPCK_BUDGET_MB = 120
+DISTINCT_MPCK = """
+import resource
+from protoabs import MpckConfig, constraints_from_labels, draw_labeled_samples
+from protoabs import generate_synthetic, run_mpck
+from specs import clienthello_spec
+corpus, labels = generate_synthetic(clienthello_spec(10000))
+cs = constraints_from_labels(draw_labeled_samples(labels, 1, seed=0))
+run_mpck(corpus, cs, MpckConfig(k=8, seed=0))
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
 # Linux carries a process's peak RSS across fork and exec, so the workload
 # runs as the child of a small interpreter rather than of the test process.
 LAUNCHER = (
@@ -87,7 +103,7 @@ LAUNCHER = (
 
 
 def peak_rss_mb(workload):
-    env = dict(os.environ, PYTHONPATH=SRC)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, TESTS]))
     out = subprocess.run(
         [sys.executable, "-c", LAUNCHER, workload],
         env=env, capture_output=True, text=True, timeout=300,
@@ -110,6 +126,10 @@ def test_synth_to_learning_at_200k_stays_within_rss_budget():
 
 def test_distinct_rows_kmeans_at_20k_stays_within_rss_budget():
     assert peak_rss_mb(DISTINCT_KMEANS) < DISTINCT_KMEANS_BUDGET_MB
+
+
+def test_distinct_rows_mpck_at_10k_stays_within_rss_budget():
+    assert peak_rss_mb(DISTINCT_MPCK) < DISTINCT_MPCK_BUDGET_MB
 
 
 def test_corpus_holds_no_per_message_code_matrix():
