@@ -13,7 +13,12 @@ far the pair falls short of cluster l's maximally separated pair D_l.
 
 Constrained points are visited greedily in a seeded random permutation;
 unconstrained points interact with nothing and take a vectorized argmin of
-costs computed once per distinct code row.  Constraints are never expanded
+costs computed once per distinct code row.  The must and cannot tables
+that a visit reads change only when a point moves, so one array pass
+costs every visit up to the next mover, which moves alone; the next pass
+starts after it and covers at most twice the visits the last one used (the
+first covers them all), so the rows costed stay within 3 x the visits
+even if every visit moves.  Constraints are never expanded
 into pairs: penalties and violation tallies are summed over the counts of
 constrained points per (component, distinct row) slot and cluster.
 Each M-step counts members once, in one (distinct rows, K) matrix that
@@ -29,7 +34,9 @@ That table, read by the cannot-link terms alone, is built on first
 read for the assignments and metrics of that moment and dropped with
 the weights, so with metric updates disabled it stays fixed through the
 loop, which keeps the objective non-increasing; if any point moved, the
-final objective builds one for the final assignments.
+final objective builds one for the final assignments.  The metric update
+reads it only when some cannot-link is violated: without one its
+cannot-link tally is 0.0 whatever the table holds.
 """
 
 import math
@@ -40,7 +47,7 @@ from itertools import chain
 import numpy as np
 
 from . import metric as _metric
-from .constraints import ConstraintSet, close_constraints, neighborhoods
+from .constraints import close_constraints, constraints_from_labels, neighborhoods
 from .errors import EmptyCluster, TooManyClusters
 from .metric import EPS_DENOM, EPS_WEIGHT, DiagonalMetric
 from .model import Message, json_indented, json_ints, json_typed
@@ -229,8 +236,8 @@ class _State:
         self.fields = np.flatnonzero((codes != codes[:1]).any(axis=0))  # where they differ
         v = codes[:, self.fields]
         self.mismatch = (v[:, None, :] != v[None, :, :]).astype(float)   # (R, R, V)
+        self.point_slots = point_slots              # of the constrained points
         self.point_cells = point_slots * k          # flat cell ids in cluster 0
-        self.slot = dict(zip(self.constrained.tolist(), point_slots.tolist()))
         # [must, cannot]: same component, cannot-linked components
         cannot = np.zeros((sizes.size, sizes.size), dtype=bool)
         ca, cb = constraints.cannot_components.T
@@ -344,24 +351,33 @@ class _State:
             tables[kind] = np.bincount(at.ravel(), costs.ravel(), tables[kind].size).reshape(-1, k)
         return tables
 
-    def point_costs(self, i, base_row):
-        """K-vector of assignment costs for point i, partners' assignments
-        fixed; `base_row` is point i's row of base_costs()."""
-        costs = base_row.copy()
-        s = self.slot.get(i)
-        if s is not None:
+    def slots(self, points):
+        """Slot of each of `points`, -1 for an unconstrained point."""
+        if not self.constrained.size:
+            return np.full(np.shape(points), -1)
+        at = np.minimum(np.searchsorted(self.constrained, points), self.constrained.size - 1)
+        return np.where(self.constrained[at] == points, self.point_slots[at], -1)
+
+    def point_costs(self, points, base):
+        """(len(points), K) assignment costs of `points`, their partners'
+        assignments fixed; `base` is base_costs(), and an unconstrained
+        point's costs are its row of it."""
+        costs = base[self.corpus.row_ids[points]]
+        slots = self.slots(points)
+        bound = slots >= 0
+        if bound.any():
             if self.tables is None:
                 self.tables = self.build_tables(self.cells())
             for kind in self.kinds:
-                costs += self.scales[kind] * self.tables[kind][s]
+                costs[bound] += self.scales[kind] * self.tables[kind][slots[bound]]
         return costs
 
     def move(self, i, h):
         """Assign point i to cluster h; the tables follow by the costs its
         old and new cell add to their target slots."""
         old, self.assignments[i] = self.assignments[i], h
-        s = self.slot.get(i)
-        if s is None or self.tables is None or old == h:
+        s = int(self.slots(i))
+        if s < 0 or self.tables is None or old == h:
             return
         y = self.slot_rows[s]
         for kind in self.kinds:
@@ -438,6 +454,8 @@ def _update_weights(state, counts):
         # a violated cannot-link inside it
         inside = slot_counts[t, g[cell]]
         partners = inside if kind else slot_counts[t].sum(axis=1) - inside
+        if not partners.any():
+            continue    # no link of this kind is violated: its tally is 0.0
         nf = state.fields.size      # (K, V) mismatching fields of those pairs, by cluster
         by_cluster = np.bincount((g[cell, None] * nf + np.arange(nf)).ravel(), (
             (n[cell] * partners)[:, None] * state.mismatch[x, y]).ravel(), k * nf).reshape(k, nf)
@@ -498,10 +516,10 @@ def run_mpck(corpus, constraints, config):
         prev_assign = state.assignments.copy()
         # constrained points in a seeded random order; nothing reads the
         # generator after seeding, so without them no order is drawn
-        visit = []
-        if state.constrained.size:
+        visit = state.constrained
+        if visit.size:
             perm = rng.permutation(n)
-            visit = perm[~free[perm]].tolist()
+            visit = perm[~free[perm]]
 
         # each point's cost delta; a free point that stays adds 0
         base = state.base_costs()
@@ -511,11 +529,7 @@ def run_mpck(corpus, constraints, config):
         rows = free_row_ids[moved]
         deltas = (base[rows, new[moved]] - base[rows, old[moved]]).tolist()
         state.assignments[free_rows] = new
-        for i in visit:
-            costs = state.point_costs(i, base[row_ids[i]])
-            h = int(np.argmin(costs))
-            deltas.append(costs[h] - costs[state.assignments[i]])
-            state.move(i, h)
+        deltas += _assign_constrained(state, base, visit)
 
         # a fixpoint's state is the one last scored, with a gap of 0
         if np.array_equal(prev_assign, state.assignments):
@@ -557,9 +571,38 @@ def run_mpck(corpus, constraints, config):
 
 def run_kmeans(corpus, config):
     """Unsupervised baseline: same loop with no constraints and the unit
-    metric frozen (log-det contribution is identically zero)."""
+    metric frozen (log-det contribution is identically zero).  The empty
+    constraint set is passed closed, so there is nothing to close."""
     cfg = replace(config, metric_update_enabled=False)
-    return run_mpck(corpus, ConstraintSet(), cfg)
+    return run_mpck(corpus, constraints_from_labels([]), cfg)
+
+
+def _assign_constrained(state, base, visit):
+    """Visit the constrained points `visit` in order, each moving to its
+    cheapest cluster with its partners' assignments fixed; `base` is
+    base_costs().  Returns each visit's cost delta.
+
+    A pass costs its visits in one array, as the tables stay fixed until
+    the first mover, which moves through `_State.move`; the next pass
+    starts after it and covers at most twice the visits this one used.
+    The first covers them all, so at most 3 x len(visit) rows are costed.
+    """
+    deltas = []
+    start, size = 0, visit.size
+    while start < visit.size:
+        points = visit[start:start + size]
+        costs = state.point_costs(points, base)
+        best = costs.argmin(axis=1)
+        old = state.assignments[points]
+        movers = np.flatnonzero(best != old)
+        used = int(movers[0]) + 1 if movers.size else points.size
+        at = np.arange(used)
+        deltas += (costs[at, best[:used]] - costs[at, old[:used]]).tolist()
+        if movers.size:
+            state.move(int(points[used - 1]), int(best[used - 1]))
+        start += used
+        size = 2 * used
+    return deltas
 
 
 def _m_step(state, metric_update_enabled):

@@ -238,6 +238,26 @@ def assign_point(i, corpus, model, constraints, max_sq):
     return int(np.argmin(point_costs(i, corpus, model, constraints, max_sq)))
 
 
+def assign_constrained(state, base, visit):
+    """The per-point greedy visit of constrained points that
+    `clustering._assign_constrained` does in array passes: each point in
+    `visit` reads its costs from the base row and its slot's rows of the
+    state's must and cannot tables, moves to the first cheapest cluster
+    through `_State.move`, and adds its cost delta."""
+    slot = dict(zip(state.constrained.tolist(), state.point_slots.tolist()))
+    deltas = []
+    for i in visit:
+        costs = base[state.corpus.row_ids[i]].copy()
+        if state.tables is None:
+            state.tables = state.build_tables(state.cells())
+        for kind in state.kinds:
+            costs += state.scales[kind] * state.tables[kind][slot[i]]
+        h = int(np.argmin(costs))
+        deltas.append(costs[h] - costs[state.assignments[i]])
+        state.move(i, h)
+    return deltas
+
+
 def max_pair_distances(corpus, assignments, metrics):
     """Per-cluster squared distance of the brute-force max-separated pair
     (0.0 for an empty cluster)."""

@@ -1,8 +1,10 @@
 """The array core of MPCK-means agrees with the scalar per-message oracles:
 the objective, the metric update and the per-point assignment, each over
-the closure of the constraints, as `run_mpck` scores them."""
+the closure of the constraints, as `run_mpck` scores them; and its array
+passes over the constrained visits agree with the per-point visit loop."""
 
 import math
+from dataclasses import replace
 from unittest.mock import patch
 
 import numpy as np
@@ -139,8 +141,10 @@ def test_point_costs_argmin_matches_oracle_assign_point(inst):
 def assert_point_costs_match_oracle(corpus, model, cs, state, max_sq):
     closed = oracles.close_constraints(cs)
     base = state.base_costs()
-    for i in range(len(corpus)):
-        costs = state.point_costs(i, base[corpus.row_ids[i]])
+    all_costs = state.point_costs(np.arange(len(corpus)), base)
+    free = np.setdiff1d(np.arange(len(corpus)), state.constrained)
+    assert np.array_equal(all_costs[free], base[corpus.row_ids[free]])
+    for i, costs in enumerate(all_costs):
         want = oracles.point_costs(i, corpus, model, closed, max_sq)
         assert np.allclose(costs, want, rtol=1e-9, atol=1e-9)
         got = int(np.argmin(costs))
@@ -184,6 +188,52 @@ def test_moves_keep_the_tables_of_a_fresh_build(inst, data):
             update_weights(state)
         return
     assert_weights_match_oracle(corpus, moved, cs, ctx.far, update_weights(state))
+
+
+@PROPERTY
+@given(instances(), st.booleans(), st.data())
+def test_array_passes_match_the_per_point_visits(inst, every_visit_moves, data):
+    """From one state, base costs and visit order, the array passes of
+    `_assign_constrained` end where the per-point oracle does: the same
+    assignments, the same delta bits and the same tables, which equal a
+    fresh build.  They cost at most 3 rows per visit, also when every visit
+    moves: zero penalty weights and each constrained point off its
+    cheapest cluster."""
+    corpus, model, cs = inst
+    ctx = PenaltyContext.build(corpus, model.assignments, model.metrics)
+    if every_visit_moves:
+        assume(model.k > 1)
+        cs = replace(cs, w=0.0, w_bar=0.0)
+    states = [_state_from_model(corpus, replace(model, assignments=model.assignments.copy()),
+                                cs, ctx) for _ in range(2)]
+    base = states[0].base_costs()
+    points = states[0].constrained
+    if every_visit_moves:
+        cheapest = base[corpus.row_ids[points]].argmin(axis=1)
+        shift = np.array(data.draw(st.lists(st.integers(1, model.k - 1), min_size=points.size,
+                                            max_size=points.size)), dtype=np.int64)
+        for state in states:
+            state.assignments[points] = (cheapest + shift) % model.k
+    visit = np.array(data.draw(st.permutations(points.tolist())), dtype=np.int64)
+    before = states[0].assignments.copy()
+    rows = []
+
+    def counted(points, base):
+        rows.append(len(points))
+        return clustering._State.point_costs(states[0], points, base)
+
+    states[0].point_costs = counted
+    got = clustering._assign_constrained(states[0], base, visit)
+    want = oracles.assign_constrained(states[1], base, visit.tolist())
+    assert [d.hex() for d in got] == [d.hex() for d in want]
+    assert np.array_equal(states[0].assignments, states[1].assignments)
+    assert sum(rows) <= 3 * visit.size
+    if every_visit_moves:
+        assert (states[0].assignments[visit] != before[visit]).all()
+    if visit.size:
+        for a, b in zip(states[0].tables, states[1].tables):
+            assert np.array_equal(a, b)
+        assert_tables_close(states[0].tables, states[0].build_tables(states[0].cells()))
 
 
 @PROPERTY

@@ -57,7 +57,7 @@ def assign_both(i, corpus, model, cs, ctx):
     """The package's choice for point i (argmin of its array costs), checked
     against the scalar oracle over the same max-pair table."""
     state = _state_from_model(corpus, model, cs, ctx)
-    got = int(np.argmin(state.point_costs(i, state.base_costs()[corpus.row_ids[i]])))
+    got = int(np.argmin(state.point_costs([i], state.base_costs())[0]))
     assert got == assign_point(i, corpus, model, cs, ctx.maxd2)
     return got
 
@@ -328,13 +328,16 @@ class TestRunMpck:
             else ConstraintSet()
         assert evaluate_objective(corpus, model, fresh).hex() == model.objective.hex()
 
-    @pytest.mark.parametrize("algorithm", ["mpck", "kmeans"])
-    def test_max_pairs_see_one_member_per_distinct_row(self, monkeypatch, algorithm):
+    @pytest.mark.parametrize("algorithm, k", [("mpck", 21), ("kmeans", 21), ("mpck", 15)],
+                             ids=["mpck", "kmeans", "mpck-K15"])
+    def test_max_pairs_see_one_member_per_distinct_row(self, monkeypatch, algorithm, k):
         """Each max-pair table build passes `max_separated_pair`, for each
-        non-empty cluster, the smallest member of each distinct row in it,
-        and a run builds the K DiagonalMetrics, and with cannot-links one
-        table, once per weight state: the initial unit weights and each
-        update."""
+        non-empty cluster, the smallest member of each distinct row in it.
+        A run with cannot-links builds one table, and the K DiagonalMetrics,
+        per metric update, and one for the unit metric only when the initial
+        assignment violates a cannot-link, since the first update reads the
+        table for its cannot-link tally alone.  At K=15 the 21 labelled
+        classes cannot all part, so the unit table is needed there."""
         corpus, labels = generate_synthetic(default_synth_spec(n_messages=5000, seed=0))
         cs = constraints_from_labels(draw_labeled_samples(labels, 1, seed=0))
         builds, updates, metrics = [], [], []   # builds: (assignments, indices passed)
@@ -349,18 +352,23 @@ class TestRunMpck:
             builds[-1][1].append(sorted(indices.tolist()))
             return pair(indices, *args)
 
+        def updated(state, counts):
+            updates.append(state.assignments.copy())
+            return update(state, counts)
+
         monkeypatch.setattr(PenaltyContext, "build", classmethod(built))
         monkeypatch.setattr(clustering._metric, "max_separated_pair", paired)
-        monkeypatch.setattr(clustering, "_update_weights",
-                            lambda state, counts: updates.append(1) or update(state, counts))
+        monkeypatch.setattr(clustering, "_update_weights", updated)
         monkeypatch.setattr(clustering, "DiagonalMetric",
                             lambda weights: metrics.append(1) or metric(weights))
-        cfg = MpckConfig(k=21, seed=0)
+        cfg = MpckConfig(k=k, seed=0)
         model = run_mpck(corpus, cs, cfg) if algorithm == "mpck" else run_kmeans(corpus, cfg)
         monkeypatch.undo()
-        # one table for the unit metric and one per metric update; k-means
-        # has no cannot-links, so it builds none
-        assert len(builds) == (1 + len(updates) if algorithm == "mpck" else 0)
+        # k-means has no cannot-links and no metric update, so it builds none
+        unit_table = bool(updates) and any(
+            updates[0][a] == updates[0][b] for a, b in cs.cannot_links)
+        assert unit_table == (k < 21)
+        assert len(builds) == (len(updates) + unit_table if algorithm == "mpck" else 0)
         for assignments, calls in builds:
             want = []
             for h in range(cfg.k):
@@ -369,7 +377,8 @@ class TestRunMpck:
                     _, first = np.unique(corpus.row_ids[members], return_index=True)
                     want.append(sorted(members[first].tolist()))
             assert calls == want
-        assert len(metrics) == cfg.k * (1 + len(updates))
+        # the k-means model reports the unit metric
+        assert len(metrics) == cfg.k * (len(updates) + (unit_table or algorithm == "kmeans"))
         assert model.converged_by == "fixpoint"
 
     @pytest.mark.parametrize("algorithm", ["mpck", "kmeans"])

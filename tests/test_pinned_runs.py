@@ -8,6 +8,13 @@ centroids and metric weights are pinned by the sha256 of their JSON form
 relative.  The K=15 mpck digest was re-pinned when the violation tallies
 of the metric update came to be summed over counts (two of its 480
 weights moved by one ulp; assignments and centroids kept their bytes).
+The K=15 mpck digest is the one that byte-checks the path of a moving
+constrained point (`_State.move` and the array pass after a mover): 21 of
+its 315 constrained visits move, while the K=21 and K=35 runs move none
+of their 63 and 126 (counted by wrapping `_State.move`), so CI's reruns
+of this file under other `PYTHONHASHSEED`s and `OPENBLAS_CORETYPE`s check
+that path through it.  Of the N=5000 runs below only the pair-form one
+moves any, 4 of its 168 visits.
 
 On an N=5000 synthetic corpus (seed 0), mpck runs at K=21 with 1, 5, 20
 and 50 labels per class (draw seed 0), and with a pair-form constraint set
