@@ -21,6 +21,9 @@ first covers them all), so the rows costed stay within 3 x the visits
 even if every visit moves.  Constraints are never expanded
 into pairs: penalties and violation tallies are summed over the counts of
 constrained points per (component, distinct row) slot and cluster.
+A message's slot is one lookup in an N-entry array of the narrowest
+signed integer type that holds the slot count, -1 for an unconstrained
+message; the same array picks the messages that take the argmin.
 Each M-step counts members once, in one (distinct rows, K) matrix that
 the centroids (per-field modes) and the metric update read; the costs
 and the dispersion come from one mismatch of the distinct rows against
@@ -194,13 +197,6 @@ def _mode_rows(corpus, counts):
     return cent_codes
 
 
-def _centroid_message(corpus, code_row, h):
-    return Message(
-        fields=tuple(corpus.vocabulary[f][code_row[f]] for f in range(corpus.arity)),
-        source_id="centroid:%d" % h,
-    )
-
-
 class _State:
     """Array-level working state shared by `run_mpck` and the public ops.
 
@@ -236,7 +232,9 @@ class _State:
         self.fields = np.flatnonzero((codes != codes[:1]).any(axis=0))  # where they differ
         v = codes[:, self.fields]
         self.mismatch = (v[:, None, :] != v[None, :, :]).astype(float)   # (R, R, V)
-        self.point_slots = point_slots              # of the constrained points
+        # each message's slot, -1 for an unconstrained one
+        self.slot_of = np.full(len(corpus), -1, dtype=np.min_scalar_type(-max(slots.size, 1)))
+        self.slot_of[self.constrained] = point_slots
         self.point_cells = point_slots * k          # flat cell ids in cluster 0
         # [must, cannot]: same component, cannot-linked components
         cannot = np.zeros((sizes.size, sizes.size), dtype=bool)
@@ -351,19 +349,12 @@ class _State:
             tables[kind] = np.bincount(at.ravel(), costs.ravel(), tables[kind].size).reshape(-1, k)
         return tables
 
-    def slots(self, points):
-        """Slot of each of `points`, -1 for an unconstrained point."""
-        if not self.constrained.size:
-            return np.full(np.shape(points), -1)
-        at = np.minimum(np.searchsorted(self.constrained, points), self.constrained.size - 1)
-        return np.where(self.constrained[at] == points, self.point_slots[at], -1)
-
     def point_costs(self, points, base):
         """(len(points), K) assignment costs of `points`, their partners'
         assignments fixed; `base` is base_costs(), and an unconstrained
         point's costs are its row of it."""
         costs = base[self.corpus.row_ids[points]]
-        slots = self.slots(points)
+        slots = self.slot_of[points]
         bound = slots >= 0
         if bound.any():
             if self.tables is None:
@@ -376,7 +367,7 @@ class _State:
         """Assign point i to cluster h; the tables follow by the costs its
         old and new cell add to their target slots."""
         old, self.assignments[i] = self.assignments[i], h
-        s = int(self.slots(i))
+        s = int(self.slot_of[i])
         if s < 0 or self.tables is None or old == h:
             return
         y = self.slot_rows[s]
@@ -499,9 +490,7 @@ def run_mpck(corpus, constraints, config):
 
     # unconstrained points interact with nothing: a vectorized argmin is
     # order-equivalent to the sequential visit
-    free = np.ones(n, dtype=bool)
-    free[state.constrained] = False
-    free_rows = np.flatnonzero(free)
+    free_rows = np.flatnonzero(state.slot_of < 0)
     free_row_ids = row_ids[free_rows]
 
     history = []
@@ -519,7 +508,7 @@ def run_mpck(corpus, constraints, config):
         visit = state.constrained
         if visit.size:
             perm = rng.permutation(n)
-            visit = perm[~free[perm]]
+            visit = perm[state.slot_of[perm] >= 0]
 
         # each point's cost delta; a free point that stays adds 0
         base = state.base_costs()
@@ -550,7 +539,8 @@ def run_mpck(corpus, constraints, config):
 
     model = ClusterModel(
         k=k,
-        centroids=tuple(_centroid_message(corpus, c, h) for h, c in enumerate(state.cent)),
+        centroids=tuple(Message(corpus.decode(c), "centroid:%d" % h)
+                        for h, c in enumerate(state.cent)),
         metrics=state.metrics(),
         assignments=state.assignments.copy(),
         objective=0.0,
@@ -629,8 +619,7 @@ def _repair_empty_clusters(state):
     if not empty.size:
         return
     disp = state.dispersion_costs()[state.corpus.row_ids, state.assignments]
-    free = np.ones(state.assignments.size, dtype=bool)
-    free[state.constrained] = False
+    free = state.slot_of < 0
     for h in empty:
         eligible = sizes[state.assignments] >= 2
         if not eligible.any():

@@ -439,9 +439,9 @@ def read_text(path, parse, what):
 
 
 def read_json(path, build, what):
-    """`build(obj)` of the JSON object in the file at `path`; malformed JSON,
-    missing or ill-typed fields and data errors of `build` raise DataError
-    naming `what` and `path`, as in read_text."""
+    """`build(obj)` of the JSON object in the file at `path`; malformed or
+    too deeply nested JSON, missing or ill-typed fields and data errors of
+    `build` raise DataError naming `what` and `path`, as in read_text."""
     def parse(fh):
         try:
             return build(json.load(fh))
@@ -449,6 +449,8 @@ def read_json(path, build, what):
             raise DataError("missing field %s" % e) from e
         except (ValueError, TypeError, OverflowError) as e:
             raise DataError(str(e)) from e
+        except RecursionError as e:
+            raise DataError("JSON nested too deeply: %s" % e) from e
     return read_text(path, parse, what)
 
 

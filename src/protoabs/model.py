@@ -219,6 +219,11 @@ class Corpus:
             dtype=np.int32,
         )
 
+    def decode(self, code_row):
+        """Token tuple of a code row over this corpus' vocabulary, the
+        fields that `encode` maps to it."""
+        return tuple(vocab[c] for vocab, c in zip(self.vocabulary, code_row.tolist()))
+
     def to_dict(self):
         return {
             "format": 2,

@@ -244,14 +244,13 @@ def assign_constrained(state, base, visit):
     `visit` reads its costs from the base row and its slot's rows of the
     state's must and cannot tables, moves to the first cheapest cluster
     through `_State.move`, and adds its cost delta."""
-    slot = dict(zip(state.constrained.tolist(), state.point_slots.tolist()))
     deltas = []
     for i in visit:
         costs = base[state.corpus.row_ids[i]].copy()
         if state.tables is None:
             state.tables = state.build_tables(state.cells())
         for kind in state.kinds:
-            costs += state.scales[kind] * state.tables[kind][slot[i]]
+            costs += state.scales[kind] * state.tables[kind][state.slot_of[i]]
         h = int(np.argmin(costs))
         deltas.append(costs[h] - costs[state.assignments[i]])
         state.move(i, h)

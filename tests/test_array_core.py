@@ -198,7 +198,7 @@ def test_array_passes_match_the_per_point_visits(inst, every_visit_moves, data):
     assignments, the same delta bits and the same tables, which equal a
     fresh build.  They cost at most 3 rows per visit, also when every visit
     moves: zero penalty weights and each constrained point off its
-    cheapest cluster."""
+    cheapest cluster.  The state's `slot_of` gives each message's slot."""
     corpus, model, cs = inst
     ctx = PenaltyContext.build(corpus, model.assignments, model.metrics)
     if every_visit_moves:
@@ -206,6 +206,16 @@ def test_array_passes_match_the_per_point_visits(inst, every_visit_moves, data):
         cs = replace(cs, w=0.0, w_bar=0.0)
     states = [_state_from_model(corpus, replace(model, assignments=model.assignments.copy()),
                                 cs, ctx) for _ in range(2)]
+    # a message's slot is -1 if it is unconstrained, else the rank of its
+    # (must-link component, distinct row) pair among the constrained
+    # points' pairs, components in the order of their smallest members
+    root, _ = oracles._components(cs)
+    keys = sorted({(r, int(corpus.row_ids[p])) for p, r in root.items()})
+    slots = np.full(len(corpus), -1)
+    for p, r in root.items():
+        slots[p] = keys.index((r, int(corpus.row_ids[p])))
+    assert states[0].slot_of.dtype == np.int8       # fewer than 128 slots
+    assert np.array_equal(states[0].slot_of, slots)
     base = states[0].base_costs()
     points = states[0].constrained
     if every_visit_moves:

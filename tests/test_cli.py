@@ -216,6 +216,16 @@ def _huge_classes(labels):
     return dict(labels, n_classes=2**40)
 
 
+def _nested(field):
+    """A function of a file's JSON that gives its text with `field` a value
+    2 000 lists deep, written out by hand: json.dumps would itself stop at
+    the recursion limit."""
+    def text(obj):
+        rest = {key: value for key, value in obj.items() if key != field}
+        return json.dumps(rest)[:-1] + ', "%s": %s}' % (field, "[" * 2000 + "]" * 2000)
+    return text
+
+
 SHORT_MODEL = {"k": 1, "seed": 0, "iterations": 0, "objective": 0.0,
                "assignments": [0] * 10, "centroids": [["A=1"]], "metric_weights": [[1.0]]}
 TWO_CLUSTERS = dict(SHORT_MODEL, k=2, assignments=[0, 1] * (N // 2),
@@ -262,7 +272,9 @@ BAD_DATA = [
      {"--corpus": lambda c: dict(c, rows=["a" * c["arity"]] + c["rows"][1:])}),
     ("corpus source id not a string", "cluster",
      {"--corpus": lambda c: dict(c, source_ids=[None] + c["source_ids"][1:])}),
+    ("corpus nested 2 000 deep", "cluster", {"--corpus": _nested("rows")}),
     ("labels not JSON", "cluster", {"--labels": "{"}),
+    ("labels nested 2 000 deep", "cluster", {"--labels": _nested("labels")}),
     ("labels out of range", "cluster", {"--labels": {"n_classes": 2, "labels": [0, 5]}}),
     ("labels 1.5", "cluster", {"--labels": lambda l: dict(l, labels=[1.5] + l["labels"][1:])}),
     ("labels true", "cluster", {"--labels": lambda l: dict(l, labels=[True] + l["labels"][1:])}),
@@ -280,6 +292,7 @@ BAD_DATA = [
     ("sweep-labels K above the corpus size", "sweep-labels --k %d" % (N + 1),
      {"--corpus": lambda c: c}),
     ("model not JSON", "eval", {"--model": "not json"}),
+    ("model nested 2 000 deep", "eval", {"--model": _nested("centroids")}),
     ("model without k", "eval", {"--model": {"assignments": [0]}}),
     ("model assignment 0.5", "eval",
      {"--model": dict(SHORT_MODEL, assignments=[0] * (N - 1) + [0.5])}),
