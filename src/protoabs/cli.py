@@ -12,6 +12,7 @@ import sys
 import numpy as np
 
 from .clustering import ClusterModel
+from .constraints import MAX_PENALTY_WEIGHT
 from .corpus_tools import (
     DEFAULT_DROP_KEYS,
     apply_rules,
@@ -82,7 +83,8 @@ def _bounded(convert, ok, rule):
 
 _positive_int = _bounded(int, lambda v: v >= 1, ">= 1")
 _positive_float = _bounded(float, lambda v: v > 0, "> 0")
-_penalty_weight = _bounded(float, lambda v: 0 <= v < float("inf"), "finite and >= 0")
+_penalty_weight = _bounded(float, lambda v: 0 <= v <= MAX_PENALTY_WEIGHT,
+                           "in [0, %g]" % MAX_PENALTY_WEIGHT)
 _non_negative_int = _bounded(int, lambda v: v >= 0, ">= 0")
 _rate = _bounded(float, lambda v: 0 <= v < 1, "in [0, 1)")
 _count_list = _bounded(_int_list, lambda v: bool(v) and min(v) >= 0, "one or more counts >= 0")

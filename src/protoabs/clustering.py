@@ -24,11 +24,12 @@ constrained points per (component, distinct row) slot and cluster.
 A message's slot is one lookup in an N-entry array of the narrowest
 signed integer type that holds the slot count, -1 for an unconstrained
 message; the same array picks the messages that take the argmin.
-Each M-step counts members once, in one (distinct rows, K) matrix that
-the centroids (per-field modes) and the metric update read; the costs
-and the dispersion come from one mismatch of the distinct rows against
-the centroids.  A pass that moves no point ends the loop unscored: its
-state is the one last scored.  No step groups messages by cluster:
+Each M-step counts members once per (field, token) column and cluster;
+the centroids (per-field modes) and the metric update's dispersion around
+them both read that count.  The costs come from a mismatch of the distinct
+rows against the centroids, cast a block of clusters at a time.  A pass
+that moves no point ends the loop unscored: its state is the one last
+scored.  No step groups messages by cluster:
 the objective is the exact sum (`math.fsum`) of each distinct row's cost
 times its count in each cluster and of the penalty cells, so its bits do
 not depend on the order of those terms, and the per-cluster
@@ -177,24 +178,42 @@ def _row_counts(corpus, row_ids, groups, g):
     return np.bincount(flat, minlength=u * g).reshape(u, g)
 
 
-def _mode_rows(corpus, counts):
-    """(g, F) per-field modes of the g groups counted in the (u, g) count
-    matrix; the lexicographically smallest token wins ties."""
+def _token_counts(corpus, counts):
+    """(V, g) members per (field, token) column and group, from the (u, g)
+    count matrix of g groups; exact integers held as floats.  One bincount
+    over the occupied (row, group) cells x F: its temporaries hold cells x F
+    entries, cells <= min(u * g, N), the order of a (g, u, F) mismatch."""
     g = counts.shape[1]
-    empty = np.flatnonzero(counts.sum(axis=0) == 0)
+    cells = np.flatnonzero(counts)
+    rows, groups = np.divmod(cells, g)
+    at = (corpus.unique_codes[rows] + corpus.offsets[:-1]) * g + groups[:, None]
+    members = np.repeat(counts.ravel()[cells], corpus.arity)
+    return np.bincount(at.ravel(), members, corpus.offsets[-1] * g).reshape(-1, g)
+
+
+def _mode_rows(corpus, tokens):
+    """(g, F) per-field modes of the g groups counted in the (V, g) token
+    counts: the first maximum in each field's columns, so, as codes follow
+    token order, the smallest tied token wins."""
+    empty = np.flatnonzero(~tokens.any(axis=0))
     if empty.size:
         raise EmptyCluster("cluster %d has no members" % empty[0])
-    cent_codes = np.zeros((g, corpus.arity), dtype=np.int32)
-    weights = counts.ravel()
-    for f, vocab in enumerate(corpus.vocabulary):
-        if len(vocab) == 1:
-            continue                    # one symbol: the mode is code 0
-        # token counts per group; codes follow token order, so the first
-        # maximum is the smallest tied token
-        flat = (corpus.unique_codes[:, f, None].astype(np.int64) * g + np.arange(g)).ravel()
-        tokens = np.bincount(flat, weights=weights, minlength=len(vocab) * g)
-        cent_codes[:, f] = tokens.reshape(len(vocab), g).argmax(axis=0)
-    return cent_codes
+    starts = corpus.offsets[:-1]
+    field = np.repeat(np.arange(corpus.arity), np.diff(corpus.offsets))
+    code = np.arange(tokens.shape[0]) - starts[field]       # each column's code
+    top = np.maximum.reduceat(tokens, starts)[field]
+    # a column below its field's maximum takes a code past every field's
+    top_codes = np.where(tokens == top, code[:, None], tokens.shape[0])
+    return np.minimum.reduceat(top_codes, starts).T.astype(np.int32, order="C")
+
+
+def _dispersion(corpus, tokens, cent):
+    """(g,) sizes of the g groups counted in the (V, g) token counts, and
+    (g, F) how many members of each differ from its row of `cent` at each
+    field; both exact integers held as floats."""
+    sizes = tokens[:corpus.offsets[1]].sum(axis=0)      # each member holds one token of field 0
+    held = tokens[cent + corpus.offsets[:-1], np.arange(len(cent))[:, None]]
+    return sizes, sizes[:, None] - held
 
 
 class _State:
@@ -251,8 +270,6 @@ class _State:
     @cent.setter
     def cent(self, cent_codes):
         self._cent = cent_codes
-        # (K, u, F): where each distinct code row differs from each centroid
-        self.cent_mismatch = self.corpus.unique_codes[None] != cent_codes[:, None]
         self._dispersion = None
 
     @property
@@ -287,20 +304,16 @@ class _State:
         centroid, computed once per centroids and weights."""
         if self._dispersion is None:
             # one BLAS matrix-vector product per cluster (einsum sums in
-            # another order), over whole clusters whose float copy of the
-            # mismatch holds at most DISPERSION_BLOCK entries
-            k, u, f = self.cent_mismatch.shape
-            step = max(1, DISPERSION_BLOCK // (u * f))
-            out = np.empty((k, u))
-            for a in range(0, k, step):
-                block = self.cent_mismatch[a:a + step].astype(float)
+            # another order), over whole clusters whose float mismatch of
+            # the distinct rows holds at most DISPERSION_BLOCK entries
+            codes = self.corpus.unique_codes
+            step = max(1, DISPERSION_BLOCK // codes.size)
+            out = np.empty((self.k, codes.shape[0]))
+            for a in range(0, self.k, step):
+                block = (codes[None] != self.cent[a:a + step, None]).astype(float)
                 out[a:a + step] = np.matmul(block, self.weights[a:a + step, :, None])[:, :, 0]
             self._dispersion = out.T
         return self._dispersion
-
-    def dispersion(self, counts):
-        """(K, F) members mismatching their centroid, exact, from (u, K) counts."""
-        return np.einsum("uk,kuf->kf", counts, self.cent_mismatch)
 
     def base_costs(self):
         """(u, K) dispersion-plus-logdet costs of each distinct code row;
@@ -414,7 +427,7 @@ def _seed_centroids(corpus, constraints, k, rng):
         members = np.concatenate(hoods).astype(np.int64)
         groups = np.repeat(np.arange(len(hoods)), [len(h) for h in hoods])
         counts = _row_counts(corpus, corpus.row_ids[members], groups, len(hoods))
-        cent = list(_mode_rows(corpus, counts))
+        cent = list(_mode_rows(corpus, _token_counts(corpus, counts)))
     else:
         cent = [corpus.unique_codes[corpus.row_ids[int(rng.integers(len(corpus)))]].copy()]
     rows, mindist, seen = corpus.unique_codes, np.inf, 0
@@ -428,9 +441,9 @@ def _seed_centroids(corpus, constraints, k, rng):
     return np.stack(cent)
 
 
-def _update_weights(state, counts):
+def _update_weights(state, tokens):
     """Closed-form metric update for every cluster, including violation
-    tallies; `counts` is the (u, K) count matrix of the state's assignments.
+    tallies; `tokens` are the (V, K) token counts of the state's assignments.
 
     a_f = n / max(EPS_DENOM, D_f), clamped to [EPS_WEIGHT, 1/EPS_WEIGHT],
     where D_f is the members' dispersion around the centroid plus the
@@ -459,11 +472,11 @@ def _update_weights(state, counts):
         cl_tallies = np.bincount(g[cell], n[cell] * partners, k)[:, None] * state.ctx.far
         cl_tallies[:, state.fields] -= by_cluster
         tallies += np.maximum(0.0, 0.5 * state.scales[1] * cl_tallies)
-    sizes = counts.sum(axis=0)
+    sizes, dispersion = _dispersion(corpus, tokens, state.cent)
     empty = np.flatnonzero(sizes == 0)
     if empty.size:
         raise EmptyCluster("cluster %d empty at metric update" % empty[0])
-    d = np.maximum(EPS_DENOM, state.dispersion(counts) + tallies)
+    d = np.maximum(EPS_DENOM, dispersion + tallies)
     return np.clip(sizes[:, None] / d, EPS_WEIGHT, 1.0 / EPS_WEIGHT)
 
 
@@ -597,13 +610,14 @@ def _assign_constrained(state, base, visit):
 
 def _m_step(state, metric_update_enabled):
     """Repair empty clusters, then update the centroids and, if enabled,
-    the metrics, both from one (u, K) count matrix of the repaired
-    assignments."""
+    the metrics, both from one token count of the repaired assignments:
+    the modes and the dispersion around them."""
     _repair_empty_clusters(state)
-    counts = _row_counts(state.corpus, state.corpus.row_ids, state.assignments, state.k)
-    state.cent = _mode_rows(state.corpus, counts)
+    corpus = state.corpus
+    tokens = _token_counts(corpus, _row_counts(corpus, corpus.row_ids, state.assignments, state.k))
+    state.cent = _mode_rows(corpus, tokens)
     if metric_update_enabled:
-        state.weights = _update_weights(state, counts)
+        state.weights = _update_weights(state, tokens)
 
 
 def _repair_empty_clusters(state):

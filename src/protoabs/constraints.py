@@ -27,12 +27,26 @@ def _pair(a, b):
     return (a, b) if a < b else (b, a)
 
 
+MAX_PENALTY_WEIGHT = 1e100
+
+
 def _check_weights(constraints):
-    """Both penalty weights of `constraints` must be finite and >= 0."""
+    """Both penalty weights of `constraints` must lie in [0, MAX_PENALTY_WEIGHT].
+
+    Below the ceiling nothing overflows.  A metric weight lies in [1e-6,
+    1e6], so a squared distance over F fields is at most 1e6 F and |log
+    det| at most 14 F.  A row's cost term is at most N such costs, and a
+    penalty cell at most N points times w times N partners' costs of 2e6 F
+    each.  So every cost, term and delta, and every partial sum of their
+    `math.fsum`, is at most 1e7 (w + 1) N^2 F; N and F index arrays, so
+    N^2 F < 2^189 < 1e57, and all stay under 1e164 against the float
+    maximum 1.8e308.
+    """
     for name in ("w", "w_bar"):
         value = getattr(constraints, name)
-        if not 0 <= value < float("inf"):
-            raise ValueError("penalty weight %s must be finite and >= 0, got %r" % (name, value))
+        if not 0 <= value <= MAX_PENALTY_WEIGHT:
+            raise ValueError("penalty weight %s must be finite, >= 0 and <= %g, got %r"
+                             % (name, MAX_PENALTY_WEIGHT, value))
 
 
 @dataclass(frozen=True)

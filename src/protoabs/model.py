@@ -137,8 +137,10 @@ class Corpus:
     constructor merges duplicate rows, drops unused ones and numbers the
     rest in first-occurrence order.  Per-position vocabularies list symbols
     in sorted order, so a smaller code is a smaller token; `unique_codes`
-    holds one code row per row.  Per message only `row_ids` and the source
-    ids are stored: the ids as given, or the `IdRule` that names them.
+    holds one code row per row.  Every (field, token) pair has a column:
+    token c of field f is column `offsets[f] + c` of the `offsets[-1]`
+    columns.  Per message only `row_ids` and the source ids are stored:
+    the ids as given, or the `IdRule` that names them.
     """
 
     def __init__(self, rows, row_ids, arity, source_ids):
@@ -166,17 +168,16 @@ class Corpus:
         keys = list(key_of)
         self.rows = tuple(keys[m] for m in used.tolist())
         self.arity = arity
-        self.vocabulary = tuple(
-            tuple(sorted({row[f] for row in self.rows})) for f in range(arity)
-        )
-        self._index = [
-            {tok: c for c, tok in enumerate(vocab)} for vocab in self.vocabulary
-        ]
-        self.unique_codes = np.array(
-            [[self._index[f][tok] for f, tok in enumerate(row)] for row in self.rows],
-            dtype=np.int32,
-        )
-        for a in (self.row_ids, self.unique_codes):
+        columns = list(zip(*self.rows))
+        self.vocabulary = tuple(tuple(sorted(set(column))) for column in columns)
+        self._index = [{tok: c for c, tok in enumerate(vocab)} for vocab in self.vocabulary]
+        self.offsets = np.cumsum([0] + [len(vocab) for vocab in self.vocabulary])
+        u = len(self.rows)
+        codes = np.fromiter(chain.from_iterable(
+            map(index.__getitem__, column) for index, column in zip(self._index, columns)
+        ), dtype=np.int32, count=u * arity)
+        self.unique_codes = codes.reshape(arity, u).T.copy()
+        for a in (self.row_ids, self.offsets, self.unique_codes):
             a.setflags(write=False)
 
     def __len__(self):

@@ -17,11 +17,10 @@ def match_rows_to_columns(counts):
     k, j = counts.shape
     order = [None] * min(k, j)
     used_rows, used_cols = set(), set()
-    cells = sorted(
-        ((int(counts[r, c]), r, c) for r in range(k) for c in range(j)),
-        key=lambda t: (-t[0], t[1], t[2]),
-    )
-    for value, r, c in cells:
+    # the largest count first, ties in (row, column) order
+    cells = sorted((-int(v), r, c) for r, row in enumerate(counts.tolist())
+                   for c, v in enumerate(row))
+    for _, r, c in cells:
         if r in used_rows or c in used_cols or c >= len(order):
             continue
         order[c] = r
@@ -49,14 +48,13 @@ def svg_heatmap(counts, row_ids, col_ids, title=""):
         '<text x="%d" y="20" font-family="sans-serif" font-size="13">%s</text>'
         % (margin, title),
     ]
-    for r in range(k):
+    for r, row in enumerate(counts.tolist()):
         y = top + r * cell
         parts.append(
             '<text x="%d" y="%d" font-family="sans-serif" font-size="9" '
             'text-anchor="end">%s</text>' % (margin - 4, y + cell - 7, row_ids[r])
         )
-        for c in range(j):
-            v = int(counts[r, c])
+        for c, v in enumerate(map(int, row)):
             shade = 255 - int(round(205 * v / peak)) if v else 255
             x = margin + c * cell
             parts.append(

@@ -20,6 +20,7 @@ from protoabs.clustering import (
     PenaltyContext,
     _row_counts,
     _state_from_model,
+    _token_counts,
     _update_weights,
     evaluate_objective,
     run_mpck,
@@ -33,9 +34,9 @@ PROPERTY = settings(max_examples=200, deadline=None)
 
 
 def update_weights(state):
-    """The metric update of `state`, from the count matrix of its assignments."""
+    """The metric update of `state`, from the token counts of its assignments."""
     counts = _row_counts(state.corpus, state.corpus.row_ids, state.assignments, state.k)
-    return _update_weights(state, counts)
+    return _update_weights(state, _token_counts(state.corpus, counts))
 
 
 def _assignments(draw, n, k):

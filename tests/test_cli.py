@@ -115,6 +115,9 @@ BAD_ARGUMENTS = [
     ("cluster", ["--w-bar", "-1"]),
     ("cluster", ["--w", "inf"]),
     ("cluster", ["--w-bar", "inf"]),
+    # past MAX_PENALTY_WEIGHT the objective's sums overflow
+    ("cluster", ["--w", "1e308", "--w-bar", "1e308", "--k", "10", "--seed", "1"]),
+    ("sweep-labels", ["--w-bar", "1e101"]),
     ("cluster", ["--labels-per-class", "-1"]),
     ("cluster", ["--max-iters", "-1"]),
     ("cluster", ["--seed", "-1"]),

@@ -14,6 +14,7 @@ from protoabs.clustering import (
     _mode_rows,
     _row_counts,
     _state_from_model,
+    _token_counts,
     evaluate_objective,
     run_kmeans,
     run_mpck,
@@ -189,10 +190,10 @@ class TestAssignPoint:
 
 
 def modes(corpus, assignments, k):
-    """Each cluster's per-field mode tokens, from the (u, K) count matrix."""
+    """Each cluster's per-field mode tokens, from the token counts."""
     counts = _row_counts(corpus, corpus.row_ids, np.asarray(assignments), k)
     return [tuple(corpus.vocabulary[f][c] for f, c in enumerate(row))
-            for row in _mode_rows(corpus, counts)]
+            for row in _mode_rows(corpus, _token_counts(corpus, counts))]
 
 
 class TestCentroids:
@@ -482,9 +483,9 @@ def test_dispersion_costs_in_blocks_equal_one_stacked_matmul(monkeypatch, per_bl
     weights = rng.uniform(0.05, 5.0, size=(k, corpus.arity))
     state = clustering._State(corpus, k, cent, weights, np.zeros(len(corpus), dtype=np.int64),
                               ConstraintSet(), None)
-    _, u, f = state.cent_mismatch.shape
-    monkeypatch.setattr(clustering, "DISPERSION_BLOCK", per_block * u * f)
-    want = np.matmul(state.cent_mismatch, weights[:, :, None])[:, :, 0].T
+    mismatch = corpus.unique_codes[None] != cent[:, None]     # (K, u, F)
+    monkeypatch.setattr(clustering, "DISPERSION_BLOCK", per_block * corpus.unique_codes.size)
+    want = np.matmul(mismatch, weights[:, :, None])[:, :, 0].T
     assert np.array_equal(state.dispersion_costs(), want)
 
 

@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from protoabs.clustering import MpckConfig, run_mpck
 from protoabs.constraints import (
+    MAX_PENALTY_WEIGHT,
     ClosedConstraints,
     ConstraintSet,
     LabeledSample,
@@ -15,7 +17,10 @@ from protoabs.constraints import (
     load_labeled_samples,
     neighborhoods,
 )
+from protoabs.corpus_tools import generate_synthetic
 from protoabs.errors import ConflictingLabels, InconsistentConstraints, ParseError
+from protoabs.experiments import draw_labeled_samples
+from protoabs.tls_default import default_synth_spec
 
 PROPERTY = settings(max_examples=300, deadline=None)
 
@@ -190,3 +195,21 @@ def test_penalty_weights_must_be_finite_and_non_negative(build, name, value):
     with pytest.raises(ValueError, match="penalty weight %s must be finite" % name):
         build(**{name: value})
     assert getattr(build(**{name: 0.0}), name) == 0.0
+
+
+@pytest.mark.parametrize("build", WEIGHTED.values(), ids=WEIGHTED.keys())
+@pytest.mark.parametrize("name", ["w", "w_bar"])
+def test_penalty_weights_stop_at_the_ceiling(build, name):
+    with pytest.raises(ValueError, match=r"penalty weight %s must be .* <= 1e\+100" % name):
+        build(**{name: np.nextafter(MAX_PENALTY_WEIGHT, np.inf)})
+    assert getattr(build(**{name: MAX_PENALTY_WEIGHT}), name) == MAX_PENALTY_WEIGHT
+
+
+def test_a_run_at_the_weight_ceiling_stays_finite():
+    """At w = w_bar = 1e308 this run ended in `-inf + inf in fsum`; a
+    RuntimeWarning of an overflow on the way fails the suite."""
+    corpus, labels = generate_synthetic(default_synth_spec(n_messages=200))
+    cs = constraints_from_labels(draw_labeled_samples(labels, 5, seed=0),
+                                 w=MAX_PENALTY_WEIGHT, w_bar=MAX_PENALTY_WEIGHT)
+    model = run_mpck(corpus, cs, MpckConfig(k=10, seed=1))
+    assert np.isfinite(model.objective) and np.isfinite(model.accounting_gap)

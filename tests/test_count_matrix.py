@@ -13,13 +13,15 @@ from hypothesis import strategies as st
 import oracles
 from protoabs.clustering import (
     PenaltyContext,
+    _dispersion,
     _mode_rows,
     _State,
     _repair_empty_clusters,
     _row_counts,
     _seed_centroids,
+    _token_counts,
 )
-from protoabs.constraints import ConstraintSet, LabeledSample, constraints_from_labels
+from protoabs.constraints import LabeledSample, constraints_from_labels
 from protoabs.errors import EmptyCluster
 from protoabs.metric import DiagonalMetric
 from protoabs.model import build_corpus
@@ -29,13 +31,13 @@ PROPERTY = settings(max_examples=200, deadline=None)
 
 @st.composite
 def corpora(draw):
-    """A corpus of messages drawn from a pool of at most four distinct rows
-    over two symbols listed out of lexicographic order, so rows repeat and
-    per-field counts tie."""
+    """A corpus of messages drawn from a pool of at most four distinct rows,
+    each field over one symbol or over two listed out of lexicographic
+    order, so rows repeat and per-field counts tie."""
     arity = draw(st.integers(1, 4))
+    symbols = [draw(st.sampled_from([["b", "a"], ["c"]])) for _ in range(arity)]
     pool = draw(st.lists(
-        st.lists(st.sampled_from(["b", "a"]), min_size=arity, max_size=arity),
-        min_size=1, max_size=4,
+        st.tuples(*(st.sampled_from(s) for s in symbols)).map(list), min_size=1, max_size=4,
     ))
     n = draw(st.integers(1, 24))
     raw = [pool[i] for i in draw(st.lists(st.integers(0, len(pool) - 1), min_size=n, max_size=n))]
@@ -58,14 +60,35 @@ def label_constraints(draw, n):
     )
 
 
+def modes(corpus, assignments, k):
+    counts = _row_counts(corpus, corpus.row_ids, assignments, k)
+    return _mode_rows(corpus, _token_counts(corpus, counts))
+
+
 @PROPERTY
 @given(corpora(), st.data())
 def test_modes_match_per_member_oracle(corpus, data):
+    """Rows fall into clusters as drawn or, split, every cluster also holds
+    one more message of every distinct row, so all u x K cells are occupied."""
     n = len(corpus)
     k = data.draw(st.integers(1, n))
     assignments = cover(data.draw, n, k)
-    got = _mode_rows(corpus, _row_counts(corpus, corpus.row_ids, assignments, k))
-    assert np.array_equal(got, oracles.mode_rows(corpus, assignments, k))
+    if data.draw(st.booleans()):
+        rows = corpus.rows
+        raw = [rows[r] for r in corpus.row_ids.tolist()] + [row for _ in range(k) for row in rows]
+        assignments = np.concatenate([assignments, np.repeat(np.arange(k), len(rows))])
+        corpus = build_corpus(raw, arity=corpus.arity)
+        counts = _row_counts(corpus, corpus.row_ids, assignments, k)
+        assert np.count_nonzero(counts) == len(rows) * k
+    got = modes(corpus, assignments, k)
+    assert got.dtype == np.int32 and np.array_equal(got, oracles.mode_rows(corpus, assignments, k))
+
+
+def test_modes_break_a_tie_for_the_smaller_token():
+    """Cluster 0 holds "b" and "a" twice each at field 0, "b" first."""
+    corpus = build_corpus([["b", "q"], ["a", "q"], ["b", "p"], ["a", "q"], ["c", "p"]], arity=2)
+    got = modes(corpus, np.array([0, 0, 0, 0, 1]), 2)
+    assert [corpus.decode(row) for row in got] == [("a", "q"), ("c", "p")]
 
 
 @PROPERTY
@@ -92,10 +115,10 @@ def test_dispersion_matches_per_member_oracle(corpus, data):
         st.integers(0, k - 1), min_size=n, max_size=n)), dtype=np.int64)
     cent = corpus.codes[np.array(data.draw(st.lists(
         st.integers(0, n - 1), min_size=k, max_size=k)))]
-    state = _State(corpus, k, cent, np.ones((k, corpus.arity)), assignments, ConstraintSet(), None)
-    got = state.dispersion(_row_counts(corpus, corpus.row_ids, assignments, k))
-    want = oracles.dispersion(corpus, assignments, cent)
-    assert np.array_equal(got, want)
+    tokens = _token_counts(corpus, _row_counts(corpus, corpus.row_ids, assignments, k))
+    sizes, got = _dispersion(corpus, tokens, cent)
+    assert np.array_equal(sizes, np.bincount(assignments, minlength=k))
+    assert np.array_equal(got, oracles.dispersion(corpus, assignments, cent))
 
 
 def random_weights(draw, k, arity):
@@ -130,9 +153,8 @@ def test_repair_pick_matches_per_member_oracle(corpus, data):
     assert np.array_equal(state.assignments, want[0])
     # repair writes no centroid; a reseeded cluster holds its pick alone,
     # so its mode is the pick's row, the oracle's new centroid
-    modes = _mode_rows(corpus, _row_counts(corpus, corpus.row_ids, state.assignments, k))
     reseeded = np.flatnonzero(np.bincount(assignments, minlength=k) == 0)
-    assert np.array_equal(modes[reseeded], want[1][reseeded])
+    assert np.array_equal(modes(corpus, state.assignments, k)[reseeded], want[1][reseeded])
 
 
 def assert_max_pairs_match_oracle(corpus, assignments, metrics):

@@ -52,6 +52,14 @@ def assert_equals_oracle(corpus, messages):
     for name in ("unique_codes", "row_ids", "codes"):
         got, expected = getattr(corpus, name), getattr(want, name)
         assert got.dtype == expected.dtype and np.array_equal(got, expected), name
+    for name in ("unique_codes", "row_ids", "offsets"):
+        assert not getattr(corpus, name).flags.writeable, name
+    assert corpus.unique_codes.flags.c_contiguous
+    # row by row, column offsets[f] + c of each code c names the row's token at f
+    columns = [(f, tok) for f, vocab in enumerate(want.vocabulary) for tok in vocab]
+    assert corpus.offsets.tolist() == np.cumsum([0] + [len(v) for v in want.vocabulary]).tolist()
+    for row, codes in zip(corpus.rows, corpus.unique_codes.tolist()):
+        assert [columns[corpus.offsets[f] + c] for f, c in enumerate(codes)] == list(enumerate(row))
     assert corpus.source_ids == want.source_ids
     assert corpus.messages == tuple(messages)
 

@@ -9,6 +9,7 @@ from protoabs.clustering import (
     PenaltyContext,
     _row_counts,
     _state_from_model,
+    _token_counts,
     _update_weights,
 )
 from protoabs.constraints import ConstraintSet
@@ -29,7 +30,8 @@ def package_update(corpus, centroid):
     )
     ctx = PenaltyContext.build(corpus, model.assignments, model.metrics)
     state = _state_from_model(corpus, model, ConstraintSet(), ctx)
-    return _update_weights(state, _row_counts(corpus, corpus.row_ids, state.assignments, 1))[0]
+    counts = _row_counts(corpus, corpus.row_ids, state.assignments, 1)
+    return _update_weights(state, _token_counts(corpus, counts))[0]
 
 
 class TestDistance:
