@@ -4,8 +4,8 @@
 
 N=50k messages of the ClientHello spec at noise 0.5, whose rows are all
 but one distinct, K=8 and 5 labels per class (labels seed 0).  The run
-took about 103 MB and 6-9 s on a 2-vCPU VM, too long for tier-1, so CI runs
-it as a step of its own.  Prints the peak and exits 1 above BUDGET_MB.
+took about 103 MB and 3.5-4 s on a 2-vCPU VM, too long for tier-1, so CI
+runs it as a step of its own.  Prints the peak and exits 1 above BUDGET_MB.
 """
 
 import sys

@@ -201,25 +201,50 @@ def test_apply_rules_over_rows_equals_the_per_message_pass(problem):
 @given(field_rows, st.data())
 def test_max_separated_pair_matches_brute_force(rows, data):
     """Blocks of one to three rows run the scan across blocks and its stop
-    at the bound; weights of 0 and 1e6 make ties and dominant fields."""
+    at the bound; weights of 0 and 1e6 make ties and dominant fields.  A
+    block of r rows compares r x len(members) x F' entries, F' the number
+    of fields on which the members differ."""
     corpus = corpus_of(rows)
     n = len(rows)
     members = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
     weights = data.draw(st.lists(st.sampled_from([0.0, 1e6]) | weight,
                                  min_size=corpus.arity, max_size=corpus.arity))
     m = DiagonalMetric(np.array(weights))
-    with patch.object(metric, "PAIR_BLOCK", data.draw(st.integers(1, 3)) * len(members)):
+    x = corpus.codes[members]
+    varying = max(1, int((x != x[0]).any(axis=0).sum()))
+    block = data.draw(st.integers(1, 3)) * len(members) * varying
+    with patch.object(metric, "PAIR_BLOCK", block):
         got = max_separated_pair(members, corpus, m)
     assert got == oracles.max_separated_pair(members, corpus, m)
 
 
 def test_max_separated_pair_scans_on_below_the_bound():
-    """With one row per block, row 0's best pair is at 1e6, just below the
-    bound 1e6 + 1, so the scan goes on to the pair of rows 1 and 2."""
+    """With one row per block (3 columns x 2 fields), row 0's best pair is
+    at 1e6, just below the bound 1e6 + 1, so the scan goes on to the pair
+    of rows 1 and 2."""
     corpus = corpus_of([("a", "a"), ("a", "b"), ("b", "a")])
-    with patch.object(metric, "PAIR_BLOCK", 3):
+    with patch.object(metric, "PAIR_BLOCK", 6):
         got = max_separated_pair([0, 1, 2], corpus, DiagonalMetric(np.array([1.0, 1e6])))
     assert got == metric.MaxPair(1, 2, 1e6 + 1)
+
+
+@pytest.mark.parametrize("block", [None, 2 * 16], ids=["default", "one-row"])
+def test_max_separated_pair_adds_the_fields_in_order(block):
+    """Two rows that differ on 16 fields weighted 1.0 and then 2^-53 each:
+    added in field order every small weight rounds away and the total is
+    1.0, while numpy's pairwise sum along a fast axis gives
+    1.0000000000000016."""
+    corpus = corpus_of([("a",) * 16, ("b",) * 16])
+    weights = [1.0] + [2.0**-53] * 15
+    in_order = 0.0
+    for w in weights:
+        in_order += w
+    m = DiagonalMetric(np.array(weights))
+    with patch.object(metric, "PAIR_BLOCK", block or metric.PAIR_BLOCK):
+        got = max_separated_pair([0, 1], corpus, m)
+    assert in_order == 1.0 and np.add.reduce(m.weights) == 1.0000000000000016
+    assert got.sq_distance == in_order
+    assert got == oracles.max_separated_pair([0, 1], corpus, m)
 
 
 @pytest.mark.parametrize("rows, members, weights", [

@@ -81,7 +81,8 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
 
 # N=10k mpck at K=8 and 1 label per class on the ClientHello spec at noise
 # 0.5, whose 10k rows are all but one distinct: a full (u_h, u_h) pair table
-# per cluster peaked at 180 MB; the scan holds one block of PAIR_BLOCK entries.
+# per cluster peaked at 180 MB; the scan holds one block of PAIR_BLOCK
+# (row, column, varying field) float products, 2 MB.
 DISTINCT_MPCK_BUDGET_MB = 120
 DISTINCT_MPCK = """
 import resource

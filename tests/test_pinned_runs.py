@@ -31,6 +31,14 @@ compare the exact sum of the points' cost deltas with the exact sum of
 the objective terms' change, instead of a tracked total with a
 recomputed one.
 
+An mpck run on a corpus whose rows are almost all distinct (the
+ClientHello spec of `specs.py`, N=3000, noise 0.5, K=8, 1 label per class,
+labels seed 0; its max-pair scans take up to 680 distinct rows, 375 on
+average) pins the sha256 of `to_json()`, computed while the pair scan still
+added one field at a time over (rows, columns) blocks.  It runs at the
+default PAIR_BLOCK and at one small enough that each scan spans many
+blocks.
+
 A small CLI pipeline (synth, cluster, eval and both sweeps, then each run
 option away from its default) pins the sha256 of every file it writes and
 of its stdout without durations; the digests were computed before the
@@ -77,9 +85,12 @@ import math
 import random
 import re
 from dataclasses import replace
+from unittest.mock import patch
 
 import pytest
 
+from specs import clienthello_spec
+from protoabs import metric
 from protoabs.cli import main
 from protoabs.clustering import MpckConfig, _state_from_model, run_kmeans, run_mpck
 from protoabs.constraints import ConstraintSet, constraints_from_labels
@@ -173,6 +184,18 @@ def test_pinned_bits(corpus_5k, case):
         model.converged_by,
         model.iterations,
     ) == PINNED_DENSE[case]
+
+
+PINNED_DISTINCT_ROWS = "25596c35a61a3c7ff0969b8edd3ea83bfaced6dfcbe0cfa47da6ce27b7a0fa02"
+
+
+@pytest.mark.parametrize("block", [None, 2**14], ids=["default", "small-blocks"])
+def test_pinned_distinct_rows_run(block):
+    corpus, labels = generate_synthetic(clienthello_spec(3000))
+    cs = constraints_from_labels(draw_labeled_samples(labels, 1, seed=0))
+    with patch.object(metric, "PAIR_BLOCK", block or metric.PAIR_BLOCK):
+        model = run_mpck(corpus, cs, MpckConfig(k=8, seed=0))
+    assert hashlib.sha256(model.to_json().encode()).hexdigest() == PINNED_DISTINCT_ROWS
 
 
 @pytest.mark.parametrize("k,case", [(21, 1), (21, "pairs"), (35, 1)], ids=str)
