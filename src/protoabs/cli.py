@@ -82,6 +82,9 @@ def _bounded(convert, ok, rule):
 
 
 _positive_int = _bounded(int, lambda v: v >= 1, ">= 1")
+# a message count or an arity: at least 1, and an index numpy can take
+_size = _bounded(int, lambda v: 1 <= v <= np.iinfo(np.intp).max,
+                 "in [1, %d]" % np.iinfo(np.intp).max)
 _positive_float = _bounded(float, lambda v: v > 0, "> 0")
 _penalty_weight = _bounded(float, lambda v: 0 <= v <= MAX_PENALTY_WEIGHT,
                            "in [0, %g]" % MAX_PENALTY_WEIGHT)
@@ -118,16 +121,16 @@ def build_parser():
     p = sub.add_parser("synth", help="generate the synthetic labeled corpus")
     p.set_defaults(run=cmd_synth)
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--n", type=_positive_int, default=5000)
+    p.add_argument("--n", type=_size, default=5000)
     p.add_argument("--noise-rate", type=_rate, default=0.05)
     p.add_argument("--seed", type=_non_negative_int, default=0)
-    p.add_argument("--arity", type=_positive_int, default=DEFAULT_ARITY)
+    p.add_argument("--arity", type=_size, default=DEFAULT_ARITY)
 
     p = sub.add_parser("ingest", help="parse a decoded trace file into a corpus")
     p.set_defaults(run=cmd_ingest)
     p.add_argument("trace_file")
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--arity", type=_positive_int, default=DEFAULT_ARITY)
+    p.add_argument("--arity", type=_size, default=DEFAULT_ARITY)
     p.add_argument("--drop-keys", default=",".join(sorted(DEFAULT_DROP_KEYS)))
     p.add_argument("--sample-n", type=_positive_int, default=None)
     p.add_argument("--seed", type=_non_negative_int, default=0)

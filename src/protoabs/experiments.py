@@ -36,6 +36,11 @@ def draw_labeled_samples(labels, per_class, seed, mode="balanced"):
     if j > len(labels):
         raise InsufficientLabels(
             "%d classes need a label each, but there are %d messages" % (j, len(labels)))
+    # no class has more members than there are messages; checked before
+    # unbalanced mode draws counts up to per_class, which int64 may not hold
+    if per_class > len(labels):
+        raise InsufficientLabels(
+            "%d labels per class, but there are %d messages" % (per_class, len(labels)))
     rng = np.random.default_rng(seed)
     counts = np.full(j, per_class)
     if mode == "unbalanced":

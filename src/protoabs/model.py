@@ -6,6 +6,7 @@ the right so that every message in a corpus has the same arity and
 positional Hamming comparison is well defined.
 """
 
+import base64
 import json
 from dataclasses import dataclass
 from functools import cache, cached_property
@@ -87,17 +88,51 @@ def _write_indented(obj, depth, out):
         out.append(json.dumps(obj))     # a scalar or an empty container
 
 
+def encode_uints(values):
+    """The non-negative integer array `values` as a JSON object: `uint`, the
+    narrowest of 1, 2, 4 or 8 bytes that holds its maximum, and `base64`,
+    its little-endian bytes of that width."""
+    values = np.asarray(values)
+    top = int(values.max()) if values.size else 0
+    width = next(w for w in (1, 2, 4, 8) if top < 1 << 8 * w)
+    data = values.astype("<u%d" % width).tobytes()
+    return {"uint": width, "base64": base64.b64encode(data).decode("ascii")}
+
+
+def decode_uints(obj, what):
+    """Inverse of encode_uints: a read-only unsigned array over the decoded
+    bytes, for `obj` read from a JSON file."""
+    if type(obj) is not dict:
+        raise ValueError("%s: %s is not an object" % (what, type(obj).__name__))
+    width, text = obj["uint"], obj["base64"]
+    if type(width) is not int or width not in (1, 2, 4, 8):
+        raise ValueError("%s: uint %r is not 1, 2, 4 or 8" % (what, width))
+    if type(text) is not str:
+        raise ValueError("%s: base64 is %s, not a string" % (what, type(text).__name__))
+    try:
+        data = base64.b64decode(text, validate=True)
+    except ValueError as e:     # binascii.Error, or a non-ASCII character
+        raise ValueError("%s: bad base64: %s" % (what, e)) from e
+    if len(data) % width:
+        raise ValueError("%s: %d bytes is not a multiple of uint %d" % (what, len(data), width))
+    return np.frombuffer(data, dtype="<u%d" % width)
+
+
 class IdRule:
     """Message ids named by rule: id i is `prefixes[group[i]] + str(number[i])`.
 
     A producer that names its messages by rule keeps a few prefixes and two
-    small integer arrays in place of one string per message.
+    small integer arrays in place of one string per message.  Each group
+    indexes `prefixes`, and each number lies in 0..2^63 - 1.
     """
 
     def __init__(self, prefixes, group, number):
         self.prefixes = tuple(prefixes)
-        self.group = _compact(group)
-        self.number = _compact(number)
+        self.group = _compact(group, len(self.prefixes), "source id group")
+        self.number = _compact(number, 1 << 63, "source id number")
+        if self.group.size != self.number.size:
+            raise ValueError("%d source id groups for %d numbers"
+                             % (self.group.size, self.number.size))
 
     def __len__(self):
         return self.group.size
@@ -110,12 +145,31 @@ class IdRule:
         return iter([prefixes[g] + str(n)
                      for g, n in zip(self.group.tolist(), self.number.tolist())])
 
+    def to_dict(self):
+        return {"prefixes": list(self.prefixes), "group": encode_uints(self.group),
+                "number": encode_uints(self.number)}
 
-def _compact(values):
-    """`values` as a read-only integer array of the smallest type that holds them."""
-    a = np.asarray(values, dtype=np.int64)
+    @classmethod
+    def from_dict(cls, d):
+        prefixes = d["prefixes"]
+        if type(prefixes) is not list:
+            raise ValueError("source_ids prefixes: %s is not a list" % type(prefixes).__name__)
+        json_typed(prefixes, {str}, "source_ids prefixes", "a string")
+        return cls(prefixes, decode_uints(d["group"], "source_ids group"),
+                   decode_uints(d["number"], "source_ids number"))
+
+
+def _compact(values, end, what):
+    """`values`, each in 0..end - 1, as a read-only integer array of the
+    smallest type that holds them."""
+    a = np.asarray(values)
     if a.size:
-        a = a.astype(np.result_type(np.min_scalar_type(a.min()), np.min_scalar_type(a.max())))
+        lo, hi = int(a.min()), int(a.max())     # exact, whatever the dtype
+        if lo < 0 or hi >= end:     # checked before a cast could wrap
+            raise ValueError("%s values must be >= 0 and < %d" % (what, end))
+        a = a.astype(np.result_type(np.min_scalar_type(lo), np.min_scalar_type(hi)))
+    else:
+        a = a.astype(np.int64)
     a.setflags(write=False)
     return a
 
@@ -226,34 +280,44 @@ class Corpus:
         return tuple(vocab[c] for vocab, c in zip(self.vocabulary, code_row.tolist()))
 
     def to_dict(self):
+        ids = self._ids
         return {
-            "format": 2,
+            "format": 3,
             "arity": self.arity,
             "rows": [list(row) for row in self.rows],
-            "row_ids": self.row_ids.tolist(),
-            "source_ids": list(self._ids),
+            "row_ids": encode_uints(self.row_ids),
+            "source_ids": ids.to_dict() if isinstance(ids, IdRule) else list(ids),
         }
 
     @classmethod
     def from_dict(cls, d):
-        """Inverse of to_dict; also reads the original form, a "messages"
-        list of {"fields", "source_id"} objects.  Rows are lists of string
-        tokens, source ids are strings and the arity is at least 1."""
+        """Inverse of to_dict; also reads format 2, whose `row_ids` is a list
+        of integers and `source_ids` a list of strings, and the original
+        form, a "messages" list of {"fields", "source_id"} objects.  Rows are
+        lists of string tokens and the arity is at least 1."""
         (arity,) = json_ints([d["arity"]], "arity")
         if arity < 1:
             raise ValueError("arity must be >= 1, got %d" % arity)
+        form = d.get("format")
         if "format" not in d:
             msgs = d["messages"]
             rows, row_ids = [m["fields"] for m in msgs], range(len(msgs))
             source_ids = [m.get("source_id", "") for m in msgs]
-        elif type(d["format"]) is not int or d["format"] != 2:
-            raise ValueError("unknown corpus format %r" % (d["format"],))
+        elif type(form) is not int or form not in (2, 3):
+            raise ValueError("unknown corpus format %r" % (form,))
         else:
             rows, source_ids = d["rows"], d["source_ids"]
-            row_ids = json_ints(d["row_ids"], "row_ids")
+            row_ids = (json_ints(d["row_ids"], "row_ids") if form == 2
+                       else decode_uints(d["row_ids"], "row_ids"))
         json_typed(rows, {list}, "rows", "a list")
         json_typed(list(chain.from_iterable(rows)), {str}, "tokens", "a string")
-        json_typed(source_ids, {str}, "source_ids", "a string")
+        if form == 3 and type(source_ids) is dict:
+            source_ids = IdRule.from_dict(source_ids)
+        elif type(source_ids) is list:
+            json_typed(source_ids, {str}, "source_ids", "a string")
+        else:
+            raise ValueError("source_ids: %s is not %s" % (
+                type(source_ids).__name__, "a list or an object" if form == 3 else "a list"))
         return cls(rows, row_ids, arity, source_ids)
 
 

@@ -76,6 +76,18 @@ def renumber_rows(rows, row_ids):
     return tuple(keys[m] for m in number), new_ids
 
 
+def corpus_format2(corpus):
+    """The format-2 dict of `corpus`, the form `Corpus.to_dict` wrote before
+    format 3: row ids as a list of integers and every source id as a string."""
+    return {
+        "format": 2,
+        "arity": corpus.arity,
+        "rows": [list(row) for row in corpus.rows],
+        "row_ids": corpus.row_ids.tolist(),
+        "source_ids": list(corpus.source_ids),
+    }
+
+
 def json_indented(obj):
     """The stdlib's indented, key-sorted JSON."""
     return json.dumps(obj, indent=2, sort_keys=True)

@@ -1,3 +1,4 @@
+import base64
 import json
 import os
 import subprocess
@@ -7,11 +8,12 @@ from pathlib import Path
 
 import pytest
 
+import oracles
 from protoabs.cli import build_parser, main
-from protoabs.corpus_tools import DEFAULT_DROP_KEYS, load_labels
+from protoabs.corpus_tools import DEFAULT_DROP_KEYS, load_corpus, load_labels, save_corpus
 from protoabs.experiments import draw_labeled_samples
 from protoabs.errors import InsufficientLabels
-from protoabs.model import DEFAULT_ARITY, LabelVector
+from protoabs.model import DEFAULT_ARITY, Corpus, LabelVector, decode_uints, encode_uints
 
 
 def run(argv):
@@ -31,12 +33,20 @@ def workspace(tmp_path_factory):
     return root
 
 
+def decoded_lengths(corpus):
+    """The lengths of a format-3 corpus' row_ids and of its source-id rule's
+    group and number."""
+    ids = corpus["source_ids"]
+    return [decode_uints(a, "").size for a in (corpus["row_ids"], ids["group"], ids["number"])]
+
+
 def test_synth_writes_corpus_and_labels(workspace):
     corpus = json.loads((workspace / "corpus.json").read_text())
     labels = json.loads((workspace / "labels.json").read_text())
-    assert corpus["format"] == 2
+    assert corpus["format"] == 3
     assert corpus["arity"] == 32
-    assert len(corpus["row_ids"]) == len(corpus["source_ids"]) == N
+    assert decoded_lengths(corpus) == [N] * 3
+    assert len(corpus["source_ids"]["prefixes"]) == 21
     assert labels["n_classes"] == 21
 
 
@@ -49,10 +59,28 @@ def test_ingest_and_label(tmp_path):
     out = tmp_path / "out"
     assert run(["ingest", str(trace), "--out-dir", str(out), "--arity", "8"]) == 0
     corpus = json.loads((out / "corpus.json").read_text())
-    assert len(corpus["row_ids"]) == len(corpus["source_ids"]) == 2
+    assert corpus["format"] == 3
+    assert decoded_lengths(corpus) == [2] * 3
     assert run(["label", "--corpus", str(out / "corpus.json"), "--out-dir", str(out)]) == 0
     labels = json.loads((out / "labels.json").read_text())
     assert len(labels["labels"]) == 2
+
+
+def test_a_format_2_corpus_and_its_format_3_resave_cluster_alike(workspace, tmp_path):
+    """The workspace corpus (format 3, named by rule), its format-2 rendering
+    and that file saved again (format 3, the ids as strings) give one model."""
+    old = _write(tmp_path / "old.json",
+                 oracles.corpus_format2(load_corpus(str(workspace / "corpus.json"))))
+    new = str(tmp_path / "new.json")
+    save_corpus(load_corpus(old), new)
+    assert isinstance(json.loads(Path(new).read_text())["source_ids"], list)
+    models = []
+    for corpus in (str(workspace / "corpus.json"), old, new):
+        out = tmp_path / ("run-" + Path(corpus).stem)
+        assert run(["cluster", "--corpus", corpus, "--labels", str(workspace / "labels.json"),
+                    "--out-dir", str(out)]) == 0
+        models.append((out / "model.json").read_bytes())
+    assert models[0] == models[1] == models[2]
 
 
 def test_label_with_non_total_rules_exits_2(tmp_path, workspace):
@@ -167,10 +195,14 @@ BAD_CORPUS_ARGUMENTS = [
     ("synth", ["--arity", "0"]),
     ("synth", ["--n", "0"]),
     ("synth", ["--n", "-5"]),
+    # beyond the largest index numpy takes
+    ("synth", ["--n", "100000000000000000000"]),
+    ("synth", ["--arity", "100000000000000000000"]),
     ("synth", ["--noise-rate", "1.5"]),
     ("synth", ["--noise-rate", "nan"]),
     ("ingest", ["--seed", "-1"]),
     ("ingest", ["--arity", "0"]),
+    ("ingest", ["--arity", "100000000000000000000"]),
     ("ingest", ["--sample-n", "-1"]),
     ("ingest", ["--sample-n", "0"]),
 ]
@@ -197,15 +229,43 @@ def _write(path, obj):
     return str(path)
 
 
+def _format2(mutate):
+    """`mutate` of the corpus file's format-2 rendering (`oracles.corpus_format2`)."""
+    return lambda c: mutate(oracles.corpus_format2(Corpus.from_dict(c)))
+
+
 def _first_row_ids(corpus, ids):
     """The format-2 corpus with its first row_ids replaced by `ids`."""
     return dict(corpus, row_ids=ids + corpus["row_ids"][len(ids):])
 
 
 def _int_tokens(corpus):
-    """The format-2 corpus with each row's first token replaced by the
-    row's number, so that no position mixes numbers and strings."""
+    """The corpus with each row's first token replaced by the row's number,
+    so that no position mixes numbers and strings."""
     return dict(corpus, rows=[[i] + r[1:] for i, r in enumerate(corpus["rows"])])
+
+
+def _array(corpus, key, values=None, **changes):
+    """The format-3 corpus with its `key` array changed: `values`, a function
+    of the decoded values, gives the values to encode in their place, and
+    `changes` replace keys of the array's object."""
+    ids = corpus["source_ids"]
+    obj = corpus["row_ids"] if key == "row_ids" else ids[key]
+    if values is not None:
+        obj = encode_uints(values(decode_uints(obj, key).tolist()))
+    obj = dict(obj, **changes)
+    if key == "row_ids":
+        return dict(corpus, row_ids=obj)
+    return dict(corpus, source_ids=dict(ids, **{key: obj}))
+
+
+def _source_ids(corpus, **changes):
+    """The format-3 corpus with keys of its source-id rule replaced."""
+    return dict(corpus, source_ids=dict(corpus["source_ids"], **changes))
+
+
+def _b64(data):
+    return base64.b64encode(data).decode("ascii")
 
 
 def _no_classes(labels):
@@ -255,16 +315,58 @@ BAD_DATA = [
     ("corpus messages not a list", "cluster", {"--corpus": {"arity": 1, "messages": 3}}),
     ("corpus row of another arity", "cluster",
      {"--corpus": lambda c: dict(c, rows=c["rows"] + [c["rows"][0][1:]])}),
-    ("corpus row_id negative", "cluster", {"--corpus": lambda c: _first_row_ids(c, [-1])}),
+    # format 2, rendered from the workspace corpus
+    ("corpus row_id negative", "cluster",
+     {"--corpus": _format2(lambda c: _first_row_ids(c, [-1]))}),
     ("corpus row_id out of range", "cluster",
-     {"--corpus": lambda c: _first_row_ids(c, [len(c["rows"])])}),
-    ("corpus row_id 1.5", "cluster", {"--corpus": lambda c: _first_row_ids(c, [1.5])}),
-    ("corpus row_id true", "cluster", {"--corpus": lambda c: _first_row_ids(c, [True])}),
+     {"--corpus": _format2(lambda c: _first_row_ids(c, [len(c["rows"])]))}),
+    ("corpus row_id 1.5", "cluster", {"--corpus": _format2(lambda c: _first_row_ids(c, [1.5]))}),
+    ("corpus row_id true", "cluster",
+     {"--corpus": _format2(lambda c: _first_row_ids(c, [True]))}),
     ("corpus source_ids shorter than row_ids", "cluster",
-     {"--corpus": lambda c: dict(c, source_ids=c["source_ids"][1:])}),
+     {"--corpus": _format2(lambda c: dict(c, source_ids=c["source_ids"][1:]))}),
     ("corpus row_ids empty", "cluster",
-     {"--corpus": lambda c: dict(c, row_ids=[], source_ids=[])}),
-    ("corpus of unknown format", "cluster", {"--corpus": lambda c: dict(c, format=3)}),
+     {"--corpus": _format2(lambda c: dict(c, row_ids=[], source_ids=[]))}),
+    ("corpus source id not a string", "cluster",
+     {"--corpus": _format2(lambda c: dict(c, source_ids=[None] + c["source_ids"][1:]))}),
+    # format 3, as the workspace corpus is written
+    ("corpus of unknown format", "cluster", {"--corpus": lambda c: dict(c, format=4)}),
+    ("corpus row_ids uint 3", "cluster", {"--corpus": lambda c: _array(c, "row_ids", uint=3)}),
+    ("corpus row_ids uint true", "cluster",
+     {"--corpus": lambda c: _array(c, "row_ids", uint=True)}),
+    ("corpus group uint 1.0", "cluster", {"--corpus": lambda c: _array(c, "group", uint=1.0)}),
+    ("corpus row_ids base64 not strict", "cluster",
+     {"--corpus": lambda c: _array(c, "row_ids", base64="!" + c["row_ids"]["base64"])}),
+    ("corpus number base64 truncated", "cluster",
+     {"--corpus": lambda c: _array(c, "number", base64=c["source_ids"]["number"]["base64"][:-1])}),
+    ("corpus row_ids bytes not a multiple of uint", "cluster",
+     {"--corpus": lambda c: _array(c, "row_ids", uint=4, base64=_b64(bytes(N - 2)))}),
+    ("corpus row_ids a list in format 3", "cluster",
+     {"--corpus": lambda c: dict(c, row_ids=decode_uints(c["row_ids"], "").tolist())}),
+    ("corpus row_id out of range in format 3", "cluster",
+     {"--corpus": lambda c: _array(c, "row_ids", values=lambda v: [len(c["rows"])] + v[1:])}),
+    ("corpus row_ids empty in format 3", "cluster",
+     {"--corpus": lambda c: _source_ids(_array(c, "row_ids", base64=""),
+                                        group=encode_uints([]), number=encode_uints([]))}),
+    ("corpus group past the prefixes", "cluster",
+     {"--corpus": lambda c: _source_ids(c, prefixes=c["source_ids"]["prefixes"][:1])}),
+    ("corpus prefix not a string", "cluster",
+     {"--corpus": lambda c: _source_ids(c, prefixes=[7] + c["source_ids"]["prefixes"][1:])}),
+    ("corpus prefixes a string", "cluster", {"--corpus": lambda c: _source_ids(c, prefixes="ab")}),
+    ("corpus number 2^63", "cluster",
+     {"--corpus": lambda c: _array(c, "number", values=lambda v: [2**63] + v[1:])}),
+    ("corpus group shorter than number", "cluster",
+     {"--corpus": lambda c: _array(c, "group", values=lambda v: v[1:])}),
+    ("corpus rule shorter than row_ids", "cluster",
+     {"--corpus": lambda c: _array(_array(c, "group", values=lambda v: v[1:]),
+                                   "number", values=lambda v: v[1:])}),
+    ("corpus source_ids a string", "cluster", {"--corpus": lambda c: dict(c, source_ids="ab")}),
+    ("corpus source_ids a number", "cluster", {"--corpus": lambda c: dict(c, source_ids=7)}),
+    ("corpus without number", "cluster",
+     {"--corpus": lambda c: dict(c, source_ids={k: v for k, v in c["source_ids"].items()
+                                                if k != "number"})}),
+    ("corpus row_ids without base64", "cluster",
+     {"--corpus": lambda c: dict(c, row_ids={"uint": 1})}),
     ("corpus arity true", "cluster",
      {"--corpus": lambda c: dict(c, arity=True, rows=[r[:1] for r in c["rows"]])}),
     ("corpus arity 0", "cluster",
@@ -273,8 +375,6 @@ BAD_DATA = [
     ("label corpus token not a string", "label", {"--corpus": _int_tokens}),
     ("corpus row a string", "cluster",
      {"--corpus": lambda c: dict(c, rows=["a" * c["arity"]] + c["rows"][1:])}),
-    ("corpus source id not a string", "cluster",
-     {"--corpus": lambda c: dict(c, source_ids=[None] + c["source_ids"][1:])}),
     ("corpus nested 2 000 deep", "cluster", {"--corpus": _nested("rows")}),
     ("labels not JSON", "cluster", {"--labels": "{"}),
     ("labels nested 2 000 deep", "cluster", {"--labels": _nested("labels")}),
@@ -288,6 +388,11 @@ BAD_DATA = [
     ("labels n_classes beyond int64", "eval", {"--labels": lambda l: dict(l, n_classes=2**63)}),
     ("sweep-labels labels of 0 classes", "sweep-labels", {"--labels": _no_classes}),
     ("labels shorter than corpus", "sweep-k", {"--labels": "short"}),
+    # a count beyond int64, which unbalanced mode once drew up to
+    ("unbalanced labels per class beyond int64",
+     "cluster --mode unbalanced --labels-per-class 9223372036854775808", {}),
+    ("unbalanced label counts beyond int64",
+     "sweep-labels --mode unbalanced --counts 100000000000000000000", {}),
     ("K range above the corpus size", "sweep-k --k 1..100000000000", {}),
     ("K list above the corpus size", "sweep-k --k 20,%d" % (N + 1), {}),
     # the workspace corpus, copied so that the line must name the copy

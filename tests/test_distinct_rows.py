@@ -1,9 +1,9 @@
 """A corpus is its distinct rows.  Whatever parts it is built from (duplicate
 rows, unused rows, rows out of first-occurrence order), its distinct-row
-index equals the per-message oracle; the original and the format-2 file of
-one corpus load to equal corpora; rule labeling over rows equals the
-per-message pass; and the max-separated-pair table built on the rows
-agrees exactly with the brute-force one."""
+index equals the per-message oracle; the original form of one corpus and
+the file that `save_corpus` writes of it load to equal corpora; rule
+labeling over rows equals the per-message pass; and the max-separated-pair
+table built on the rows agrees exactly with the brute-force one."""
 
 import os
 import tempfile

@@ -1,13 +1,17 @@
 """Mutated input files end in a documented exit code, never a traceback.
 
 The valid N=300 outputs of `synth` (corpus.json, labels.json) and `cluster`
-(model.json) are mutated at one JSON node: a key or an element is deleted,
-or the node is replaced with null, a bool, a negative, huge or fractional
-number, NaN, a string, or an empty or nested list.  A rules file and a
-trace file are mutated at one line.  Each command that reads the mutated
+(model.json), and the corpus' format-2 rendering, are mutated at one JSON
+node: a key or an element is deleted, or the node is replaced with null, a
+bool, a negative, huge or fractional number, NaN, a string, or an empty or
+nested list.  A base64 array of the format-3 corpus may be mutated instead:
+its payload loses 1 to 3 characters or gains a character outside the
+alphabet, or becomes a valid payload whose length is not a multiple of its
+width.  A rules file and a trace file are mutated at one line.  Each command that reads the mutated
 file runs in-process through `cli.main`; it must exit 0, 1 or 2 with at
 most one line on stderr, and raise nothing."""
 
+import base64
 import contextlib
 import io
 import json
@@ -16,6 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from protoabs.cli import main
 from protoabs.corpus_tools import DecodedTrace, load_corpus, serialize_traces
 from protoabs.tls_default import default_rules_text
@@ -53,8 +58,11 @@ def valid(tmp_path_factory):
                 for m in load_corpus(str(root / "corpus.json")).messages]
     traces = [DecodedTrace(tuple(messages[i:i + 10])) for i in range(0, N, 10)]
     (root / "trace.txt").write_text(serialize_traces(traces))
+    (root / "corpus2.json").write_text(
+        json.dumps(oracles.corpus_format2(load_corpus(str(root / "corpus.json")))))
     files = {name: (root / name).read_text()
              for inputs in COMMANDS.values() for name in inputs.values()}
+    files["corpus2.json"] = (root / "corpus2.json").read_text()
     mutated = root / "mutated"
     mutated.mkdir()
     return root, files, mutated
@@ -76,6 +84,27 @@ def json_mutations(draw, text):
         del parent[key]
     else:
         parent[key] = draw(VALUES)
+    return json.dumps(doc)
+
+
+@st.composite
+def base64_mutations(draw, text):
+    """The format-3 corpus in `text` with one of its base64 arrays (row_ids,
+    or the source-id rule's group or number) mutated."""
+    doc = json.loads(text)
+    arrays = [doc["row_ids"], doc["source_ids"]["group"], doc["source_ids"]["number"]]
+    array = draw(st.sampled_from(arrays))
+    payload = array["base64"]
+    how = draw(st.sampled_from(["truncate", "insert", "misfit"]))
+    if how == "truncate":
+        array["base64"] = payload[:-draw(st.integers(1, 3))]
+    elif how == "insert":
+        at = draw(st.integers(0, len(payload)))
+        array["base64"] = payload[:at] + draw(st.sampled_from("!-_. \n=é")) + payload[at:]
+    else:
+        width = draw(st.sampled_from([2, 4, 8]))
+        size = draw(st.integers(1, 64).filter(lambda b: b % width))
+        array.update(uint=width, base64=base64.b64encode(bytes(size)).decode("ascii"))
     return json.dumps(doc)
 
 
@@ -104,13 +133,18 @@ def line_mutations(draw, text):
 def test_a_mutated_file_ends_in_a_documented_exit_code(valid, data):
     root, files, mutated = valid
     command = data.draw(st.sampled_from(sorted(COMMANDS)))
-    name = data.draw(st.sampled_from(sorted(COMMANDS[command].values())))
+    option = data.draw(st.sampled_from(sorted(COMMANDS[command])))
+    name = COMMANDS[command][option]
+    if name == "corpus.json":   # format 3 as saved, or its format-2 rendering
+        name = data.draw(st.sampled_from(["corpus.json", "corpus2.json"]))
     mutate = json_mutations if name.endswith(".json") else line_mutations
+    if name == "corpus.json":
+        mutate = data.draw(st.sampled_from([json_mutations, base64_mutations]))
     (mutated / name).write_text(data.draw(mutate(files[name])))
     argv = [command, "--out-dir", str(mutated / "out")]
-    for option, file in COMMANDS[command].items():
-        path = str((mutated if file == name else root) / file)
-        argv += [path] if option == "trace" else [option, path]
+    for other, file in COMMANDS[command].items():
+        path = str(mutated / name if other == option else root / file)
+        argv += [path] if other == "trace" else [other, path]
     err = io.StringIO()
     with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
         code = main(argv)

@@ -58,11 +58,15 @@ line), sweep-k/sweep_k.csv, sweep-labels/sweep_labels.csv and
 sweep-labels-options/sweep_labels.csv (their objective column) were
 re-pinned: each objective moved by one ulp, and every other byte, stdout
 included, held.  The N=5000 runs' objectives kept their bits.
+data/corpus.json was re-pinned when `corpus.json` became format 3 (row
+ids and the source-id rule as base64 integer arrays); every other file,
+and stdout, kept its bytes.
 
 The N=5000 CLI pipeline (synth seed 0, then cluster and eval with their
 defaults) pins the sha256 of labels.json, model.json and eval.json, the
 indented JSON files; these digests were computed while they were still
-written by the stdlib's `json.dumps(indent=2)`.  model.json was re-pinned
+written by the stdlib's `json.dumps(indent=2)`.  It pins corpus.json too,
+in format 3, the form it took when that pin was added.  model.json was re-pinned
 when the objective came to be summed over the count matrix (its objective
 line moved by one ulp).
 
@@ -72,8 +76,9 @@ arity 4, below the ClientHello template's length, so that noise fields
 truncated away still consume draws; and at its defaults too, at N=20k
 (the benchmark's large corpus) and at N=120k with noise 0.5; and at N=3000
 with 7 of the 21 classes weighted 0, so that templates no message draws
-are left out of the corpus.  Each pins the sha256 of the corpus'
-`to_dict()` and of the labels' `to_dict()`; these digests were computed
+are left out of the corpus.  Each pins the sha256 of the corpus' format-2
+dict (`oracles.corpus_format2`, every row id and source id written out)
+and of the labels' `to_dict()`; these digests were computed
 while synth still made one scalar draw per noise field, except that of
 the undrawn classes, computed while synth still numbered only the drawn
 classes' template rows.
@@ -89,6 +94,7 @@ from unittest.mock import patch
 
 import pytest
 
+import oracles
 from specs import clienthello_spec
 from protoabs import metric
 from protoabs.cli import main
@@ -214,7 +220,7 @@ def test_objective_is_the_exact_sum_of_its_terms(corpus_5k, k, case):
 
 PINNED_ARTIFACTS = {
     "data/corpus.json":
-        "21f09eb7bcab70a482d9d0f4817bb78e5067c44cc7f7939cfcce8645ab7708b3",
+        "dd1aea261aa183daaae63be44aec02b430259f0e1a87bf4a60785e694d8d4391",
     "data/labels.json":
         "528ebc0e08e98d4faa2775d661212bd517cde82e5ef80bfe0c35c33505c8a9a9",
     "eval/confusion.csv":
@@ -312,6 +318,7 @@ def test_pinned_cli_artifacts(tmp_path, capsys):
 
 
 PINNED_5K_JSON = {
+    "data/corpus.json": "7f55a25b1374ce02fc7af8b23b1942eb8c633d8e901fe0c0fe0e491cd612a148",
     "data/labels.json": "272e8ed04108eb311e4e6ccc1465b56168454889049f95763a6702ec58c8661a",
     "run/model.json": "6f99faacd6e35f56d515a6ba4420e3cb304607d412e9ac00a695bc3bfdd04e11",
     "run/eval.json": "875c5752d72042c425d419dc4c85e6833a00b4043cc4cda38e888bc36b761603",
@@ -373,4 +380,5 @@ def _json_sha256(obj):
 @pytest.mark.parametrize("case", list(PINNED_SYNTH))
 def test_pinned_synth(case):
     corpus, labels = generate_synthetic(SYNTH_SPECS[case])
-    assert (_json_sha256(corpus.to_dict()), _json_sha256(labels.to_dict())) == PINNED_SYNTH[case]
+    assert ((_json_sha256(oracles.corpus_format2(corpus)), _json_sha256(labels.to_dict()))
+            == PINNED_SYNTH[case])
