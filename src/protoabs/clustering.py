@@ -113,11 +113,10 @@ class ClusterModel:
         assignments = np.asarray(json_ints(d["assignments"], "assignments"))
         if ((assignments < 0) | (assignments >= k)).any():
             raise ValueError("assignments must lie in [0, %d)" % k)
-        centroids, weights = d["centroids"], d["metric_weights"]
+        centroids = json_typed(d["centroids"], {list}, "centroids", "a list")
+        weights = json_typed(d["metric_weights"], {list}, "metric_weights", "a list")
         if len(centroids) != k or len(weights) != k:
             raise ValueError("k=%d needs k centroids and k metric_weights" % k)
-        json_typed(centroids, {list}, "centroids", "a list")
-        json_typed(weights, {list}, "metric_weights", "a list")
         json_typed(list(chain.from_iterable(centroids)), {str}, "centroid tokens", "a string")
         json_typed(list(chain.from_iterable(weights)), {int, float}, "metric_weights", "a number")
         (objective,) = json_typed([d["objective"]], {int, float}, "objective", "a number")

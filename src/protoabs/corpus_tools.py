@@ -41,6 +41,7 @@ from .model import (
     LabelVector,
     build_corpus,
     json_indented,
+    json_type,
     pad_rows,
 )
 
@@ -444,7 +445,10 @@ def read_json(path, build, what):
     `build` raise DataError naming `what` and `path`, as in read_text."""
     def parse(fh):
         try:
-            return build(json.load(fh))
+            obj = json.load(fh)
+            if type(obj) is not dict:
+                raise ValueError("the top level is %s, not an object" % json_type(obj))
+            return build(obj)
         except KeyError as e:
             raise DataError("missing field %s" % e) from e
         except (ValueError, TypeError, OverflowError) as e:

@@ -30,10 +30,21 @@ def json_ints(values, what):
     return json_typed(values, {int}, what, "an integer")
 
 
+_JSON_TYPES = {dict: "an object", list: "a list", str: "a string", int: "an integer",
+               float: "a number", bool: "a boolean", type(None): "null"}
+
+
+def json_type(value):
+    """The JSON type of `value`, read from a JSON file, with its article."""
+    return _JSON_TYPES.get(type(value), type(value).__name__)
+
+
 def json_typed(values, kinds, what, name):
-    """`values`, a list read from a JSON file, if the type of each one is
-    exactly one of the set `kinds`; one type pass, and a scan only to name
-    the first bad one."""
+    """`values`, read from a JSON file, if it is a list and the type of each
+    of its items is exactly one of the set `kinds`; one type pass, and a
+    scan only to name the first bad one."""
+    if type(values) is not list:
+        raise ValueError("%s is %s, not a list" % (what, json_type(values)))
     if not set(map(type, values)) <= kinds:
         bad = next(v for v in values if type(v) not in kinds)
         raise ValueError("%s: %r is not %s" % (what, bad, name))
@@ -103,12 +114,12 @@ def decode_uints(obj, what):
     """Inverse of encode_uints: a read-only unsigned array over the decoded
     bytes, for `obj` read from a JSON file."""
     if type(obj) is not dict:
-        raise ValueError("%s: %s is not an object" % (what, type(obj).__name__))
+        raise ValueError("%s is %s, not an object" % (what, json_type(obj)))
     width, text = obj["uint"], obj["base64"]
     if type(width) is not int or width not in (1, 2, 4, 8):
         raise ValueError("%s: uint %r is not 1, 2, 4 or 8" % (what, width))
     if type(text) is not str:
-        raise ValueError("%s: base64 is %s, not a string" % (what, type(text).__name__))
+        raise ValueError("%s: base64 is %s, not a string" % (what, json_type(text)))
     try:
         data = base64.b64decode(text, validate=True)
     except ValueError as e:     # binascii.Error, or a non-ASCII character
@@ -151,10 +162,7 @@ class IdRule:
 
     @classmethod
     def from_dict(cls, d):
-        prefixes = d["prefixes"]
-        if type(prefixes) is not list:
-            raise ValueError("source_ids prefixes: %s is not a list" % type(prefixes).__name__)
-        json_typed(prefixes, {str}, "source_ids prefixes", "a string")
+        prefixes = json_typed(d["prefixes"], {str}, "source_ids prefixes", "a string")
         return cls(prefixes, decode_uints(d["group"], "source_ids group"),
                    decode_uints(d["number"], "source_ids number"))
 
@@ -300,7 +308,7 @@ class Corpus:
             raise ValueError("arity must be >= 1, got %d" % arity)
         form = d.get("format")
         if "format" not in d:
-            msgs = d["messages"]
+            msgs = json_typed(d["messages"], {dict}, "messages", "an object")
             rows, row_ids = [m["fields"] for m in msgs], range(len(msgs))
             source_ids = [m.get("source_id", "") for m in msgs]
         elif type(form) is not int or form not in (2, 3):
@@ -316,8 +324,8 @@ class Corpus:
         elif type(source_ids) is list:
             json_typed(source_ids, {str}, "source_ids", "a string")
         else:
-            raise ValueError("source_ids: %s is not %s" % (
-                type(source_ids).__name__, "a list or an object" if form == 3 else "a list"))
+            raise ValueError("source_ids is %s, not %s" % (
+                json_type(source_ids), "a list or an object" if form == 3 else "a list"))
         return cls(rows, row_ids, arity, source_ids)
 
 
@@ -350,16 +358,31 @@ class LabelVector:
         return self.labels.size
 
     def to_dict(self):
-        return {"n_classes": self.n_classes, "labels": self.labels.tolist()}
+        """Format 2: each label plus one, so that UNLABELED is 0, as one
+        unsigned integer array (`encode_uints`)."""
+        return {"format": 2, "labels": encode_uints(self.labels + 1), "n_classes": self.n_classes}
 
     @classmethod
     def from_dict(cls, d):
+        """Inverse of to_dict; also reads format 1, which has no `format`
+        key and lists the labels as JSON integers."""
         (n_classes,) = json_ints([d["n_classes"]], "n_classes")
-        labels = json_ints(d["labels"], "labels")
-        try:    # ints only, so one int64 pass; one beyond int64 is named by the check
-            labels = np.fromiter(labels, np.int64, len(labels))
-        except OverflowError:
-            pass
+        form = d.get("format")
+        if "format" not in d:
+            labels = json_ints(d["labels"], "labels")
+            try:    # ints only, so one int64 pass; one beyond int64 is named by the check
+                labels = np.fromiter(labels, np.int64, len(labels))
+            except OverflowError:
+                pass
+        elif type(form) is not int or form != 2:
+            raise ValueError("unknown labels format %r" % (form,))
+        else:
+            stored = decode_uints(d["labels"], "labels")
+            top = int(stored.max()) if stored.size else 0
+            if top > n_classes:     # checked unsigned, before the cast could wrap
+                raise ValueError("labels: stored value %d is above n_classes %d"
+                                 % (top, n_classes))
+            labels = np.subtract(stored, 1, dtype=np.int64)
         return cls(labels=labels, n_classes=n_classes)
 
 

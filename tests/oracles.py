@@ -88,6 +88,13 @@ def corpus_format2(corpus):
     }
 
 
+def labels_format1(labels):
+    """The format-1 dict of the LabelVector `labels`, the form
+    `LabelVector.to_dict` wrote before format 2: every label, UNLABELED
+    included, as a JSON integer."""
+    return {"n_classes": labels.n_classes, "labels": labels.labels.tolist()}
+
+
 def json_indented(obj):
     """The stdlib's indented, key-sorted JSON."""
     return json.dumps(obj, indent=2, sort_keys=True)

@@ -10,7 +10,9 @@ import pytest
 
 import oracles
 from protoabs.cli import build_parser, main
-from protoabs.corpus_tools import DEFAULT_DROP_KEYS, load_corpus, load_labels, save_corpus
+from protoabs.corpus_tools import (
+    DEFAULT_DROP_KEYS, load_corpus, load_labels, save_corpus, save_labels,
+)
 from protoabs.experiments import draw_labeled_samples
 from protoabs.errors import InsufficientLabels
 from protoabs.model import DEFAULT_ARITY, Corpus, LabelVector, decode_uints, encode_uints
@@ -42,12 +44,13 @@ def decoded_lengths(corpus):
 
 def test_synth_writes_corpus_and_labels(workspace):
     corpus = json.loads((workspace / "corpus.json").read_text())
-    labels = json.loads((workspace / "labels.json").read_text())
     assert corpus["format"] == 3
     assert corpus["arity"] == 32
     assert decoded_lengths(corpus) == [N] * 3
     assert len(corpus["source_ids"]["prefixes"]) == 21
-    assert labels["n_classes"] == 21
+    assert json.loads((workspace / "labels.json").read_text())["format"] == 2
+    labels = load_labels(str(workspace / "labels.json"))
+    assert labels.n_classes == 21 and len(labels) == N
 
 
 def test_ingest_and_label(tmp_path):
@@ -62,8 +65,7 @@ def test_ingest_and_label(tmp_path):
     assert corpus["format"] == 3
     assert decoded_lengths(corpus) == [2] * 3
     assert run(["label", "--corpus", str(out / "corpus.json"), "--out-dir", str(out)]) == 0
-    labels = json.loads((out / "labels.json").read_text())
-    assert len(labels["labels"]) == 2
+    assert len(load_labels(str(out / "labels.json"))) == 2
 
 
 def test_a_format_2_corpus_and_its_format_3_resave_cluster_alike(workspace, tmp_path):
@@ -81,6 +83,26 @@ def test_a_format_2_corpus_and_its_format_3_resave_cluster_alike(workspace, tmp_
                     "--out-dir", str(out)]) == 0
         models.append((out / "model.json").read_bytes())
     assert models[0] == models[1] == models[2]
+
+
+def test_a_format_1_labels_file_and_its_format_2_resave_run_alike(workspace, tmp_path):
+    """The workspace labels (format 2), their format-1 rendering and that
+    file saved again give one model.json and one eval.json."""
+    old = _write(tmp_path / "old.json",
+                 oracles.labels_format1(load_labels(str(workspace / "labels.json"))))
+    new = str(tmp_path / "new.json")
+    save_labels(load_labels(old), new)
+    assert Path(new).read_bytes() == (workspace / "labels.json").read_bytes()
+    outputs = []
+    for labels in (str(workspace / "labels.json"), old, new):
+        out = tmp_path / ("run-" + Path(labels).stem)
+        assert run(["cluster", "--corpus", str(workspace / "corpus.json"), "--labels", labels,
+                    "--out-dir", str(out)]) == 0
+        assert run(["eval", "--model", str(out / "model.json"), "--labels", labels,
+                    "--out-dir", str(out / "eval")]) == 0
+        outputs.append([(out / "model.json").read_bytes(),
+                        (out / "eval" / "eval.json").read_bytes()])
+    assert outputs[0] == outputs[1] == outputs[2]
 
 
 def test_label_with_non_total_rules_exits_2(tmp_path, workspace):
@@ -268,9 +290,25 @@ def _b64(data):
     return base64.b64encode(data).decode("ascii")
 
 
+def _format1_labels(mutate):
+    """`mutate` of the labels file's format-1 rendering (`oracles.labels_format1`)."""
+    return lambda l: mutate(oracles.labels_format1(LabelVector.from_dict(l)))
+
+
+def _stored(labels, values=None, **changes):
+    """The format-2 labels with their stored array changed: `values`, a
+    function of the stored values (each label plus one), gives the values
+    to encode in their place, and `changes` replace keys of the array's
+    object."""
+    obj = labels["labels"]
+    if values is not None:
+        obj = encode_uints(values(decode_uints(obj, "labels").tolist()))
+    return dict(labels, labels=dict(obj, **changes))
+
+
 def _no_classes(labels):
     """The labels with n_classes 0 and every message unlabelled."""
-    return dict(labels, n_classes=0, labels=[-1] * len(labels["labels"]))
+    return dict(_stored(labels, lambda v: [0] * len(v)), n_classes=0)
 
 
 def _huge_classes(labels):
@@ -298,9 +336,9 @@ TWO_CLUSTERS = dict(SHORT_MODEL, k=2, assignments=[0, 1] * (N // 2),
 UTF16_FILE = b"\xff\xfe" + "HANDSHAKE-IN CLIENTHELLO\n--\n".encode("utf-16-le")
 
 # (case, command and its other arguments, {argument: file content, "short",
-# or a function of the workspace file's JSON}), each a data error: exit 2
-# with one line on stderr, naming the file; "trace" is ingest's positional
-# argument
+# or a function of the workspace file's JSON}, and optionally text that the
+# line must hold), each a data error: exit 2 with one line on stderr,
+# naming the file; "trace" is ingest's positional argument
 BAD_DATA = [
     ("trace not UTF-8", "ingest", {"trace": UTF16_FILE}),
     ("trace key with '='", "ingest", {"trace": "A=B 1\n--\n"}),
@@ -312,7 +350,14 @@ BAD_DATA = [
     ("corpus not JSON", "cluster", {"--corpus": "not json"}),
     ("corpus without arity", "cluster",
      {"--corpus": {"messages": [{"fields": ["A=1"], "source_id": "m0"}]}}),
-    ("corpus messages not a list", "cluster", {"--corpus": {"arity": 1, "messages": 3}}),
+    ("corpus messages not a list", "cluster", {"--corpus": {"arity": 1, "messages": 3}},
+     "messages is an integer, not a list"),
+    ("corpus top level a list", "cluster", {"--corpus": [1]},
+     "the top level is a list, not an object"),
+    ("corpus top level a string", "cluster", {"--corpus": '"ab"'},
+     "the top level is a string, not an object"),
+    ("corpus rows a string", "cluster", {"--corpus": lambda c: dict(c, rows="ab")},
+     "rows is a string, not a list"),
     ("corpus row of another arity", "cluster",
      {"--corpus": lambda c: dict(c, rows=c["rows"] + [c["rows"][0][1:]])}),
     # format 2, rendered from the workspace corpus
@@ -329,6 +374,8 @@ BAD_DATA = [
      {"--corpus": _format2(lambda c: dict(c, row_ids=[], source_ids=[]))}),
     ("corpus source id not a string", "cluster",
      {"--corpus": _format2(lambda c: dict(c, source_ids=[None] + c["source_ids"][1:]))}),
+    ("corpus row_ids an object in format 2", "cluster",
+     {"--corpus": _format2(lambda c: dict(c, row_ids={}))}, "row_ids is an object, not a list"),
     # format 3, as the workspace corpus is written
     ("corpus of unknown format", "cluster", {"--corpus": lambda c: dict(c, format=4)}),
     ("corpus row_ids uint 3", "cluster", {"--corpus": lambda c: _array(c, "row_ids", uint=3)}),
@@ -378,9 +425,57 @@ BAD_DATA = [
     ("corpus nested 2 000 deep", "cluster", {"--corpus": _nested("rows")}),
     ("labels not JSON", "cluster", {"--labels": "{"}),
     ("labels nested 2 000 deep", "cluster", {"--labels": _nested("labels")}),
+    ("labels top level a list", "cluster", {"--labels": [0, 1]},
+     "the top level is a list, not an object"),
+    ("labels top level a string", "cluster", {"--labels": '"012"'},
+     "the top level is a string, not an object"),
+    ("labels top level a number", "cluster", {"--labels": "3"},
+     "the top level is an integer, not an object"),
+    # format 1, a list of integers
     ("labels out of range", "cluster", {"--labels": {"n_classes": 2, "labels": [0, 5]}}),
-    ("labels 1.5", "cluster", {"--labels": lambda l: dict(l, labels=[1.5] + l["labels"][1:])}),
-    ("labels true", "cluster", {"--labels": lambda l: dict(l, labels=[True] + l["labels"][1:])}),
+    ("labels 1.5", "cluster",
+     {"--labels": _format1_labels(lambda l: dict(l, labels=[1.5] + l["labels"][1:]))}),
+    ("labels true", "cluster",
+     {"--labels": _format1_labels(lambda l: dict(l, labels=[True] + l["labels"][1:]))}),
+    ("labels an object in format 1", "cluster", {"--labels": {"n_classes": 2, "labels": {}}},
+     "labels is an object, not a list"),
+    ("labels a string in format 1", "cluster", {"--labels": {"n_classes": 2, "labels": "012"}},
+     "labels is a string, not a list"),
+    # format 2, as the workspace labels are written
+    ("labels of unknown format", "cluster", {"--labels": lambda l: dict(l, format=3)},
+     "unknown labels format 3"),
+    ("labels format a string", "cluster", {"--labels": lambda l: dict(l, format="2")},
+     "unknown labels format '2'"),
+    ("labels format true", "cluster", {"--labels": lambda l: dict(l, format=True)},
+     "unknown labels format True"),
+    ("labels a list in format 2", "cluster",
+     {"--labels": lambda l: dict(l, labels=decode_uints(l["labels"], "").tolist())},
+     "labels is a list, not an object"),
+    ("labels uint 3", "cluster", {"--labels": lambda l: _stored(l, uint=3)},
+     "labels: uint 3 is not 1, 2, 4 or 8"),
+    ("labels uint 1.0", "cluster", {"--labels": lambda l: _stored(l, uint=1.0)},
+     "labels: uint 1.0 is not 1, 2, 4 or 8"),
+    ("labels base64 not strict", "cluster",
+     {"--labels": lambda l: _stored(l, base64="!" + l["labels"]["base64"])},
+     "labels: bad base64"),
+    ("labels base64 truncated", "cluster",
+     {"--labels": lambda l: _stored(l, base64=l["labels"]["base64"][:-1])}, "labels: bad base64"),
+    ("labels base64 a number", "cluster", {"--labels": lambda l: _stored(l, base64=7)},
+     "labels: base64 is an integer, not a string"),
+    ("labels bytes not a multiple of uint", "cluster",
+     {"--labels": lambda l: _stored(l, uint=4, base64=_b64(bytes(N - 2)))},
+     "labels: %d bytes is not a multiple of uint 4" % (N - 2)),
+    ("labels stored value above n_classes", "cluster",
+     {"--labels": lambda l: _stored(l, lambda v: [22] + v[1:])},
+     "labels: stored value 22 is above n_classes 21"),
+    # checked before the int64 cast, in which 2^63 would wrap to -2^63
+    ("labels stored value 2^63", "cluster",
+     {"--labels": lambda l: _stored(l, lambda v: [2**63] + v[1:])},
+     "labels: stored value 9223372036854775808 is above n_classes 21"),
+    ("labels without base64", "cluster", {"--labels": lambda l: dict(l, labels={"uint": 1})},
+     "missing field 'base64'"),
+    ("labels without n_classes", "cluster",
+     {"--labels": lambda l: {"format": 2, "labels": l["labels"]}}, "missing field 'n_classes'"),
     ("labels of 0 classes", "cluster", {"--labels": _no_classes}),
     # each class needs a label, and no array is sized by a huge n_classes
     ("labels of 2^40 classes", "cluster --k 21", {"--labels": _huge_classes}),
@@ -402,6 +497,17 @@ BAD_DATA = [
     ("model not JSON", "eval", {"--model": "not json"}),
     ("model nested 2 000 deep", "eval", {"--model": _nested("centroids")}),
     ("model without k", "eval", {"--model": {"assignments": [0]}}),
+    ("model top level a list", "eval", {"--model": [SHORT_MODEL]},
+     "the top level is a list, not an object"),
+    ("model assignments an object", "eval", {"--model": dict(TWO_CLUSTERS, assignments={})},
+     "assignments is an object, not a list"),
+    ("model assignments a number", "eval", {"--model": dict(TWO_CLUSTERS, assignments=3)},
+     "assignments is an integer, not a list"),
+    ("model centroids a string", "eval", {"--model": dict(TWO_CLUSTERS, centroids="ab")},
+     "centroids is a string, not a list"),
+    ("model metric_weights an object", "eval",
+     {"--model": dict(TWO_CLUSTERS, metric_weights={"a": [1.0], "b": [1.0]})},
+     "metric_weights is an object, not a list"),
     ("model assignment 0.5", "eval",
      {"--model": dict(SHORT_MODEL, assignments=[0] * (N - 1) + [0.5])}),
     ("model and labels of different lengths", "eval", {"--model": "short"}),
@@ -430,11 +536,13 @@ BAD_DATA = [
 
 
 @pytest.mark.parametrize(
-    "command,files", [c[1:] for c in BAD_DATA], ids=[c[0] for c in BAD_DATA]
+    "command,files,message", [(c[1], c[2], c[3] if len(c) > 3 else "") for c in BAD_DATA],
+    ids=[c[0] for c in BAD_DATA]
 )
-def test_bad_data_exits_2_without_traceback(workspace, tmp_path, capsys, command, files):
-    labels = json.loads((workspace / "labels.json").read_text())
-    shorts = {"--labels": dict(labels, labels=labels["labels"][:10]), "--model": SHORT_MODEL}
+def test_bad_data_exits_2_without_traceback(workspace, tmp_path, capsys, command, files, message):
+    labels = load_labels(str(workspace / "labels.json"))
+    shorts = {"--labels": LabelVector(labels.labels[:10], labels.n_classes).to_dict(),
+              "--model": SHORT_MODEL}
     inputs = {"eval": ["--model", "--labels"], "ingest": [], "label": ["--corpus"]}.get(
         command.split()[0], ["--corpus", "--labels"])
     args = {flag: str(workspace / ("%s.json" % flag.strip("-"))) for flag in inputs}
@@ -453,6 +561,7 @@ def test_bad_data_exits_2_without_traceback(workspace, tmp_path, capsys, command
     lines = err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("data error: "), err
     assert all(args[flag] in lines[0] for flag in files), err
+    assert message in lines[0], err
     assert not (tmp_path / "out").exists()
 
 
@@ -550,9 +659,9 @@ def test_labels_of_more_classes_than_messages_read_back(tmp_path):
     assert run(["cluster", "--corpus", str(data / "corpus.json"), "--labels",
                 str(data / "labels.json"), "--algorithm", "kmeans", "--k", "2",
                 "--out-dir", str(run_dir)]) == 0
-    labels = json.loads((data / "labels.json").read_text())
-    assert labels["n_classes"] == 21 and len(labels["labels"]) == 5
-    _write(tmp_path / "huge.json", _huge_classes(labels))
+    labels = load_labels(str(data / "labels.json"))
+    assert labels.n_classes == 21 and len(labels) == 5
+    _write(tmp_path / "huge.json", _huge_classes(json.loads((data / "labels.json").read_text())))
     reports = []
     for path in (data / "labels.json", tmp_path / "rules" / "labels.json", tmp_path / "huge.json"):
         out = tmp_path / ("eval-" + path.parent.name + path.stem)
@@ -560,7 +669,7 @@ def test_labels_of_more_classes_than_messages_read_back(tmp_path):
                     "--out-dir", str(out)]) == 0
         reports.append((out / "eval.json").read_bytes() + (out / "confusion.csv").read_bytes())
         report = json.loads((out / "eval.json").read_text())
-        assert report["col_ids"] == sorted(set(json.loads(path.read_text())["labels"]))
+        assert report["col_ids"] == sorted(set(load_labels(str(path)).labels.tolist()))
     assert reports[0] == reports[2]
     # a labelled run needs a label of each of the 21 classes
     assert run(["cluster", "--corpus", str(data / "corpus.json"), "--labels",

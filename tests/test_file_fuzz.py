@@ -1,13 +1,14 @@
 """Mutated input files end in a documented exit code, never a traceback.
 
 The valid N=300 outputs of `synth` (corpus.json, labels.json) and `cluster`
-(model.json), and the corpus' format-2 rendering, are mutated at one JSON
-node: a key or an element is deleted, or the node is replaced with null, a
-bool, a negative, huge or fractional number, NaN, a string, or an empty or
-nested list.  A base64 array of the format-3 corpus may be mutated instead:
-its payload loses 1 to 3 characters or gains a character outside the
-alphabet, or becomes a valid payload whose length is not a multiple of its
-width.  A rules file and a trace file are mutated at one line.  Each command that reads the mutated
+(model.json), the corpus' format-2 rendering and the labels' format-1
+rendering, are mutated at one JSON node: a key or an element is deleted,
+or the node is replaced with null, a bool, a negative, huge or fractional
+number, NaN, a string, or an empty or nested list.  A base64 array of the
+format-3 corpus or the format-2 labels may be mutated instead: its payload
+loses 1 to 3 characters or gains a character outside the alphabet, or
+becomes a valid payload whose length is not a multiple of its width.  A
+rules file and a trace file are mutated at one line.  Each command that reads the mutated
 file runs in-process through `cli.main`; it must exit 0, 1 or 2 with at
 most one line on stderr, and raise nothing."""
 
@@ -22,7 +23,7 @@ from hypothesis import strategies as st
 
 import oracles
 from protoabs.cli import main
-from protoabs.corpus_tools import DecodedTrace, load_corpus, serialize_traces
+from protoabs.corpus_tools import DecodedTrace, load_corpus, load_labels, serialize_traces
 from protoabs.tls_default import default_rules_text
 
 N = 300
@@ -35,6 +36,9 @@ COMMANDS = {
     "eval": {"--model": "model.json", "--labels": "labels.json"},
     "ingest": {"trace": "trace.txt"},
 }
+
+# the files saved in an older format too, by the name of the file as saved
+OLDER = {"corpus.json": "corpus2.json", "labels.json": "labels1.json"}
 
 VALUES = st.sampled_from([
     None, True, False, -1, -0.5, 0.5, 2**64, 10**400, float("nan"), "", "x", [], [[0]], [[]],
@@ -60,9 +64,11 @@ def valid(tmp_path_factory):
     (root / "trace.txt").write_text(serialize_traces(traces))
     (root / "corpus2.json").write_text(
         json.dumps(oracles.corpus_format2(load_corpus(str(root / "corpus.json")))))
+    (root / "labels1.json").write_text(
+        json.dumps(oracles.labels_format1(load_labels(str(root / "labels.json")))))
     files = {name: (root / name).read_text()
-             for inputs in COMMANDS.values() for name in inputs.values()}
-    files["corpus2.json"] = (root / "corpus2.json").read_text()
+             for name in [*(n for inputs in COMMANDS.values() for n in inputs.values()),
+                          *OLDER.values()]}
     mutated = root / "mutated"
     mutated.mkdir()
     return root, files, mutated
@@ -87,13 +93,22 @@ def json_mutations(draw, text):
     return json.dumps(doc)
 
 
+def base64_arrays(node):
+    """Every base64 array object in the JSON objects nested from `node`: a
+    format-3 corpus' row_ids and source-id group and number, or format-2
+    labels' labels."""
+    if not isinstance(node, dict):
+        return []
+    if "base64" in node:
+        return [node]
+    return [array for value in node.values() for array in base64_arrays(value)]
+
+
 @st.composite
 def base64_mutations(draw, text):
-    """The format-3 corpus in `text` with one of its base64 arrays (row_ids,
-    or the source-id rule's group or number) mutated."""
+    """The JSON object in `text` with one of its base64 arrays mutated."""
     doc = json.loads(text)
-    arrays = [doc["row_ids"], doc["source_ids"]["group"], doc["source_ids"]["number"]]
-    array = draw(st.sampled_from(arrays))
+    array = draw(st.sampled_from(base64_arrays(doc)))
     payload = array["base64"]
     how = draw(st.sampled_from(["truncate", "insert", "misfit"]))
     if how == "truncate":
@@ -135,11 +150,11 @@ def test_a_mutated_file_ends_in_a_documented_exit_code(valid, data):
     command = data.draw(st.sampled_from(sorted(COMMANDS)))
     option = data.draw(st.sampled_from(sorted(COMMANDS[command])))
     name = COMMANDS[command][option]
-    if name == "corpus.json":   # format 3 as saved, or its format-2 rendering
-        name = data.draw(st.sampled_from(["corpus.json", "corpus2.json"]))
     mutate = json_mutations if name.endswith(".json") else line_mutations
-    if name == "corpus.json":
-        mutate = data.draw(st.sampled_from([json_mutations, base64_mutations]))
+    if name in OLDER:   # as saved, with base64 arrays, or in the older format
+        name = data.draw(st.sampled_from([name, OLDER[name]]))
+        if name not in OLDER.values():
+            mutate = data.draw(st.sampled_from([json_mutations, base64_mutations]))
     (mutated / name).write_text(data.draw(mutate(files[name])))
     argv = [command, "--out-dir", str(mutated / "out")]
     for other, file in COMMANDS[command].items():

@@ -13,6 +13,7 @@ from protoabs.model import (
     Corpus,
     LabelVector,
     Message,
+    UNLABELED,
     build_corpus,
     json_indented,
     json_ints,
@@ -161,6 +162,36 @@ def test_label_file_may_name_more_classes_than_labels():
         LabelVector.from_dict({"n_classes": 2**63, "labels": [0]})
     with pytest.raises(ValueError, match=r"^label 36893488147419103232 out of range 0\.\.2$"):
         LabelVector.from_dict({"n_classes": 3, "labels": [0, 2**65]})
+
+
+# the largest stored value of a labels file (largest label plus one), and
+# the width it is stored in: 0 when every message is unlabelled, and each
+# width's last value and the next one's first
+STORED_TOPS = {0: 1, 1: 1, 21: 1, 255: 1, 256: 2, 65535: 2, 65536: 4, 2**32 - 1: 4, 2**32: 8}
+
+
+@st.composite
+def label_vectors(draw):
+    """Labels, some UNLABELED, whose stored maximum is one of STORED_TOPS,
+    over up to three more classes than they use."""
+    top = draw(st.sampled_from(sorted(STORED_TOPS)))
+    values = draw(st.lists(st.integers(UNLABELED, top - 1), max_size=20))
+    n_classes = draw(st.integers(max(top, 1), max(top, 1) + 3))
+    return LabelVector(labels=values + [top - 1], n_classes=n_classes)
+
+
+@settings(max_examples=200, deadline=None)
+@given(label_vectors())
+def test_labels_round_trip_through_both_formats(lv):
+    """Format 2 stores each label plus one in the narrowest width; it and
+    the format-1 rendering (`oracles.labels_format1`) load back equal."""
+    d = lv.to_dict()
+    assert d["format"] == 2
+    assert d["labels"]["uint"] == STORED_TOPS[int(lv.labels.max()) + 1]
+    for form in (d, oracles.labels_format1(lv)):
+        back = LabelVector.from_dict(json.loads(json.dumps(form)))
+        assert back == lv
+        assert back.labels.dtype == np.int64 and not back.labels.flags.writeable
 
 
 # ids, UNLABELED and negatives, ints beyond int64 either way, NaN and floats

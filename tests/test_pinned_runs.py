@@ -60,7 +60,9 @@ re-pinned: each objective moved by one ulp, and every other byte, stdout
 included, held.  The N=5000 runs' objectives kept their bits.
 data/corpus.json was re-pinned when `corpus.json` became format 3 (row
 ids and the source-id rule as base64 integer arrays); every other file,
-and stdout, kept its bytes.
+and stdout, kept its bytes.  data/labels.json was re-pinned when
+`labels.json` became format 2 (each label plus one as one base64 integer
+array); every other file, and stdout, kept its bytes.
 
 The N=5000 CLI pipeline (synth seed 0, then cluster and eval with their
 defaults) pins the sha256 of labels.json, model.json and eval.json, the
@@ -68,7 +70,7 @@ indented JSON files; these digests were computed while they were still
 written by the stdlib's `json.dumps(indent=2)`.  It pins corpus.json too,
 in format 3, the form it took when that pin was added.  model.json was re-pinned
 when the objective came to be summed over the count matrix (its objective
-line moved by one ulp).
+line moved by one ulp), and labels.json when it became format 2.
 
 The synthetic generator is pinned away from its defaults too: N=3000
 corpora at noise rates 0.4 and 0.9, with non-uniform class weights, and at
@@ -78,7 +80,8 @@ truncated away still consume draws; and at its defaults too, at N=20k
 with 7 of the 21 classes weighted 0, so that templates no message draws
 are left out of the corpus.  Each pins the sha256 of the corpus' format-2
 dict (`oracles.corpus_format2`, every row id and source id written out)
-and of the labels' `to_dict()`; these digests were computed
+and of the labels' format-1 dict (`oracles.labels_format1`, every label
+written out); these digests were computed
 while synth still made one scalar draw per noise field, except that of
 the undrawn classes, computed while synth still numbered only the drawn
 classes' template rows.
@@ -222,7 +225,7 @@ PINNED_ARTIFACTS = {
     "data/corpus.json":
         "dd1aea261aa183daaae63be44aec02b430259f0e1a87bf4a60785e694d8d4391",
     "data/labels.json":
-        "528ebc0e08e98d4faa2775d661212bd517cde82e5ef80bfe0c35c33505c8a9a9",
+        "3570d4374be4569f8e9fa9e9ab98cbda9526bba1a877623901a80c251a67bde9",
     "eval/confusion.csv":
         "c57af4173ca66311c8388d0e9fb4c1d644ce29df395dc7c5dea1fef939dae829",
     "eval/eval.json":
@@ -319,7 +322,7 @@ def test_pinned_cli_artifacts(tmp_path, capsys):
 
 PINNED_5K_JSON = {
     "data/corpus.json": "7f55a25b1374ce02fc7af8b23b1942eb8c633d8e901fe0c0fe0e491cd612a148",
-    "data/labels.json": "272e8ed04108eb311e4e6ccc1465b56168454889049f95763a6702ec58c8661a",
+    "data/labels.json": "1ba63fc9681a9b32b73125a11137f49db213b46b3703d0a4fc567073a8ebba7a",
     "run/model.json": "6f99faacd6e35f56d515a6ba4420e3cb304607d412e9ac00a695bc3bfdd04e11",
     "run/eval.json": "875c5752d72042c425d419dc4c85e6833a00b4043cc4cda38e888bc36b761603",
     "eval/eval.json": "875c5752d72042c425d419dc4c85e6833a00b4043cc4cda38e888bc36b761603",
@@ -380,5 +383,6 @@ def _json_sha256(obj):
 @pytest.mark.parametrize("case", list(PINNED_SYNTH))
 def test_pinned_synth(case):
     corpus, labels = generate_synthetic(SYNTH_SPECS[case])
-    assert ((_json_sha256(oracles.corpus_format2(corpus)), _json_sha256(labels.to_dict()))
-            == PINNED_SYNTH[case])
+    digests = (_json_sha256(oracles.corpus_format2(corpus)),
+               _json_sha256(oracles.labels_format1(labels)))
+    assert digests == PINNED_SYNTH[case]
