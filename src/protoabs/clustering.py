@@ -52,7 +52,7 @@ import numpy as np
 
 from . import metric as _metric
 from .constraints import close_constraints, constraints_from_labels, neighborhoods
-from .errors import EmptyCluster, TooManyClusters
+from .errors import DataError, EmptyCluster, TooManyClusters
 from .metric import EPS_DENOM, EPS_WEIGHT, DiagonalMetric
 from .model import Message, json_indented, json_ints, json_typed
 
@@ -216,7 +216,8 @@ def _dispersion(corpus, tokens, cent):
 
 
 class _State:
-    """Array-level working state shared by `run_mpck` and the public ops.
+    """Array-level working state shared by `run_mpck` and the public ops,
+    over a `ClosedConstraints` whose points must lie in the corpus.
 
     Constraint terms come from [must, cannot] tables over slots, the
     (component, distinct row) pairs of the constrained points: entry [s, h]
@@ -229,7 +230,10 @@ class _State:
     """
 
     def __init__(self, corpus, k, cent_codes, weights, assignments, constraints, ctx=None):
-        constraints = close_constraints(constraints)
+        n, points = len(corpus), constraints.points
+        outside = points[(points < 0) | (points >= n)]
+        if outside.size:
+            raise DataError("constraint point %d outside corpus of size %d" % (outside[0], n))
         self.corpus = corpus
         self.k = k
         self.cent = cent_codes                      # (K, F)
@@ -237,10 +241,8 @@ class _State:
         self.assignments = assignments
         self.scales = (0.5 * constraints.w, constraints.w_bar)   # of the two tables
         self._ctx = ctx
-        self.constrained = constraints.points
-        sizes = np.bincount(constraints.component)
-        has_cannot = constraints.cannot_components.size > 0
-        self.kinds = [kind for kind, on in enumerate(((sizes > 1).any(), has_cannot)) if on]
+        self.constrained = points
+        self.kinds = [kind for kind, pairs in enumerate(constraints.pair_counts()) if pairs]
         u = corpus.unique_codes.shape[0]
         slots, point_slots = np.unique(constraints.component * u
                                        + corpus.row_ids[self.constrained], return_inverse=True)
@@ -255,7 +257,8 @@ class _State:
         self.slot_of[self.constrained] = point_slots
         self.point_cells = point_slots * k          # flat cell ids in cluster 0
         # [must, cannot]: same component, cannot-linked components
-        cannot = np.zeros((sizes.size, sizes.size), dtype=bool)
+        n_comp = constraints.component.max(initial=-1) + 1
+        cannot = np.zeros((n_comp, n_comp), dtype=bool)
         ca, cb = constraints.cannot_components.T
         cannot[ca, cb] = cannot[cb, ca] = True
         self.linked = [comp[:, None] == comp, cannot[comp[:, None], comp]]
@@ -410,7 +413,7 @@ def _state_from_model(corpus, model, constraints, ctx):
     cent = np.stack([corpus.encode(c) for c in model.centroids])
     weights = np.stack([m.weights for m in model.metrics])
     assignments = np.asarray(model.assignments, dtype=np.int64)
-    return _State(corpus, model.k, cent, weights, assignments, constraints, ctx)
+    return _State(corpus, model.k, cent, weights, assignments, close_constraints(constraints), ctx)
 
 
 def evaluate_objective(corpus, model, constraints, ctx=None):
@@ -421,7 +424,7 @@ def evaluate_objective(corpus, model, constraints, ctx=None):
 def _seed_centroids(corpus, constraints, k, rng):
     """Initial centroid codes: modes of the largest constraint neighborhoods,
     then farthest-first under the unit Hamming metric, over distinct rows."""
-    hoods = neighborhoods(constraints)[:k] if not constraints.is_empty() else []
+    hoods = neighborhoods(constraints)[:k]
     if hoods:
         members = np.concatenate(hoods).astype(np.int64)
         groups = np.repeat(np.arange(len(hoods)), [len(h) for h in hoods])
@@ -490,10 +493,10 @@ def run_mpck(corpus, constraints, config):
     constraints = close_constraints(constraints)
     rng = np.random.default_rng(config.seed)
 
-    cent = _seed_centroids(corpus, constraints, k, rng)
-    weights = np.ones((k, corpus.arity))
+    # the state checks the constraint points before seeding reads them
     assignments = np.full(n, -1, dtype=np.int64)
-    state = _State(corpus, k, cent, weights, assignments, constraints)
+    state = _State(corpus, k, None, np.ones((k, corpus.arity)), assignments, constraints)
+    state.cent = _seed_centroids(corpus, constraints, k, rng)
     row_ids = corpus.row_ids
 
     # initial pass: plain nearest-centroid under the seeded centroids

@@ -5,8 +5,8 @@ A constraint set has two forms.  `ConstraintSet` holds arbitrary pairs.
 must-link components: the constrained points, a component for each, and
 the cannot-linked component pairs.  `constraints_from_labels` builds the
 closed form directly and `close_constraints` turns a pair set into it.
-The clustering loop reads the closed form's components, never its pairs;
-`must_links` and `cannot_links` expand them only when asked.
+Neighbourhoods and the clustering loop read the closure's components,
+never its pairs; `must_links` and `cannot_links` expand them when asked.
 """
 
 from dataclasses import dataclass
@@ -66,9 +66,6 @@ class ConstraintSet:
                 % sorted(self.must_links & self.cannot_links)[:5]
             )
 
-    def is_empty(self):
-        return not self.must_links and not self.cannot_links
-
 
 def _pair_array(pairs):
     return np.array(sorted(pairs), dtype=np.int64).reshape(-1, 2)
@@ -94,9 +91,6 @@ class ClosedConstraints:
 
     def __post_init__(self):
         _check_weights(self)
-
-    def is_empty(self):
-        return self.points.size == 0
 
     def pair_counts(self):
         """(number of must-links, number of cannot-links)."""
@@ -190,20 +184,17 @@ def close_constraints(cs):
 
 
 def neighborhoods(cs):
-    """Member tuples of the must-link components over the constrained
-    points: connected components of the must-link graph, plus singletons
-    for points that only appear in cannot-links.
+    """Member tuples of the must-link components of the closure of `cs`,
+    a point in cannot-links alone as a singleton; a set that closing
+    rejects raises `InconsistentConstraints`.
 
     Sorted by descending size, then by smallest member index.
     """
-    if isinstance(cs, ClosedConstraints):
-        points, component = cs.points, cs.component
-    else:
-        points, component = _components(_pair_array(cs.must_links), _pair_array(cs.cannot_links))
-    members = _members(points, component)
+    closed = close_constraints(cs)
+    members = _members(closed.points, closed.component)
     # components are numbered by smallest member, so a stable sort on size
     # breaks ties by smallest member
-    order = np.argsort(-np.bincount(component), kind="stable").tolist()
+    order = np.argsort(-np.bincount(closed.component), kind="stable").tolist()
     return [tuple(members[c]) for c in order]
 
 

@@ -422,9 +422,8 @@ def seed_centroids(corpus, constraints, k, rng):
     """Modes of the largest constraint neighborhoods, then farthest-first
     under the unit Hamming metric over every message; ties go to the
     smallest message index."""
-    hoods = neighborhoods(constraints) if not constraints.is_empty() else []
     cent = []
-    for hood in hoods[:k]:
+    for hood in neighborhoods(constraints)[:k]:
         cent.append(mode_row(corpus, np.asarray(hood)))
     n, codes = len(corpus), corpus.codes
     if len(cent) < k:

@@ -25,7 +25,12 @@ from protoabs.clustering import (
     evaluate_objective,
     run_mpck,
 )
-from protoabs.constraints import ConstraintSet, LabeledSample, constraints_from_labels
+from protoabs.constraints import (
+    ConstraintSet,
+    LabeledSample,
+    close_constraints,
+    constraints_from_labels,
+)
 from protoabs.errors import EmptyCluster, InconsistentConstraints
 from protoabs.metric import DiagonalMetric
 from protoabs.model import build_corpus
@@ -284,3 +289,26 @@ def test_a_run_stores_the_objective_of_a_fresh_table(inst, metric_updates, seed,
         assert len(forced) == 1 + len(history)
         steps = zip(history, history[1:], forced[2:])
         assert all(b <= a + 1e-9 for a, b, forced_reseed in steps if not forced_reseed)
+
+
+@PROPERTY
+@given(instances(), st.booleans(), st.integers(0, 3))
+def test_a_run_on_a_pair_set_equals_the_run_on_its_closure(inst, metric_updates, seed):
+    """`run_mpck` closes its input where it enters: a pair set and its
+    closure give the same model, to the objective's bits, or the same
+    error."""
+    corpus, model, cs = inst
+    cfg = MpckConfig(k=model.k, seed=seed, metric_update_enabled=metric_updates)
+
+    def run(constraints):
+        try:
+            return run_mpck(corpus, constraints, cfg)
+        except EmptyCluster as e:
+            return str(e)
+
+    pairs, closed = run(cs), run(close_constraints(cs))
+    if isinstance(pairs, str):
+        assert pairs == closed
+        return
+    assert pairs.to_json() == closed.to_json()
+    assert pairs.objective.hex() == closed.objective.hex()

@@ -25,7 +25,7 @@ from protoabs.constraints import (
     close_constraints,
     constraints_from_labels,
 )
-from protoabs.errors import EmptyCluster, TooManyClusters
+from protoabs.errors import DataError, EmptyCluster, TooManyClusters
 from protoabs.evaluation import evaluate
 from protoabs.experiments import draw_labeled_samples
 from protoabs.metric import DiagonalMetric
@@ -229,6 +229,23 @@ class TestRunMpck:
         corpus = build_corpus([["a"], ["b"]], arity=1)
         with pytest.raises(TooManyClusters):
             run_mpck(corpus, ConstraintSet(), MpckConfig(k=3))
+
+    @pytest.mark.parametrize("point, cs", [
+        (-1, constraints_from_labels([LabeledSample(-1, 0), LabeledSample(5, 1)])),
+        (200, constraints_from_labels([LabeledSample(200, 0), LabeledSample(5, 1)])),
+        (200, ConstraintSet(frozenset({(0, 200)}))),
+    ], ids=["labels-minus-one", "labels-n", "pair-n"])
+    def test_constraint_point_outside_the_corpus_is_one_data_error_line(self, point, cs):
+        """A point below 0 would index from the end and one at N past it:
+        both entry points reject either with the point and N named."""
+        corpus, _ = generate_synthetic(default_synth_spec(n_messages=200, seed=0))
+        cfg = MpckConfig(k=3, seed=0)
+        model = run_kmeans(corpus, cfg)
+        want = r"^constraint point %d outside corpus of size 200$" % point
+        for run in (lambda: run_mpck(corpus, cs, cfg),
+                    lambda: evaluate_objective(corpus, model, cs)):
+            with pytest.raises(DataError, match=want):
+                run()
 
     def test_determinism(self):
         rng = np.random.default_rng(8)
@@ -482,7 +499,7 @@ def test_dispersion_costs_in_blocks_equal_one_stacked_matmul(monkeypatch, per_bl
     cent = corpus.unique_codes[:k]
     weights = rng.uniform(0.05, 5.0, size=(k, corpus.arity))
     state = clustering._State(corpus, k, cent, weights, np.zeros(len(corpus), dtype=np.int64),
-                              ConstraintSet(), None)
+                              close_constraints(ConstraintSet()), None)
     mismatch = corpus.unique_codes[None] != cent[:, None]     # (K, u, F)
     monkeypatch.setattr(clustering, "DISPERSION_BLOCK", per_block * corpus.unique_codes.size)
     want = np.matmul(mismatch, weights[:, :, None])[:, :, 0].T

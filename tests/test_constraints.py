@@ -101,6 +101,17 @@ def test_neighborhood_components():
     assert hoods == [(0, 1, 2), (3,)]
 
 
+def test_neighborhoods_of_a_pair_set_skip_a_point_linked_to_itself():
+    # a point linked only to itself is in no pair of the closure
+    cs = ConstraintSet(frozenset({(3, 3), (5, 6)}), frozenset({(0, 1)}))
+    assert neighborhoods(cs) == neighborhoods(close_constraints(cs)) == [(5, 6), (0,), (1,)]
+
+
+def test_neighborhoods_of_a_pair_set_that_closing_rejects_raise():
+    with pytest.raises(InconsistentConstraints):
+        neighborhoods(ConstraintSet(frozenset({(0, 1), (1, 2)}), frozenset({(0, 2)})))
+
+
 def test_singleton_neighborhoods_without_must_links():
     cs = constraints_from_labels(labels_for(1, 5))
     hoods = neighborhoods(cs)
@@ -141,7 +152,8 @@ def assert_closed_like(got, want):
     assert got.cannot_links == want.cannot_links
     assert got.pair_counts() == (len(want.must_links), len(want.cannot_links))
     assert (got.w, got.w_bar) == (want.w, want.w_bar)
-    assert got.is_empty() == want.is_empty()
+    assert got.points.tolist() == sorted({p for pair in want.must_links | want.cannot_links
+                                          for p in pair})
     assert neighborhoods(got) == oracles.neighborhoods(want)
     assert close_constraints(got) is got
 
@@ -156,14 +168,16 @@ def test_closure_matches_pair_set_oracle(must, cannot, w, w_bar):
         cs = ConstraintSet(must, cannot, w=w, w_bar=w_bar)
     except InconsistentConstraints:
         return
-    # neighborhoods of the pair set itself, consistent or not
-    assert neighborhoods(cs) == oracles.neighborhoods(cs)
     try:
         want = oracles.close_constraints(cs)
     except InconsistentConstraints:
         with pytest.raises(InconsistentConstraints):
             close_constraints(cs)
+        with pytest.raises(InconsistentConstraints):
+            neighborhoods(cs)
         return
+    # neighborhoods of the pair set are those of its closure
+    assert neighborhoods(cs) == oracles.neighborhoods(want)
     assert_closed_like(close_constraints(cs), want)
 
 
