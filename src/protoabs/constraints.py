@@ -80,7 +80,8 @@ class ClosedConstraints:
     their smallest members; `cannot_components` are the cannot-linked
     component pairs (a < b), ascending.  Every two points of a component
     are must-linked, and every point of a cannot-linked component is
-    cannot-linked with every point of the other.
+    cannot-linked with every point of the other.  A set that breaks these
+    invariants raises `InconsistentConstraints`, one line per broken rule.
     """
 
     points: np.ndarray
@@ -91,6 +92,16 @@ class ClosedConstraints:
 
     def __post_init__(self):
         _check_weights(self)
+        for name, width, shape in (("points", (), "(n,)"), ("component", (), "(n,)"),
+                                   ("cannot_components", (2,), "(n, 2)")):
+            value = np.asarray(getattr(self, name))
+            if value.size == 0:             # an empty list holds floats
+                value = np.zeros((0, *width), dtype=np.int64)
+            if value.dtype.kind not in "iu" or value.shape[1:] != width or value.ndim == 0:
+                raise InconsistentConstraints("%s must be an integer array of shape %s, got %s %s"
+                                              % (name, shape, value.dtype, value.shape))
+            object.__setattr__(self, name, value.astype(np.int64, copy=False))
+        _check_closed(self.points, self.component, self.cannot_components)
 
     def pair_counts(self):
         """(number of must-links, number of cannot-links)."""
@@ -110,6 +121,35 @@ class ClosedConstraints:
         m = _members(self.points, self.component)
         return frozenset(_pair(a, b) for ca, cb in self.cannot_components.tolist()
                          for a in m[ca] for b in m[cb])
+
+
+def _check_closed(points, component, cannot):
+    """The invariants of `ClosedConstraints` on its three arrays."""
+    late = np.flatnonzero(np.diff(points) <= 0)
+    if late.size:
+        raise InconsistentConstraints("constraint points must be strictly ascending, got %d "
+                                      "after %d" % (points[late[0] + 1], points[late[0]]))
+    if component.size != points.size:
+        raise InconsistentConstraints("need one component per constraint point, got %d for "
+                                      "%d points" % (component.size, points.size))
+    # numbered by smallest member: if the points before one use components
+    # 0..m, its own lies in [0, m + 1]
+    top = np.maximum.accumulate(component)
+    allowed = np.append(0, top[:-1] + 1)[:top.size]
+    wrong = np.flatnonzero((component < 0) | (component > allowed))
+    if wrong.size:
+        i = wrong[0]
+        raise InconsistentConstraints("components must be numbered in the order of their "
+                                      "smallest members: point %d has %d, outside [0, %d]"
+                                      % (points[i], component[i], allowed[i]))
+    n_comp = int(top.max(initial=-1)) + 1
+    a, b = cannot.T
+    bad = (a < 0) | (a >= b) | (b >= n_comp)
+    bad[1:] |= a[1:] * n_comp + b[1:] <= a[:-1] * n_comp + b[:-1]
+    if bad.any():
+        raise InconsistentConstraints("cannot-linked components must be ascending pairs "
+                                      "a < b in [0, %d), got (%d, %d)"
+                                      % ((n_comp,) + tuple(cannot[np.argmax(bad)])))
 
 
 def _members(points, component):

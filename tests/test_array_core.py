@@ -253,19 +253,23 @@ def test_array_passes_match_the_per_point_visits(inst, every_visit_moves, data):
 
 
 @PROPERTY
-@given(instances(), st.booleans(), st.integers(0, 3), st.data())
-def test_a_run_stores_the_objective_of_a_fresh_table(inst, metric_updates, seed, data):
-    """A run's stored objective is the one a table built for its final
-    assignments and metrics gives, the exact sum of that state's terms in
-    any order, the cost deltas of each assignment pass
-    sum to the change of the recomputed objective's terms, and with frozen
-    metrics, whose loop keeps one table,
+@given(instances(), st.booleans(), st.integers(0, 3), st.sampled_from([0, 1, 200]),
+       st.sampled_from([1e-6, 1e9]), st.data())
+def test_a_run_stores_the_objective_of_a_fresh_table(inst, metric_updates, seed,
+                                                     max_iterations, tol, data):
+    """A run's stored objective is the one a fresh state, with a table
+    built for the final assignments and metrics, gives: the exact sum of
+    that state's terms in any order, at every exit of the loop (no
+    iteration, the iteration cap, tolerance and a fixpoint).  The cost
+    deltas of each assignment pass sum to the change of the recomputed
+    objective's terms, and with frozen metrics, whose loop keeps one table,
     the objective never rises across an M-step whose reseeds all moved an
     unconstrained point.  A reseed moves a constrained point only when no
     unconstrained one can be spared, and that move may raise the
     objective."""
     corpus, model, cs = inst
-    cfg = MpckConfig(k=model.k, seed=seed, metric_update_enabled=metric_updates)
+    cfg = MpckConfig(k=model.k, seed=seed, metric_update_enabled=metric_updates,
+                     max_iterations=max_iterations, tol=tol)
     forced = []                         # one entry per M-step, the initial one first
     repair = clustering._repair_empty_clusters
 

@@ -1,4 +1,3 @@
-import gc
 from dataclasses import replace
 
 import numpy as np
@@ -399,23 +398,20 @@ class TestRunMpck:
         assert len(metrics) == cfg.k * (len(updates) + (unit_table or algorithm == "kmeans"))
         assert model.converged_by == "fixpoint"
 
-    @pytest.mark.parametrize("algorithm", ["mpck", "kmeans"])
-    def test_loop_state_is_freed_before_the_final_objective(self, monkeypatch, algorithm):
-        """The final objective builds a `_State` of its own, so the loop's
-        must be gone by then rather than held alongside it."""
+    @pytest.mark.parametrize("algorithm", ["mpck", "kmeans", "frozen"])
+    def test_a_run_builds_one_state(self, monkeypatch, algorithm):
+        """The stored objective sums the terms the loop last scored on its
+        own state, so a run builds one `_State`, also with frozen metrics
+        and cannot-links, whose final table is rebuilt after a move."""
         corpus = random_corpus(np.random.default_rng(0), 40, 4)
         cs = constraints_from_labels([LabeledSample(i, i % 3) for i in range(9)])
-        alive, evaluate = [], clustering.evaluate_objective
-
-        def counted(*args, **kwargs):
-            gc.collect()
-            alive.append(sum(isinstance(o, clustering._State) for o in gc.get_objects()))
-            return evaluate(*args, **kwargs)
-
-        monkeypatch.setattr(clustering, "evaluate_objective", counted)
-        cfg = MpckConfig(k=3, seed=0)
-        run_mpck(corpus, cs, cfg) if algorithm == "mpck" else run_kmeans(corpus, cfg)
-        assert alive == [0]
+        built, init = [], clustering._State.__init__
+        monkeypatch.setattr(clustering._State, "__init__",
+                            lambda state, *args: built.append(1) or init(state, *args))
+        cfg = MpckConfig(k=3, seed=0, metric_update_enabled=algorithm != "frozen")
+        model = run_kmeans(corpus, cfg) if algorithm == "kmeans" else run_mpck(corpus, cs, cfg)
+        assert model.objective_history
+        assert len(built) == 1
 
     @pytest.mark.parametrize("case, max_iterations, iterations, builds", [
         ("synthetic", 0, 0, 1),         # no iteration ran
@@ -450,7 +446,7 @@ class TestRunMpck:
         rebuilt = evaluate_objective(corpus, model, close_constraints(cs))
         assert replace(model, objective=rebuilt).to_json() == model.to_json()
 
-    @pytest.mark.parametrize("algorithm", ["mpck", "kmeans"])
+    @pytest.mark.parametrize("algorithm", ["mpck", "kmeans", "frozen"])
     @pytest.mark.parametrize("max_iterations, tol, stop", [
         (200, 1e-6, "fixpoint"),
         (200, 1e9, "tolerance"),
@@ -460,16 +456,20 @@ class TestRunMpck:
                                             tol, stop):
         """The loop scores the initial state and, per iteration that moved a
         point, the assignment pass and the M-step; a fixpoint is not
-        rescored.  The final objective scores the model once more."""
+        rescored, and the stored objective sums the last scored terms.  Only
+        frozen metrics with cannot-links, after a move, score the final
+        state once more, with a table for its assignments."""
         corpus = random_corpus(np.random.default_rng(8), 40, 4)
         cs = constraints_from_labels([LabeledSample(i, i % 3) for i in range(9)])
         calls, objective = [], clustering._State.objective
         monkeypatch.setattr(clustering._State, "objective",
                             lambda state: calls.append(1) or objective(state))
-        cfg = MpckConfig(k=3, seed=0, max_iterations=max_iterations, tol=tol)
-        model = run_mpck(corpus, cs, cfg) if algorithm == "mpck" else run_kmeans(corpus, cfg)
-        assert model.converged_by == stop
-        assert len(calls) == 1 + 2 * len(model.objective_history) + 1
+        cfg = MpckConfig(k=3, seed=0, max_iterations=max_iterations, tol=tol,
+                         metric_update_enabled=algorithm != "frozen")
+        model = run_kmeans(corpus, cfg) if algorithm == "kmeans" else run_mpck(corpus, cs, cfg)
+        history = model.objective_history
+        assert model.converged_by == stop and history
+        assert len(calls) == 1 + 2 * len(history) + (algorithm == "frozen")
 
 
 class TestRunKmeans:

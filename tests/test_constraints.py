@@ -227,3 +227,32 @@ def test_a_run_at_the_weight_ceiling_stays_finite():
                                  w=MAX_PENALTY_WEIGHT, w_bar=MAX_PENALTY_WEIGHT)
     model = run_mpck(corpus, cs, MpckConfig(k=10, seed=1))
     assert np.isfinite(model.objective) and np.isfinite(model.accounting_gap)
+
+
+@pytest.mark.parametrize("points, component, cannot, message", [
+    # these three ran to a model or ended in a bare IndexError
+    ([5, 7], [0, 0], [[0, 0]], r"ascending pairs a < b in \[0, 1\), got \(0, 0\)"),
+    ([5, 5, 7], [0, 1, 1], [[0, 1]], "strictly ascending, got 5 after 5"),
+    ([5, 7], [0, 1], [[0, 4]], r"ascending pairs a < b in \[0, 2\), got \(0, 4\)"),
+    ([5, 7], [0], [], "one component per constraint point, got 1 for 2"),
+    ([5, 7], [1, 0], [[0, 1]], r"smallest members: point 5 has 1, outside \[0, 0\]"),
+    ([5, 7], [0, 2], [], r"smallest members: point 7 has 2, outside \[0, 1\]"),
+    ([5, 7], [0, -1], [], r"smallest members: point 7 has -1, outside \[0, 1\]"),
+    ([5, 7, 9], [0, 1, 2], [[0, 2], [0, 1]], r"ascending pairs .* got \(0, 1\)"),
+    ([5.0, 7.0], [0, 1], [], r"points must be an integer array of shape \(n,\)"),
+    (5, [0], [], r"points must be an integer array of shape \(n,\)"),
+    ([5, 7], [0, 1], [0, 1], r"cannot_components must be an integer array of shape \(n, 2\)"),
+], ids=["self-cannot", "point-twice", "component-past-end", "short-component",
+        "numbered-late-first", "numbered-with-gap", "numbered-negative", "pairs-unsorted",
+        "float-points", "scalar-points", "flat-pairs"])
+def test_closed_constraints_check_their_invariants(points, component, cannot, message):
+    with pytest.raises(InconsistentConstraints, match=message):
+        ClosedConstraints(*map(np.array, (points, component, cannot)))
+
+
+def test_closed_constraints_take_lists():
+    cs = ClosedConstraints([5, 7, 9], [0, 0, 1], [[0, 1]])
+    assert all(a.dtype == np.int64 for a in (cs.points, cs.component, cs.cannot_components))
+    assert cs.pair_counts() == (1, 2)
+    empty = ClosedConstraints([], [], [])
+    assert empty.cannot_components.shape == (0, 2) and empty.pair_counts() == (0, 0)
