@@ -27,7 +27,9 @@ from .corpus_tools import (
     save_labels,
     write_atomic,
 )
-from .errors import DataError, InsufficientLabels, ProtoabsError, TooManyClusters, UnmatchedMessage
+from .errors import (
+    DataError, InsufficientLabels, NoLabels, ProtoabsError, TooManyClusters, UnmatchedMessage,
+)
 from .evaluation import evaluate
 from .experiments import (
     run_experiment,
@@ -354,8 +356,9 @@ def main(argv=None):
     try:
         return args.run(args)
     except (DataError, OSError) as e:
-        # the labelled examples are drawn from the labels file
-        where = "labels %s: " % args.labels if isinstance(e, InsufficientLabels) else ""
+        # the labelled examples are drawn, and the scores taken, from the labels file
+        from_labels = isinstance(e, (InsufficientLabels, NoLabels))
+        where = "labels %s: " % args.labels if from_labels else ""
         print("data error: %s%s" % (where, e), file=sys.stderr)
         return 2
     except ProtoabsError as e:

@@ -26,8 +26,9 @@ signed integer type that holds the slot count, -1 for an unconstrained
 message; the same array picks the messages that take the argmin.
 Each M-step counts members once per (field, token) column and cluster;
 the centroids (per-field modes) and the metric update's dispersion around
-them both read that count.  The costs come from a mismatch of the distinct
-rows against the centroids, cast a block of clusters at a time.  A pass
+them both read that count.  The costs are the weighted mismatch of the
+distinct rows against the centroids, `metric.mismatch_costs` over
+bounded blocks of rows, so each adds its fields in field order.  A pass
 that moves no point ends the loop unscored: its state is the one last
 scored.  No step groups messages by cluster:
 the objective is the exact sum (`math.fsum`) of each distinct row's cost
@@ -57,8 +58,6 @@ from .constraints import close_constraints, constraints_from_labels, neighborhoo
 from .errors import DataError, EmptyCluster, TooManyClusters
 from .metric import EPS_DENOM, EPS_WEIGHT, DiagonalMetric
 from .model import Message, json_indented, json_ints, json_typed
-
-DISPERSION_BLOCK = 2**20    # float entries cast at a time by _State.dispersion_costs
 
 
 @dataclass(frozen=True)
@@ -244,6 +243,11 @@ class _State:
         self.scales = (0.5 * constraints.w, constraints.w_bar)   # of the two tables
         self._ctx = ctx
         self.constrained = points
+        # on a one-token field every centroid equals every row, so only the
+        # others add to a cost: their (F', u) codes, C order, narrowest type
+        self.cost_fields = np.flatnonzero(np.diff(corpus.offsets) > 1)
+        self.cost_codes = corpus.unique_codes[:, self.cost_fields].T.astype(
+            np.min_scalar_type(corpus.offsets[-1]), order="C")
         self.kinds = [kind for kind, pairs in enumerate(constraints.pair_counts()) if pairs]
         u = corpus.unique_codes.shape[0]
         slots, point_slots = np.unique(constraints.component * u
@@ -305,17 +309,16 @@ class _State:
 
     def dispersion_costs(self):
         """(u, K) weighted mismatch of each distinct code row against each
-        centroid, computed once per centroids and weights."""
+        centroid, computed once per centroids and weights, over blocks of
+        rows of at most PAIR_BLOCK compared entries."""
         if self._dispersion is None:
-            # one BLAS matrix-vector product per cluster (einsum sums in
-            # another order), over whole clusters whose float mismatch of
-            # the distinct rows holds at most DISPERSION_BLOCK entries
-            codes = self.corpus.unique_codes
-            step = max(1, DISPERSION_BLOCK // codes.size)
-            out = np.empty((self.k, codes.shape[0]))
-            for a in range(0, self.k, step):
-                block = (codes[None] != self.cent[a:a + step, None]).astype(float)
-                out[a:a + step] = np.matmul(block, self.weights[a:a + step, :, None])[:, :, 0]
+            codes, f = self.cost_codes, self.cost_fields
+            cent = self.cent[:, f].T.astype(codes.dtype)[:, :, None]
+            w = self.weights[:, f].T[:, :, None]
+            step = max(1, _metric.PAIR_BLOCK // max(1, cent.size))
+            out = np.empty((self.k, codes.shape[1]))
+            for a in range(0, codes.shape[1], step):
+                out[:, a:a + step] = _metric.mismatch_costs(w, codes[:, None, a:a + step], cent)
             self._dispersion = out.T
         return self._dispersion
 

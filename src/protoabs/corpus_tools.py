@@ -21,6 +21,7 @@ import numbers
 import os
 from contextlib import suppress
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import chain, combinations
 
 import numpy as np
@@ -276,7 +277,10 @@ class SynthSpec:
             raise BadSpec("noise_rate must be in [0, 1)")
         if self.class_weights is not None:
             _check_weights(self.class_weights, len(self.class_templates))
-        _check_distinguishable(self.class_templates, self.arity)
+        try:
+            _check_distinguishable_once(self.class_templates, self.arity)
+        except TypeError:   # templates that do not hash are checked each time
+            _check_distinguishable(self.class_templates, self.arity)
 
 
 def _check_weights(weights, j):
@@ -302,6 +306,10 @@ def _check_distinguishable(templates, arity):
         if not any(x != y and f not in na | nb for f, (x, y) in enumerate(zip(ra, rb))):
             raise BadSpec("templates %r and %r are indistinguishable outside noise fields"
                           % (a.name, b.name))
+
+
+# a check passed is remembered per (templates, arity); one that fails reruns
+_check_distinguishable_once = lru_cache(maxsize=64)(_check_distinguishable)
 
 
 def generate_synthetic(spec):

@@ -63,7 +63,7 @@ def _ari(counts):
     """Adjusted Rand index of a (K, J) contingency table; see ari."""
     n = int(counts.sum())
     if n < 2:
-        raise ValueError("ARI needs at least 2 labeled points")
+        raise NoLabels("ARI needs at least 2 labeled points, got %d" % n)
     nij = _comb2(counts).sum()
     a = _comb2(counts.sum(axis=1)).sum()
     b = _comb2(counts.sum(axis=0)).sum()

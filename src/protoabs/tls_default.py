@@ -8,6 +8,8 @@ direction twins are deliberately close under the unit Hamming metric,
 which is what the unsupervised baseline trips over.
 """
 
+from functools import cache
+
 from .corpus_tools import ClassTemplate, SynthSpec, parse_rule_lines
 from .model import DEFAULT_ARITY
 
@@ -26,7 +28,10 @@ def _alts(key, values, own):
     return tuple("%s=%s" % (key, v) for v in values if v != own)
 
 
+@cache
 def default_templates():
+    """The 21 templates, built once per process: a tuple of frozen
+    templates, which callers share."""
     templates = []
 
     ch = ["HANDSHAKE-IN=CLIENTHELLO", "VERSION=TLS_1_2"]

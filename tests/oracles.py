@@ -194,6 +194,27 @@ def max_separated_pair(indices, corpus, m):
     return MaxPair(int(idx[i]), int(idx[j]), float(flat[best]))
 
 
+def mismatch_costs(w, x, y):
+    """Field-by-field weighted mismatch of field-first operands that
+    broadcast: each total adds w[f] * [x[f] != y[f]] for f = 0, 1, ... in
+    turn, one Python float at a time."""
+    w, x, y = np.broadcast_arrays(w, x, y)
+    out = np.empty(w.shape[1:])
+    for at in np.ndindex(out.shape):
+        total = 0.0
+        for wf, xf, yf in zip(w[(slice(None),) + at].tolist(), x[(slice(None),) + at].tolist(),
+                              y[(slice(None),) + at].tolist()):
+            total += wf * (xf != yf)
+        out[at] = total
+    return out
+
+
+def dispersion_costs(corpus, cent, weights):
+    """(u, K) weighted mismatch of each distinct row against each of the K
+    centroid code rows `cent` under the (K, F) `weights`, over every field."""
+    return mismatch_costs(weights.T[:, None], corpus.unique_codes.T[:, :, None], cent.T[:, None])
+
+
 def unit_metric(arity):
     return DiagonalMetric(np.ones(arity))
 

@@ -335,6 +335,10 @@ TWO_CLUSTERS = dict(SHORT_MODEL, k=2, assignments=[0, 1] * (N // 2),
 # a trace file in UTF-16, byte-order mark first; not UTF-8 from its first byte
 UTF16_FILE = b"\xff\xfe" + "HANDSHAKE-IN CLIENTHELLO\n--\n".encode("utf-16-le")
 
+# labels of one class with one labelled message: one label per class can be
+# drawn, but no ARI scored
+ONE_LABELLED = {"n_classes": 1, "labels": [0] + [-1] * (N - 1)}
+
 # (case, command and its other arguments, {argument: file content, "short",
 # or a function of the workspace file's JSON}, and optionally text that the
 # line must hold), each a data error: exit 2 with one line on stderr,
@@ -483,6 +487,14 @@ BAD_DATA = [
     ("labels n_classes beyond int64", "eval", {"--labels": lambda l: dict(l, n_classes=2**63)}),
     ("sweep-labels labels of 0 classes", "sweep-labels", {"--labels": _no_classes}),
     ("labels shorter than corpus", "sweep-k", {"--labels": "short"}),
+    ("cluster one labelled message", "cluster --labels-per-class 1",
+     {"--labels": ONE_LABELLED}, "ARI needs at least 2 labeled points, got 1"),
+    ("eval one labelled message", "eval", {"--labels": ONE_LABELLED},
+     "ARI needs at least 2 labeled points, got 1"),
+    ("sweep-k one labelled message", "sweep-k --k 2..3", {"--labels": ONE_LABELLED},
+     "ARI needs at least 2 labeled points, got 1"),
+    ("sweep-labels one labelled message", "sweep-labels --counts 1",
+     {"--labels": ONE_LABELLED}, "ARI needs at least 2 labeled points, got 1"),
     # a count beyond int64, which unbalanced mode once drew up to
     ("unbalanced labels per class beyond int64",
      "cluster --mode unbalanced --labels-per-class 9223372036854775808", {}),

@@ -491,19 +491,21 @@ class TestRunKmeans:
         assert km_report.purity < 1.0
 
 
-@pytest.mark.parametrize("per_block", [1, 3, 7])
-def test_dispersion_costs_in_blocks_equal_one_stacked_matmul(monkeypatch, per_block):
+@pytest.mark.parametrize("block", [None, 1, 5])
+@pytest.mark.parametrize("k, n", [(7, 400), (1, 401)])
+def test_dispersion_costs_equal_the_field_by_field_sums(monkeypatch, block, k, n):
+    """At K=1 a block of one row has a lone total, which numpy's plain
+    reduce would sum pairwise; one-token fields add +0.0 in the oracle."""
     rng = np.random.default_rng(0)
-    corpus = random_corpus(rng, 400, 32)
-    k = 7
+    tokens = np.resize([1, 3, 2, 3], 32)
+    corpus = build_corpus([["t%d" % rng.integers(t) for t in tokens] for _ in range(n)], 32)
+    assert corpus.unique_codes.shape[0] == n
     cent = corpus.unique_codes[:k]
-    weights = rng.uniform(0.05, 5.0, size=(k, corpus.arity))
-    state = clustering._State(corpus, k, cent, weights, np.zeros(len(corpus), dtype=np.int64),
+    weights = 10.0 ** rng.uniform(-6, 6, size=(k, corpus.arity))
+    state = clustering._State(corpus, k, cent, weights, np.zeros(n, dtype=np.int64),
                               close_constraints(ConstraintSet()), None)
-    mismatch = corpus.unique_codes[None] != cent[:, None]     # (K, u, F)
-    monkeypatch.setattr(clustering, "DISPERSION_BLOCK", per_block * corpus.unique_codes.size)
-    want = np.matmul(mismatch, weights[:, :, None])[:, :, 0].T
-    assert np.array_equal(state.dispersion_costs(), want)
+    monkeypatch.setattr(clustering._metric, "PAIR_BLOCK", block or clustering._metric.PAIR_BLOCK)
+    assert np.array_equal(state.dispersion_costs(), oracles.dispersion_costs(corpus, cent, weights))
 
 
 @pytest.mark.parametrize("field, value", [

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from protoabs import corpus_tools
 from protoabs.corpus_tools import (
     ClassTemplate,
     DecodedTrace,
@@ -31,7 +32,7 @@ from protoabs.errors import (
     UnmatchedMessage,
 )
 from protoabs.model import ABSENT, LabelVector, build_corpus
-from protoabs.tls_default import default_rules, default_synth_spec
+from protoabs.tls_default import default_rules, default_synth_spec, default_templates
 
 SAMPLE_TRACE = """\
 # decoded handshake snippet
@@ -254,6 +255,23 @@ class TestSynthetic:
         )
         with pytest.raises(BadSpec):
             SynthSpec(class_templates=templates, n_messages=4, arity=2)
+
+    def test_templates_are_checked_once_per_templates_and_arity(self):
+        """A check that fails reruns, and templates that do not hash, held
+        in a list, are checked on each spec."""
+        once = corpus_tools._check_distinguishable_once
+        once.cache_clear()
+        for arity in (32, 32, 20, 32):
+            assert default_synth_spec(arity=arity).class_templates is default_templates()
+        assert (once.cache_info().misses, once.cache_info().hits) == (2, 2)
+        twins = (ClassTemplate("x", ("H=X", "A=1")), ClassTemplate("y", ("H=X", "A=1")))
+        for templates in (twins, list(twins)) * 2:
+            with pytest.raises(BadSpec, match="indistinguishable"):
+                SynthSpec(class_templates=templates, n_messages=4, arity=2)
+        listed = [ClassTemplate("x", ["H=X"]), ClassTemplate("y", ["H=Y"])]
+        corpus, labels = generate_synthetic(SynthSpec(listed, n_messages=4, arity=1))
+        assert len(corpus) == 4
+        assert (once.cache_info().misses, once.cache_info().hits) == (4, 2)
 
     def test_noise_free_nearest_template_recovers_labels(self):
         spec = default_synth_spec(n_messages=400, noise_rate=0.0, seed=3)
