@@ -18,12 +18,12 @@ that a visit reads change only when a point moves, so one array pass
 costs every visit up to the next mover, which moves alone; the next pass
 starts after it and covers at most twice the visits the last one used (the
 first covers them all), so the rows costed stay within 3 x the visits
-even if every visit moves.  Constraints are never expanded
-into pairs: penalties and violation tallies are summed over the counts of
-constrained points per (component, distinct row) slot and cluster.
-A message's slot is one lookup in an N-entry array of the narrowest
-signed integer type that holds the slot count, -1 for an unconstrained
-message; the same array picks the messages that take the argmin.
+even if every visit moves.  Constraints are never expanded into pairs:
+penalties and violation tallies are summed over the counts of constrained
+points per (component, distinct row) slot and cluster.  Link arrays are
+indexed by slot, and one method makes the table terms of a build and a move.
+A message's slot is one lookup in an N-entry array of the narrowest signed
+type, -1 if unconstrained, that also picks the messages for the argmin.
 Each M-step counts members once per (field, token) column and cluster;
 the centroids (per-field modes) and the metric update's dispersion around
 them both read that count.  The costs are the weighted mismatch of the
@@ -49,7 +49,7 @@ without one its cannot-link tally is 0.0 whatever the table holds.
 import math
 import numbers
 from dataclasses import dataclass, replace
-from itertools import chain
+from itertools import chain, product
 
 import numpy as np
 
@@ -181,13 +181,15 @@ def _row_counts(corpus, row_ids, groups, g):
 def _token_counts(corpus, counts):
     """(V, g) members per (field, token) column and group, from the (u, g)
     count matrix of g groups; exact integers held as floats.  One bincount
-    over the occupied (row, group) cells x F: its temporaries hold cells x F
-    entries, cells <= min(u * g, N), the order of a (g, u, F) mismatch."""
+    over the occupied (row, group) cells x F, cells <= min(u * g, N), whose
+    codes, columns (built in place) and member counts are its temporaries."""
     g = counts.shape[1]
     cells = np.flatnonzero(counts)
     rows, groups = np.divmod(cells, g)
-    at = (corpus.unique_codes[rows] + corpus.offsets[:-1]) * g + groups[:, None]
-    members = np.repeat(counts.ravel()[cells], corpus.arity)
+    at = corpus.unique_codes[rows] + corpus.offsets[:-1]
+    at *= g
+    at += groups[:, None]
+    members = np.repeat(counts.ravel()[cells].astype(float), corpus.arity)
     return np.bincount(at.ravel(), members, corpus.offsets[-1] * g).reshape(-1, g)
 
 
@@ -222,8 +224,9 @@ class _State:
 
     Constraint terms come from [must, cannot] tables over slots, the
     (component, distinct row) pairs of the constrained points: entry [s, h]
-    sums what the partners of a point of slot s add in cluster h.  Its
-    partners' slots are those marked in row s of the (S, S) `linked[kind]`.
+    sums what the partners of a point of slot s add in cluster h, terms
+    that `link_terms` makes for a build and a move alike.  Link arrays are
+    indexed by slot: (S, S) `linked[kind]`, (S, S, V) `mismatch`, (S, S, K) `distances`.
 
     The max-pair table `ctx` is built on first read, for the assignments
     and metrics of that moment, and dropped when the weights are set; moves
@@ -253,15 +256,13 @@ class _State:
         slots, point_slots = np.unique(constraints.component * u
                                        + corpus.row_ids[self.constrained], return_inverse=True)
         comp, rows = np.divmod(slots, u)
-        rows, self.slot_rows = np.unique(rows, return_inverse=True)     # R distinct rows
         codes = corpus.unique_codes[rows]
         self.fields = np.flatnonzero((codes != codes[:1]).any(axis=0))  # where they differ
         v = codes[:, self.fields]
-        self.mismatch = (v[:, None, :] != v[None, :, :]).astype(float)   # (R, R, V)
+        self.mismatch = (v[:, None, :] != v[None, :, :]).astype(float)   # (S, S, V)
         # each message's slot, -1 for an unconstrained one
         self.slot_of = np.full(len(corpus), -1, dtype=np.min_scalar_type(-max(slots.size, 1)))
         self.slot_of[self.constrained] = point_slots
-        self.point_cells = point_slots * k          # flat cell ids in cluster 0
         # [must, cannot]: same component, cannot-linked components
         n_comp = constraints.component.max(initial=-1) + 1
         cannot = np.zeros((n_comp, n_comp), dtype=bool)
@@ -330,44 +331,41 @@ class _State:
     def cells(self):
         """Slot, cluster and number of constrained points of each occupied
         (slot, cluster) cell, in slot order, and the (slots, K) counts."""
-        counts = np.bincount(self.point_cells + self.assignments[self.constrained],
-                             minlength=self.slot_rows.size * self.k)
+        slots = self.slot_of[self.constrained].astype(np.intp)     # may be int8: widen
+        counts = np.bincount(slots * self.k + self.assignments[self.constrained],
+                             minlength=len(self.mismatch) * self.k)
         ids = np.flatnonzero(counts)
         return (*np.divmod(ids, self.k), counts[ids], counts.reshape(-1, self.k))
 
-    def pairs(self, s, kind):
-        """(cell, target slot, its row, the cell's row) for each target of
-        each cell in slot s, cell by cell, so that a table entry sums its
-        terms in cell order; kind 0 is must, 1 cannot."""
+    def link_terms(self, s, g, n, kind):
+        """Flat (slot, cluster) table entries and the unweighted costs that
+        the n points of each cell (s, g) add there through links of `kind`
+        (0 must, 1 cannot), cell by cell, so that an entry sums its terms in
+        cell order: to a partner of slot t, d_h + d_g in each cluster h but g
+        for a must-link, and the shortfall D_g - d_g in g for a cannot-link."""
         cell, t = np.nonzero(self.linked[kind][s])
-        return cell, t, self.slot_rows[t], self.slot_rows[s[cell]]
-
-    def partner_costs(self, kind, x, y, g):
-        """Unweighted cost a partner of row y in cluster g adds to a point of
-        row x: (n, K) for a must-link, d_h + d_g in each cluster h but g;
-        (n,) for a cannot-link, in g alone, the shortfall D_g - d_g."""
-        d = self.distances
+        s, g, n, d = s[cell], g[cell], n[cell], self.distances
         if kind:
-            return np.maximum(0.0, self.ctx.maxd2[g] - d[x, y, g])
-        costs = d[x, y] + d[x, y, g][..., None]
-        costs[np.arange(costs.shape[0]), g] = 0.0
-        return costs
+            costs = np.maximum(0.0, self.ctx.maxd2[g] - d[t, s, g])
+            costs *= n
+            return t * self.k + g, costs
+        costs = d[t, s]
+        costs += d[t, s, g][:, None]
+        costs[np.arange(g.size), g] = 0.0
+        costs *= n[:, None]
+        return ((t * self.k)[:, None] + np.arange(self.k)).ravel(), costs.ravel()
 
     def build_tables(self, cells):
         """[must, cannot] tables of the `cells`, zero for a kind of link the
         constraints lack."""
         s, g, n, _ = cells
-        k = self.k
-        if self.distances is None:      # (R, R, K) weighted mismatch of the rows
+        if self.distances is None:      # (S, S, K) weighted mismatch of the slots' rows
             self.distances = np.tensordot(self.mismatch, self.weights[:, self.fields], (2, 1))
-        tables = [np.zeros((self.slot_rows.size, k)) for _ in range(2)]
+        size = len(self.mismatch) * self.k
+        tables = [np.zeros(size), np.zeros(size)]
         for kind in self.kinds:
-            cell, t, x, y = self.pairs(s, kind)
-            costs = self.partner_costs(kind, x, y, g[cell])
-            at = t * k + g[cell] if kind else (t * k)[:, None] + np.arange(k)
-            costs *= n[cell] if kind else n[cell, None]
-            tables[kind] = np.bincount(at.ravel(), costs.ravel(), tables[kind].size).reshape(-1, k)
-        return tables
+            tables[kind] = np.bincount(*self.link_terms(s, g, n, kind), size)
+        return [table.reshape(-1, self.k) for table in tables]
 
     def point_costs(self, points, base):
         """(len(points), K) assignment costs of `points`, their partners'
@@ -384,18 +382,15 @@ class _State:
         return costs
 
     def move(self, i, h):
-        """Assign point i to cluster h; the tables follow by the costs its
-        old and new cell add to their target slots."""
+        """Assign point i to cluster h; the tables follow by the terms of its
+        old cell, taken with n = -1, and of its new one, with n = +1."""
         old, self.assignments[i] = self.assignments[i], h
         s = int(self.slot_of[i])
         if s < 0 or self.tables is None or old == h:
             return
-        y = self.slot_rows[s]
-        for kind in self.kinds:
-            t = np.flatnonzero(self.linked[kind][s])
-            for g, sign in ((old, -1.0), (h, 1.0)):
-                at = (t, g) if kind else t
-                self.tables[kind][at] += sign * self.partner_costs(kind, self.slot_rows[t], y, g)
+        for kind, (g, n) in product(self.kinds, ((old, -1), (h, 1))):
+            at, costs = self.link_terms(*np.array([[s], [g], [n]]), kind)   # one cell
+            self.tables[kind].flat[at] += costs
 
     def objective(self):
         """The objective's terms, recomputed in full against the current
@@ -467,7 +462,7 @@ def _update_weights(state, tokens):
     tallies = np.zeros((k, corpus.arity))
     s, g, n, slot_counts = state.cells()
     for kind in state.kinds:
-        cell, t, x, y = state.pairs(s, kind)
+        cell, t = np.nonzero(state.linked[kind][s])
         # a violated must-link has its partner outside the point's cluster,
         # a violated cannot-link inside it
         inside = slot_counts[t, g[cell]]
@@ -475,8 +470,9 @@ def _update_weights(state, tokens):
         if not partners.any():
             continue    # no link of this kind is violated: its tally is 0.0
         nf = state.fields.size      # (K, V) mismatching fields of those pairs, by cluster
-        by_cluster = np.bincount((g[cell, None] * nf + np.arange(nf)).ravel(), (
-            (n[cell] * partners)[:, None] * state.mismatch[x, y]).ravel(), k * nf).reshape(k, nf)
+        mismatch = (n[cell] * partners)[:, None] * state.mismatch[t, s[cell]]
+        by_cluster = np.bincount((g[cell, None] * nf + np.arange(nf)).ravel(),
+                                 mismatch.ravel(), k * nf).reshape(k, nf)
         if kind == 0:
             # a violated must-link adds w/2 per mismatching field to both clusters
             tallies[:, state.fields] += state.scales[0] * by_cluster

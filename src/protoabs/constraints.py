@@ -239,7 +239,7 @@ def neighborhoods(cs):
 
 
 def load_labeled_samples(path):
-    """Read `<message_index> <class_id>` lines; '#' starts a comment."""
+    """Read `<message_index> <class_id>` lines, integers in [0, 2**63); '#' starts a comment."""
     samples = []
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -253,4 +253,6 @@ def load_labeled_samples(path):
                 samples.append(LabeledSample(int(parts[0]), int(parts[1])))
             except ValueError:
                 raise ParseError("non-integer field in %r" % line, line_no)
+            if not all(0 <= value < 2**63 for value in samples[-1]):
+                raise ParseError("field outside [0, 2**63) in %r" % line, line_no)
     return samples

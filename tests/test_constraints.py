@@ -144,6 +144,21 @@ def test_labeled_sample_file(tmp_path):
         load_labeled_samples(bad)
 
 
+@pytest.mark.parametrize("line", ["-1 0", "3 -2", "%d 0" % 2**63, "3 %d" % 2**63, "%d 1" % 2**80])
+def test_labeled_sample_file_rejects_negative_and_too_large_integers(tmp_path, line):
+    """A negative index or class id, or one past int64, is a ParseError on
+    its line; before, a negative one was returned as given and a huge one
+    overflowed in `constraints_from_labels`."""
+    path = tmp_path / "labels.txt"
+    path.write_text("# seed labels\n3 0\n%s\n9 1\n" % line)
+    with pytest.raises(ParseError, match="line 3: ") as err:
+        load_labeled_samples(path)
+    assert err.value.line_no == 3
+    top = np.iinfo(np.int64).max
+    path.write_text("%d %d\n0 0\n" % (top, top))
+    assert load_labeled_samples(path) == [LabeledSample(top, top), LabeledSample(0, 0)]
+
+
 def assert_closed_like(got, want):
     """`got` (components) holds exactly the pairs of `want` (a pair set),
     with the same weights and neighborhoods."""

@@ -113,7 +113,7 @@ BLAS_NAMES = {"matmul", "tensordot", "einsum", "dot", "inner", "vdot"}
 
 def test_the_link_tables_hold_the_one_blas_call_of_the_package():
     """Every weighted mismatch goes through `mismatch_costs` but the link
-    tables' (R, R, V) x (K, V) product, whose in-order sum took 15 to 25
+    tables' (S, S, V) x (K, V) product, whose in-order sum took 15 to 25
     times as long.  A BLAS name read as an attribute (`np.dot`, `a.dot`) or
     imported, or `@`, anywhere else fails."""
     found = []
