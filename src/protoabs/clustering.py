@@ -21,7 +21,8 @@ first covers them all), so the rows costed stay within 3 x the visits
 even if every visit moves.  Constraints are never expanded into pairs:
 penalties and violation tallies are summed over the counts of constrained
 points per (component, distinct row) slot and cluster.  Link arrays are
-indexed by slot, and one method makes the table terms of a build and a move.
+indexed by slot, `distances` is built from the slots' codes in blocks of
+rows, and one method makes the table terms of a build and a move.
 A message's slot is one lookup in an N-entry array of the narrowest signed
 type, -1 if unconstrained, that also picks the messages for the argmin.
 Each M-step counts members once per (field, token) column and cluster;
@@ -226,7 +227,8 @@ class _State:
     (component, distinct row) pairs of the constrained points: entry [s, h]
     sums what the partners of a point of slot s add in cluster h, terms
     that `link_terms` makes for a build and a move alike.  Link arrays are
-    indexed by slot: (S, S) `linked[kind]`, (S, S, V) `mismatch`, (S, S, K) `distances`.
+    indexed by slot: (S, S) `linked[kind]` and (S, S, K) `distances`, built
+    from the (S, V) `slot_codes` a block of rows at a time.
 
     The max-pair table `ctx` is built on first read, for the assignments
     and metrics of that moment, and dropped when the weights are set; moves
@@ -258,8 +260,7 @@ class _State:
         comp, rows = np.divmod(slots, u)
         codes = corpus.unique_codes[rows]
         self.fields = np.flatnonzero((codes != codes[:1]).any(axis=0))  # where they differ
-        v = codes[:, self.fields]
-        self.mismatch = (v[:, None, :] != v[None, :, :]).astype(float)   # (S, S, V)
+        self.slot_codes = codes[:, self.fields]                         # (S, V)
         # each message's slot, -1 for an unconstrained one
         self.slot_of = np.full(len(corpus), -1, dtype=np.min_scalar_type(-max(slots.size, 1)))
         self.slot_of[self.constrained] = point_slots
@@ -333,7 +334,7 @@ class _State:
         (slot, cluster) cell, in slot order, and the (slots, K) counts."""
         slots = self.slot_of[self.constrained].astype(np.intp)     # may be int8: widen
         counts = np.bincount(slots * self.k + self.assignments[self.constrained],
-                             minlength=len(self.mismatch) * self.k)
+                             minlength=len(self.slot_codes) * self.k)
         ids = np.flatnonzero(counts)
         return (*np.divmod(ids, self.k), counts[ids], counts.reshape(-1, self.k))
 
@@ -359,9 +360,14 @@ class _State:
         """[must, cannot] tables of the `cells`, zero for a kind of link the
         constraints lack."""
         s, g, n, _ = cells
+        v, size = self.slot_codes, len(self.slot_codes) * self.k
         if self.distances is None:      # (S, S, K) weighted mismatch of the slots' rows
-            self.distances = np.tensordot(self.mismatch, self.weights[:, self.fields], (2, 1))
-        size = len(self.mismatch) * self.k
+            w = self.weights[:, self.fields]
+            step = max(1, _metric.PAIR_BLOCK // max(1, v.size))     # rows x S x V entries
+            self.distances = np.empty((len(v), len(v), self.k))
+            for a in range(0, len(v), step):
+                block = (v[a:a + step, None] != v).astype(float)        # (rows, S, V)
+                self.distances[a:a + step] = np.tensordot(block, w, (2, 1))
         tables = [np.zeros(size), np.zeros(size)]
         for kind in self.kinds:
             tables[kind] = np.bincount(*self.link_terms(s, g, n, kind), size)
@@ -463,23 +469,24 @@ def _update_weights(state, tokens):
     s, g, n, slot_counts = state.cells()
     for kind in state.kinds:
         cell, t = np.nonzero(state.linked[kind][s])
-        # a violated must-link has its partner outside the point's cluster,
-        # a violated cannot-link inside it
+        # a violated must-link has its partner outside the point's cluster, a
+        # violated cannot-link inside it; the others would add +0.0 to a tally
         inside = slot_counts[t, g[cell]]
         partners = inside if kind else slot_counts[t].sum(axis=1) - inside
         if not partners.any():
             continue    # no link of this kind is violated: its tally is 0.0
+        cell, t, pairs = (a[partners > 0] for a in (cell, t, n[cell] * partners))
         nf = state.fields.size      # (K, V) mismatching fields of those pairs, by cluster
-        mismatch = (n[cell] * partners)[:, None] * state.mismatch[t, s[cell]]
+        differ = pairs[:, None] * (state.slot_codes[t] != state.slot_codes[s[cell]])
         by_cluster = np.bincount((g[cell, None] * nf + np.arange(nf)).ravel(),
-                                 mismatch.ravel(), k * nf).reshape(k, nf)
+                                 differ.ravel(), k * nf).reshape(k, nf)
         if kind == 0:
             # a violated must-link adds w/2 per mismatching field to both clusters
             tallies[:, state.fields] += state.scales[0] * by_cluster
             continue
         # a violated cannot-link in cluster h adds wbar * (far - near) to h,
         # counted here from both of its points
-        cl_tallies = np.bincount(g[cell], n[cell] * partners, k)[:, None] * state.ctx.far
+        cl_tallies = np.bincount(g[cell], pairs, k)[:, None] * state.ctx.far
         cl_tallies[:, state.fields] -= by_cluster
         tallies += np.maximum(0.0, 0.5 * state.scales[1] * cl_tallies)
     sizes, dispersion = _dispersion(corpus, tokens, state.cent)

@@ -53,8 +53,8 @@ def purity(cm):
 def ari(assignments, labels):
     """Adjusted Rand index via the pair-counting contingency formula.
 
-    Degenerate denominator (e.g. one cluster and one class): 1.0 when the
-    partitions are identical, else 0.0.
+    A degenerate denominator arises only for two identical partitions,
+    both all singletons or both one block, whose index is 1.0.
     """
     return _ari(confusion(assignments, labels).counts)
 
@@ -70,22 +70,15 @@ def _ari(counts):
     total = _comb2(np.array([n]))[0]
     expected = a * b / total
     max_index = (a + b) / 2.0
+    # expected = ab/T <= min(a, b) <= (a + b)/2, T = total: equal only if a = b is 0 or T
     if max_index == expected:
-        return 1.0 if _identical_partitions(counts) else 0.0
+        return 1.0
     return float((nij - expected) / (max_index - expected))
 
 
 def _comb2(x):
     x = np.asarray(x, dtype=np.float64)
     return x * (x - 1.0) / 2.0
-
-
-def _identical_partitions(counts):
-    nonzero_per_row = (counts > 0).sum(axis=1)
-    nonzero_per_col = (counts > 0).sum(axis=0)
-    rows_ok = np.all(nonzero_per_row[counts.sum(axis=1) > 0] == 1)
-    cols_ok = np.all(nonzero_per_col[counts.sum(axis=0) > 0] == 1)
-    return bool(rows_ok and cols_ok)
 
 
 @dataclass(frozen=True)

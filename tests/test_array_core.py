@@ -135,13 +135,15 @@ def assert_weights_match_oracle(corpus, model, cs, far, got):
 
 
 @PROPERTY
-@given(instances())
-def test_point_costs_argmin_matches_oracle_assign_point(inst):
+@given(instances(), st.sampled_from([None, 1]))
+def test_point_costs_argmin_matches_oracle_assign_point(inst, block):
+    """At PAIR_BLOCK 1 the link distances are built one row of slots per block."""
     corpus, model, cs = inst
     ctx = PenaltyContext.build(corpus, model.assignments, model.metrics)
     state = _state_from_model(corpus, model, cs, ctx)
     max_sq = oracles.max_pair_distances(corpus, model.assignments, model.metrics)
-    assert_point_costs_match_oracle(corpus, model, cs, state, max_sq)
+    with patch.object(clustering._metric, "PAIR_BLOCK", block or clustering._metric.PAIR_BLOCK):
+        assert_point_costs_match_oracle(corpus, model, cs, state, max_sq)
 
 
 def assert_point_costs_match_oracle(corpus, model, cs, state, max_sq):

@@ -109,6 +109,8 @@ class TestAri:
 
     def test_degenerate_single_cluster_single_class(self):
         assert ari([0, 0, 0], lv([0, 0, 0], j=1)) == 1.0
+        # all singletons on both sides: no pair in a block, a = b = 0
+        assert ari([0, 1, 2], lv([2, 0, 1])) == 1.0
 
     def test_contingency_equals_pair_counting_randomized(self):
         rng = np.random.default_rng(17)

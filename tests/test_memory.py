@@ -95,6 +95,24 @@ run_mpck(corpus, cs, MpckConfig(k=8, seed=0))
 print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
 """
 
+# N=20k mpck at K=6 and 100 labels per class on the ClientHello spec at noise
+# 0.5: 800 labelled messages on as many distinct rows, so 800 slots.  Eight
+# classes in six clusters violate cannot-links, so the metric update tallies
+# them.  A (slots, slots, fields) float mismatch of the slots' rows, with its
+# rows gathered for every linked pair, peaked at 326 MB; the link state keeps
+# the slots' (slots, fields) codes and builds `distances` in blocks of rows.
+DENSE_LINKS_BUDGET_MB = 160
+DENSE_LINKS = """
+import resource
+from protoabs import MpckConfig, constraints_from_labels, draw_labeled_samples
+from protoabs import generate_synthetic, run_mpck
+from specs import clienthello_spec
+corpus, labels = generate_synthetic(clienthello_spec(20000))
+cs = constraints_from_labels(draw_labeled_samples(labels, 100, seed=0))
+run_mpck(corpus, cs, MpckConfig(k=6, seed=0))
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
 # Linux carries a process's peak RSS across fork and exec, so the workload
 # runs as the child of a small interpreter rather than of the test process.
 LAUNCHER = (
@@ -131,6 +149,10 @@ def test_distinct_rows_kmeans_at_20k_stays_within_rss_budget():
 
 def test_distinct_rows_mpck_at_10k_stays_within_rss_budget():
     assert peak_rss_mb(DISTINCT_MPCK) < DISTINCT_MPCK_BUDGET_MB
+
+
+def test_dense_links_at_20k_stay_within_rss_budget():
+    assert peak_rss_mb(DENSE_LINKS) < DENSE_LINKS_BUDGET_MB
 
 
 def test_corpus_holds_no_per_message_code_matrix():

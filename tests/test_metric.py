@@ -113,9 +113,9 @@ BLAS_NAMES = {"matmul", "tensordot", "einsum", "dot", "inner", "vdot"}
 
 def test_the_link_tables_hold_the_one_blas_call_of_the_package():
     """Every weighted mismatch goes through `mismatch_costs` but the link
-    tables' (S, S, V) x (K, V) product, whose in-order sum took 15 to 25
-    times as long.  A BLAS name read as an attribute (`np.dot`, `a.dot`) or
-    imported, or `@`, anywhere else fails."""
+    tables' product, a (rows, S, V) x (K, V) `tensordot` per block of rows,
+    whose in-order sum took 8 to 12 times as long.  A BLAS name read as an
+    attribute (`np.dot`, `a.dot`) or imported, or `@`, anywhere else fails."""
     found = []
     for path in sorted(Path(protoabs.__file__).parent.glob("*.py")):
         def visit(node, where):

@@ -29,7 +29,8 @@ iterations and stops kept their bits.  The 1-label and pair-form gaps
 were re-pinned (to 1.75 and 1.25 times 2**-39) when the gap came to
 compare the exact sum of the points' cost deltas with the exact sum of
 the objective terms' change, instead of a tracked total with a
-recomputed one.
+recomputed one.  They run at the default PAIR_BLOCK and at 1, where the
+link distances are built one row of slots per block.
 
 An mpck run on a corpus whose rows are almost all distinct (the
 ClientHello spec of `specs.py`, N=3000, noise 0.5, K=8, 1 label per class,
@@ -180,11 +181,14 @@ def dense_constraints(labels, case):
             else constraints_from_labels(draw_labeled_samples(labels, case, seed=0)))
 
 
-@pytest.mark.parametrize("case", list(PINNED_DENSE), ids=str)
-def test_pinned_bits(corpus_5k, case):
+@pytest.mark.parametrize("case,block", [
+    pytest.param(case, block, id="%s%s" % (case, "-one-row-blocks" if block else ""))
+    for block in (None, 1) for case in PINNED_DENSE])
+def test_pinned_bits(corpus_5k, case, block):
     corpus, labels = corpus_5k
     cs = dense_constraints(labels, case)
-    model = run_mpck(corpus, cs, MpckConfig(k=21, seed=0))
+    with patch.object(metric, "PAIR_BLOCK", block or metric.PAIR_BLOCK):
+        model = run_mpck(corpus, cs, MpckConfig(k=21, seed=0))
     assert (
         hashlib.sha256(model.to_json().encode()).hexdigest(),
         model.objective.hex(),
